@@ -825,27 +825,31 @@ def _scrub_pii_corpus(sf_dir: str) -> pd.DataFrame:
     return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
-def _langid_documents(sf_dir: str) -> pd.DataFrame:
-    """Langid + perplexity actor-pool stages over documents (rows-only)."""
+def _scored_docs(sf_dir: str):
+    """Documents through the flagship's fused QualityScorer actor pool
+    (langid + perplexity on `text`, both models fit once and broadcast)."""
     import ray as _ray
 
     from pipeline.quality.langid import LangIdModel
     from pipeline.quality.perplexity import PerplexityModel
-    from pipeline.ray_pipeline import LangIdScorer, PerplexityScorer
+    from pipeline.ray_pipeline import QualityScorer
 
-    lang_ref = _ray.put(LangIdModel.default())
-    ppl_ref = _ray.put(PerplexityModel.default())
-    ds = _docs(sf_dir).map_batches(
-        LangIdScorer, batch_format="pyarrow", batch_size=512,
-        fn_constructor_kwargs={"column": "text", "model_ref": lang_ref},
+    return _docs(sf_dir).map_batches(
+        QualityScorer, batch_format="pyarrow", batch_size=512,
+        fn_constructor_kwargs={
+            "column": "text",
+            "lang_ref": _ray.put(LangIdModel.default()),
+            "ppl_ref": _ray.put(PerplexityModel.default()),
+        },
         concurrency=2, num_cpus=1,
     )
-    ds = ds.map_batches(
-        PerplexityScorer, batch_format="pyarrow", batch_size=512,
-        fn_constructor_kwargs={"column": "text", "model_ref": ppl_ref},
-        concurrency=2, num_cpus=1,
-    )
-    df = ds.select_columns(["doc_id", "lang_pred", "perplexity"]).to_pandas()
+
+
+def _langid_documents(sf_dir: str) -> pd.DataFrame:
+    """Langid + perplexity over documents (rows-only)."""
+    df = _scored_docs(sf_dir).select_columns(
+        ["doc_id", "lang_pred", "perplexity"]
+    ).to_pandas()
     df["perplexity"] = df["perplexity"].round(3)
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -1529,7 +1533,7 @@ def _doc_length_quantiles(sf_dir: str) -> pd.DataFrame:
     qs = [0.25, 0.5, 0.75, 0.9, 0.99]
     vals = value_counts_quantiles(_docs(sf_dir), "n_chars", qs)
     return pd.DataFrame(
-        [{f"p{int(q * 100)}": int(v) for q, v in zip(qs, vals)}]
+        [{f"p{round(q * 100)}": int(v) for q, v in zip(qs, vals)}]
     )
 
 
@@ -1550,7 +1554,7 @@ def _doc_length_pctl_cont(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame([{
         # empty corpus: quantiles are None -> NaN, like the oracle's
         # NULL row through .df()
-        f"p{int(q * 100)}": (float(v) if v is not None else float("nan"))
+        f"p{round(q * 100)}": (float(v) if v is not None else float("nan"))
         for q, v in zip(qs, vals)
     }])
 
@@ -2316,23 +2320,14 @@ def _corpus_budget_select(sf_dir: str) -> pd.DataFrame:
 def _doc_ppl_quantiles(sf_dir: str) -> pd.DataFrame:
     """Quantile sketch over a CONTINUOUS model-score column
     (pipeline/extras/sketches.py): perplexity-score the corpus with the
-    actor-pool stage, then mergeable equi-weight summaries -> balanced
+    fused actor-pool scorer, then mergeable equi-weight summaries -> balanced
     tree fold.  Rows-only (model scores have no SQL form); the sketch's
     exact-regime equivalence to quantile_disc and its 2% rank-error
     bound in the approximate regime are pytest-verified
     (tests/test_sketches.py)."""
-    import ray as _ray
-
     from pipeline.extras.sketches import sketch_quantiles
-    from pipeline.quality.perplexity import PerplexityModel
-    from pipeline.ray_pipeline import PerplexityScorer
 
-    ppl_ref = _ray.put(PerplexityModel.default())
-    ds = _docs(sf_dir).map_batches(
-        PerplexityScorer, batch_format="pyarrow", batch_size=512,
-        fn_constructor_kwargs={"column": "text", "model_ref": ppl_ref},
-        concurrency=2, num_cpus=1,
-    ).select_columns(["perplexity"])
+    ds = _scored_docs(sf_dir).select_columns(["perplexity"])
     qs = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
     vals = sketch_quantiles(ds, "perplexity", qs, k=4096)
     return pd.DataFrame({
@@ -2480,15 +2475,10 @@ def _pii_entity_stats(sf_dir: str) -> pd.DataFrame:
     tests/test_conformance.py."""
     from ray.data.aggregate import Sum
 
-    from pipeline._util import clean_batch
     from pipeline.ray_pipeline import entity_count_stage
 
-    corpus_dir = _pii_corpus_dir(sf_dir)
-    ds = _read(corpus_dir, columns=["text"]).map_batches(
-        clean_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
     out = (
-        ds.map_batches(
+        _read(_pii_corpus_dir(sf_dir), columns=["text"]).map_batches(
             entity_count_stage, batch_format="pyarrow",
             fn_kwargs={"column": "text", "profile": "conformance"},
             zero_copy_batch=True,

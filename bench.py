@@ -31,41 +31,6 @@ BENCH_LINES = int(os.environ.get("GRAFT_BENCH_LINES", "40"))
 FIXTURE_DIR = Path(f"/tmp/graft_bench/code_{BENCH_ROWS}_l{BENCH_LINES}")
 SCRATCH = Path("/tmp/graft_bench/out")
 
-QUERY_NAMES = [
-    "doc_length_stats", "doc_source_counts", "doc_top10_longest",
-    "doc_token_counts", "dedup_exact", "dedup_keep_first", "events_hourly",
-    "events_user_sessions", "ann_topk", "minhash_dup_pairs",
-    "simhash_dup_pairs", "ngram_jaccard_pairs", "scrub_documents",
-    "langid_documents",
-    "lineitem_pricing", "embedding_pairs_exact", "doc_fingerprints",
-    "orders_topn_per_cust", "events_sliding_mean", "customers_no_orders",
-    "events_distinct_users", "supplier_revenue", "events_clicks_asof",
-    "orders_price_band", "ann_topk_ivf", "embedding_near_dups",
-    "scrub_pii_corpus", "corpus_term_freq", "doc_length_quantiles",
-    "events_distinct_users_hll", "decontaminate_snippets",
-    "decontaminate_ngrams", "docs_weighted_sample", "doc_pack_bins",
-    "corpus_heavy_hitters", "doc_blocklist", "near_dup_groups",
-    "doc_line_dedup", "doc_normalize", "docs_sample_k",
-    "docs_stratified_sample", "embedding_kmeans", "semantic_dedup",
-    "doc_tfidf_top", "corpus_bigrams", "doc_quality_filter",
-    "doc_intra_dedup", "doc_zscore_by_source", "ann_topk_lsh",
-    "multimodal_features", "doc_cume_dist_by_source", "dedup_incremental",
-    "doc_repetition", "doc_chunks", "corpus_budget_select",
-    "doc_ppl_quantiles", "curation_end_to_end", "docs_temperature_sample",
-    "pii_entity_stats", "doc_robust_z_by_source",
-    "doc_score_quantiles_sketch", "docs_cap_per_source",
-    "doc_dev_from_source_mean", "near_dup_groups_distributed",
-    "docs_hash_split",
-    "doc_alnum_ratio", "doc_lang_filter", "doc_len_histogram",
-    "doc_minlen_filter", "doc_quality", "events_lag",
-    "orders_by_nation", "orders_customer_join", "ngram_dup_groups",
-    "customers_urgent_semi", "orders_rollup",
-    "events_type_pivot", "doc_corr_by_source", "doc_mode_lang_by_source",
-    "orders_customer_full", "doc_length_pctl_cont", "events_hopping",
-    "events_user_paths", "doc_pctl_by_source", "doc_ntile_by_source",
-    "doc_pctl_cont_by_source",
-]
-
 
 def ensure_fixture() -> None:
     marker = FIXTURE_DIR / "_COMPLETE"
@@ -167,11 +132,10 @@ def run_headline() -> dict:
 def run_queries() -> dict[str, float]:
     import __ray_entry__ as entrymod
 
-    qs = entrymod.queries()
     out: dict[str, float] = {}
-    for name in QUERY_NAMES:
+    for name, fn in entrymod.queries().items():
         t0 = time.monotonic()
-        res = qs[name](SF_DIR)
+        res = fn(SF_DIR)
         if hasattr(res, "to_pandas"):
             res.to_pandas()
         out[name] = round(time.monotonic() - t0, 3)

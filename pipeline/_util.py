@@ -106,3 +106,27 @@ def segment_sums(vals, rel, dtype=None):
     if nz.any():
         out[nz] = np.add.reduceat(vals, rel[:-1][nz], dtype=out.dtype)
     return out
+
+
+_BCAST_CACHE: dict = {}
+
+
+def _fetch_once(ref):
+    """Per-worker fetch-once for a ray.put broadcast: deserialized ONCE
+    PER WORKER (module-level cache keyed by the ref — Ray worker
+    processes persist across tasks, so this matches an actor pool's
+    fetch-once property without the pool's spin-up cost: an 8-actor
+    pool cost ~7 s of process startup on a 150k-row dimension lookup
+    whose compute is ~0.5 s).  Memory is bounded at 4 live broadcasts
+    per worker, FIFO evict — a single slot thrashes when two broadcast
+    stages interleave batches on one worker."""
+    import ray as _ray
+
+    key = ref.hex()
+    val = _BCAST_CACHE.get(key)
+    if val is None:
+        val = _ray.get(ref)
+        while len(_BCAST_CACHE) >= 4:
+            _BCAST_CACHE.pop(next(iter(_BCAST_CACHE)))
+        _BCAST_CACHE[key] = val
+    return val

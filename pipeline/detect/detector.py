@@ -34,6 +34,3 @@ def detect_spans(text: str, profile: str = "conformance", specs=None) -> list[Sp
                 cands.append(Span(s, e, label))
     return resolve_overlaps(cands)
 
-
-def detect_spans_dicts(text: str, profile: str = "conformance") -> list[dict]:
-    return [sp.as_dict() for sp in detect_spans(text, profile)]

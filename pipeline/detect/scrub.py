@@ -10,7 +10,6 @@ reference: content sha256 equality").
 
 from __future__ import annotations
 
-from pipeline._util import sha256_hex
 from pipeline.detect.detector import detect_spans
 from pipeline.detect.spans import Span
 
@@ -26,8 +25,3 @@ def apply_spans(text: str, spans: list[Span]) -> str:
 def scrub_text(text: str, profile: str = "conformance") -> tuple[str, list[Span]]:
     spans = detect_spans(text, profile)
     return apply_spans(text, spans), spans
-
-
-def scrub_with_hash(text: str, profile: str = "conformance") -> tuple[str, str, list[Span]]:
-    scrubbed, spans = scrub_text(text, profile)
-    return scrubbed, sha256_hex(scrubbed), spans

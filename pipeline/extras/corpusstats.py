@@ -944,7 +944,7 @@ def grouped_quantiles(
     driver-side table is bounded by the distinct-pair count, the same
     contract the robust-z/cume_dist family documents."""
     hist = _pair_histogram(ds, key_col, val_col)
-    names = [key_col] + [f"p{int(q * 100)}" for q in qs]
+    names = [key_col] + [f"p{round(q * 100)}" for q in qs]
     if key_col not in hist.columns:  # empty corpus drops columns
         return pd.DataFrame([], columns=names)
     # SQL semantics: quantile_disc IGNORES null values (filtered inside
@@ -959,7 +959,7 @@ def grouped_quantiles(
             g.rename(columns={val_col: "_v"})[["_v", "n"]], "_v", qs
         )
         rows.append({key_col: k, **{
-            f"p{int(q * 100)}": v for q, v in zip(qs, vals)
+            f"p{round(q * 100)}": v for q, v in zip(qs, vals)
         }})
     # explicit columns so an all-filtered corpus yields the declared
     # schema (bare DataFrame([]) would be column-less downstream)

@@ -880,13 +880,6 @@ _SIM_SHIFTS = np.arange(63, dtype=np.uint64)
 _SIM_POWS = (np.uint64(1) << _SIM_SHIFTS)
 
 
-def simhash64(text: str) -> int:
-    """63-bit simhash (top bit unused so values stay valid Arrow int64).
-    Word hashes reuse the dedup word-hash cache; the bit-vote matrix is one
-    vectorized op over all words."""
-    return int(batch_simhash64([text])[0])
-
-
 def batch_simhash64(texts: list[str]) -> np.ndarray:
     """(n_docs,) int64 simhashes, bit votes reduced across ALL docs' words
     with np.add.reduceat (no per-doc matrix build; chunked so the bits
@@ -903,10 +896,6 @@ def batch_simhash64(texts: list[str]) -> np.ndarray:
         sig = ((votes > 0).astype(np.uint64) * _SIM_POWS[None, :]).sum(axis=1)
         out[dst] = sig.astype(np.int64)
     return out
-
-
-def hamming64(a: int, b: int) -> int:
-    return (a ^ b).bit_count()
 
 
 _PC_M1 = np.uint64(0x5555555555555555)

@@ -152,13 +152,6 @@ def hash_split(
     )
 
 
-def hash_split_bounds(fractions: tuple = (0.8, 0.1, 0.1)) -> list[int]:
-    """The integer interval boundaries hash_split uses — exported so an
-    oracle can inline the exact same ints."""
-    cum = np.cumsum(np.asarray(fractions, dtype=np.float64))
-    return [int(x) for x in np.floor(cum[:-1] * _WEYL_M).astype(np.int64)]
-
-
 # ------------------------------------------------------ sequence packing
 
 def pack_greedy(tokens: np.ndarray, budget: int) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Multimodal column plumbing: image/audio as opaque `binary` columns with
-typed metadata, processed by actor-pool map_batches stages.
+"""Multimodal column plumbing: images as an opaque `binary` column with
+typed metadata, processed by an actor-pool map_batches stage.
 
-The decode kernels are STUBBED (image/audio libraries are not in this
-container — per the build charter the Ray-side plumbing is real and
-tested, the codec is a clearly-marked deterministic fake):
+The decode kernel is STUBBED (no image library is a dependency: the
+Ray-side plumbing is real and tested, the codec is a clearly-marked
+deterministic fake):
 `FakeImageDecoder` parses the fixture's deterministic fake-PNG header and
 emits real feature columns; `decode_image_real` raises NotImplementedError
 where Pillow/libvips would be called.
@@ -62,48 +62,6 @@ def write_media_table(out_dir, n_rows: int, seed: int = 42, n_files: int = 4) ->
     return str(out)
 
 
-def _write_table(out_dir, n_rows, n_files, kind, maker, meta_fields, seed=42):
-    from pathlib import Path
-
-    import pyarrow.parquet as pq
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    per = (n_rows + n_files - 1) // n_files
-    for f in range(n_files):
-        ids = range(f * per, min((f + 1) * per, n_rows))
-        if not ids:
-            break
-        payloads, metas = zip(*(maker(i, seed) for i in ids))
-        tbl = pa.table(
-            {
-                "item_id": pa.array(list(ids), pa.int64()),
-                "kind": pa.array([kind] * len(payloads)),
-                "payload": pa.array(list(payloads), pa.binary()),
-                "meta": pa.array(
-                    list(metas),
-                    pa.struct([(k, pa.int32()) for k in meta_fields]),
-                ),
-            }
-        )
-        pq.write_table(tbl, out / f"part-{f:05d}.parquet")
-    return str(out)
-
-
-def write_audio_table(out_dir, n_rows: int, seed: int = 42, n_files: int = 4) -> str:
-    return _write_table(
-        out_dir, n_rows, n_files, "audio", make_fake_audio,
-        ["sample_rate", "n_samples"], seed,
-    )
-
-
-def write_video_table(out_dir, n_rows: int, seed: int = 42, n_files: int = 4) -> str:
-    return _write_table(
-        out_dir, n_rows, n_files, "video", make_fake_video,
-        ["width", "height", "n_frames"], seed,
-    )
-
-
 def decode_image_real(payload: bytes):
     """Real-codec seam: decodes with Pillow when it is installed
     (importlib probe); returns an HxWxC uint8 numpy array.  The
@@ -160,159 +118,5 @@ def media_pipeline(ds: "ray.data.Dataset", concurrency: int = 2, batch_size: int
     x concurrency must fit worker heaps — SURVEY.md §4.2 memory note)."""
     return ds.map_batches(
         FakeImageDecoder, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1, zero_copy_batch=True,
-    ).drop_columns(["payload"])
-
-
-# ------------------------------------------------------------- resize
-
-class FakeImageResizer:
-    """Actor-pool resize stage: average-pools the fake container's pixels
-    to side x side and re-emits a (smaller) payload in the same container
-    format — the real-op shape for a thumbnailing pass (output payload
-    replaces input, so downstream stages stream the small bytes)."""
-
-    def __init__(self, side: int = 8):
-        self.side = side
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        for payload in batch["payload"].to_pylist():
-            if payload[:4] != MAGIC:
-                out.append(payload)
-                continue
-            w, h, c = struct.unpack("<III", payload[4:16])
-            px = np.frombuffer(payload[16: 16 + w * h * c], dtype=np.uint8)
-            img = px.reshape(h, w, c).astype(np.float32)
-            s = self.side
-            ys = (np.arange(s + 1) * h // s)
-            xs = (np.arange(s + 1) * w // s)
-            small = np.empty((s, s, c), dtype=np.uint8)
-            for yi in range(s):
-                for xi in range(s):
-                    block = img[ys[yi]:ys[yi + 1], xs[xi]:xs[xi + 1]]
-                    small[yi, xi] = block.mean(axis=(0, 1)).astype(np.uint8)
-            out.append(MAGIC + struct.pack("<III", s, s, c) + small.tobytes())
-        return batch.set_column(
-            batch.schema.get_field_index("payload"), "payload",
-            pa.array(out, pa.binary()),
-        )
-
-
-# ------------------------------------------------------------- audio
-
-AUDIO_MAGIC = b"FAUD"  # fake audio container: MAGIC | sr | n | int16 samples
-
-
-def make_fake_audio(item_id: int, seed: int = 42) -> tuple[bytes, dict]:
-    r = rng_for(seed, "aud", item_id)
-    sr = r.choice([8000, 16000])
-    n = r.randint(256, 2048)
-    t = np.arange(n, dtype=np.float64)
-    freq = r.uniform(50, 2000)
-    wave = (np.sin(2 * np.pi * freq * t / sr) * 12000).astype(np.int16)
-    payload = AUDIO_MAGIC + struct.pack("<II", sr, n) + wave.tobytes()
-    return payload, {"sample_rate": sr, "n_samples": n}
-
-
-def decode_audio_real(payload: bytes):
-    """Real-codec seam: decodes with soundfile when it is installed
-    (importlib probe); returns (samples ndarray, sample_rate).  The fake
-    PCM container (AUDIO_MAGIC prefix) always raises — see
-    decode_image_real."""
-    import importlib.util
-
-    if not payload[:4] == AUDIO_MAGIC and importlib.util.find_spec("soundfile") is not None:
-        import io
-
-        import soundfile  # type: ignore[import-not-found]
-
-        data, sr = soundfile.read(io.BytesIO(payload))
-        return data, sr
-    raise NotImplementedError(
-        "real audio decode requires an audio library not present in this "
-        "environment; use FakeAudioFeatures for the plumbing path"
-    )
-
-
-class FakeAudioFeatures:
-    """Actor-pool feature-extraction stage over the fake PCM container:
-    duration, RMS, zero-crossing rate (real DSP math on the fake bytes)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        dur, rms, zcr, ok = [], [], [], []
-        for payload in batch["payload"].to_pylist():
-            if payload[:4] != AUDIO_MAGIC:
-                dur.append(0.0); rms.append(0.0); zcr.append(0.0); ok.append(False)
-                continue
-            sr, n = struct.unpack("<II", payload[4:12])
-            w = np.frombuffer(payload[12: 12 + 2 * n], dtype=np.int16).astype(np.float64)
-            dur.append(n / sr)
-            rms.append(float(np.sqrt((w * w).mean())) if n else 0.0)
-            zcr.append(float((np.signbit(w[1:]) != np.signbit(w[:-1])).mean()) if n > 1 else 0.0)
-            ok.append(True)
-        batch = batch.append_column("duration_sec", pa.array(dur))
-        batch = batch.append_column("rms", pa.array(rms))
-        batch = batch.append_column("zcr", pa.array(zcr))
-        return batch.append_column("decode_ok", pa.array(ok))
-
-
-# ------------------------------------------------------------- video
-
-VIDEO_MAGIC = b"FVID"  # MAGIC | w | h | c | n_frames | frame bytes...
-
-
-def make_fake_video(item_id: int, seed: int = 42) -> tuple[bytes, dict]:
-    r = rng_for(seed, "vid", item_id)
-    w, h, c = 8, 8, 3
-    n_frames = r.randint(4, 12)
-    frames = bytes(r.getrandbits(8) for _ in range(n_frames * w * h * c))
-    payload = VIDEO_MAGIC + struct.pack("<IIII", w, h, c, n_frames) + frames
-    return payload, {"width": w, "height": h, "n_frames": n_frames}
-
-
-def frame_sample_stage(batch: pa.Table, *, every: int = 2) -> pa.Table:
-    """Frame-sample stage: EXPLODES each video row into `every`-strided
-    frame rows (map_batches returning more rows than it got — the Ray
-    idiom for flat_map at batch granularity). Stateless TASK stage, not
-    an actor pool: chaining two actor pools starves task stages on small
-    clusters (one pool per pipeline is the sizing rule). Output rows
-    carry the frame payload in the image container format, so the image
-    decode stage chains directly after."""
-    ids, fidx, payloads = [], [], []
-    for item_id, payload in zip(
-        batch["item_id"].to_pylist(), batch["payload"].to_pylist()
-    ):
-        if payload[:4] != VIDEO_MAGIC:
-            continue
-        w, h, c, n_frames = struct.unpack("<IIII", payload[4:20])
-        fsz = w * h * c
-        for f in range(0, n_frames, every):
-            frame = payload[20 + f * fsz: 20 + (f + 1) * fsz]
-            ids.append(item_id)
-            fidx.append(f)
-            payloads.append(MAGIC + struct.pack("<III", w, h, c) + frame)
-    return pa.table(
-        {
-            "item_id": pa.array(ids, pa.int64()),
-            "frame_idx": pa.array(fidx, pa.int32()),
-            "payload": pa.array(payloads, pa.binary()),
-        }
-    )
-
-
-def video_frame_pipeline(
-    ds: "ray.data.Dataset", every: int = 2, concurrency: int = 2,
-    batch_size: int = 16,
-) -> "ray.data.Dataset":
-    """frame-sample (task stage) -> per-frame decode/features (actor
-    pool). Small batches: a video row is n_frames x frame bytes, and the
-    explode multiplies rows."""
-    frames = ds.map_batches(
-        frame_sample_stage, batch_format="pyarrow", batch_size=batch_size,
-        fn_kwargs={"every": every}, zero_copy_batch=True,
-    )
-    return frames.map_batches(
-        FakeImageDecoder, batch_format="pyarrow", batch_size=4 * batch_size,
         concurrency=concurrency, num_cpus=1, zero_copy_batch=True,
     ).drop_columns(["payload"])

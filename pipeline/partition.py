@@ -1,5 +1,5 @@
-"""Wide operations: size-balanced repartition, per-repo stats with salted
-pre-aggregation, exact-dup stats (SURVEY.md O6/O7/A6/§2.7).
+"""Wide operations: per-repo stats with salted pre-aggregation, exact-dup
+stats, joins (SURVEY.md O7/A6/§2.4/§2.7).
 
 Scale design:
 - The scrub path never shuffles; only these stats forks do.
@@ -22,13 +22,7 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Count, Sum
 
-
-def size_balanced_repartition(ds: "ray.data.Dataset", target_rows_per_block: int = 8192) -> "ray.data.Dataset":
-    """O6: split/coalesce blocks so each holds ~target rows (no shuffle —
-    rows are not moved across a hash boundary, just re-chunked)."""
-    n = ds.count()
-    blocks = max(1, int(np.ceil(n / target_rows_per_block)))
-    return ds.repartition(blocks)
+from pipeline._util import _fetch_once
 
 
 def _repo_partials(batch: pa.Table) -> pa.Table:
@@ -232,30 +226,6 @@ def salted_group_counts(
     )
 
 
-_BCAST_JOIN_CACHE: dict = {}
-
-
-def _fetch_once(ref):
-    """Per-worker fetch-once for a ray.put broadcast: deserialized ONCE
-    PER WORKER (module-level cache keyed by the ref — Ray worker
-    processes persist across tasks, so this matches an actor pool's
-    fetch-once property without the pool's spin-up cost: an 8-actor
-    pool cost ~7 s of process startup on a 150k-row dimension lookup
-    whose compute is ~0.5 s).  Memory is bounded at 4 live broadcasts
-    per worker, FIFO evict — a single slot thrashes when two broadcast
-    stages interleave batches on one worker."""
-    import ray as _ray
-
-    key = ref.hex()
-    val = _BCAST_JOIN_CACHE.get(key)
-    if val is None:
-        val = _ray.get(ref)
-        while len(_BCAST_JOIN_CACHE) >= 4:
-            _BCAST_JOIN_CACHE.pop(next(iter(_BCAST_JOIN_CACHE)))
-        _BCAST_JOIN_CACHE[key] = val
-    return val
-
-
 def _bcast_join_batch(batch: pd.DataFrame, *, small_ref, on: str,
                       how: str) -> pd.DataFrame:
     """Task-pool body for broadcast_join (see _fetch_once)."""
@@ -406,6 +376,18 @@ def semi_join(
     return left.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _pa_type(t) -> pa.DataType:
+    """Arrow type of one ``ds.schema().types`` entry: arrow-backed blocks
+    report Arrow types, pandas-backed ones (e.g. from_pandas with object
+    columns) numpy dtypes or Python classes."""
+    if isinstance(t, pa.DataType):
+        return t
+    # equality, not identity: np.dtype('O') == object but is NOT it
+    if t == object or t is str:
+        return pa.string()  # pandas object column: assume string
+    return pa.from_numpy_dtype(np.dtype(t))
+
+
 def _full_outer_batch(batch: pa.Table, *, small_ref, on: str,
                       out_names: list[str]) -> pa.Table:
     """Task-pool body for full_outer_join's streaming half: per-batch
@@ -446,16 +428,6 @@ def full_outer_join(
     right_on = right_on or on
     small = small.rename(columns={right_on: on}) if right_on != on else small
 
-    def _pa_type(t):
-        # ds.schema().types yields Arrow types for arrow-backed blocks but
-        # numpy dtypes / Python classes for pandas-backed ones
-        if isinstance(t, pa.DataType):
-            return t
-        # equality, not identity: np.dtype('O') == object but is NOT it
-        if t == object or t is str:
-            return pa.string()  # pandas object column: assume string
-        return pa.from_numpy_dtype(np.dtype(t))
-
     left_schema = ds.schema()
     left_names = list(left_schema.names)
     left_types = {n: _pa_type(t)
@@ -491,7 +463,7 @@ def full_outer_join(
     kref = _ray.put(key_set)
 
     def matched_keys(t: pa.Table, _c=on) -> pa.Table:
-        want = _ray.get(kref)
+        want = _fetch_once(kref)
         hits = pc.filter(t[_c], pc.is_in(t[_c], value_set=want))
         return pa.table({_c: pc.unique(hits)})
 
@@ -576,14 +548,6 @@ def asof_join(
                     t = t.append_column(c, pa.nulls(len(t), typ))
             return t.select(schema_cols + ["_side", "_bkt"])
         return fn
-
-    def _pa_type(t):
-        # pandas-block datasets (e.g. from_pandas with object columns)
-        # report numpy dtypes here; arrow-block datasets report pa types
-        if isinstance(t, pa.DataType):
-            return t
-        t = np.dtype(t)
-        return pa.string() if t == np.dtype("O") else pa.from_numpy_dtype(t)
 
     r_schema = right.schema()
     l_schema = left.schema()

@@ -17,10 +17,10 @@ at 32 cores). Per-document results are independent of batch composition
 (segment-local sequential sums), so the Ray stage and the sequential
 oracle agree bit-for-bit.
 
-Ray usage: `QualityScorer`/`LangIdScorer` are the T2 actor-pool archetype
-[ref: evaluation/model_evaluation.py:55-63 — model loaded once, reused
-per record]: the model is built once per actor in __init__, __call__
-scores a whole Arrow batch vectorized.
+Ray usage: the fused `ray_pipeline.QualityScorer` is the T2 actor-pool
+archetype [ref: evaluation/model_evaluation.py:55-63 — model loaded
+once, reused per record]: the model is fetched once per worker process
+in __init__, __call__ scores a whole Arrow batch vectorized.
 """
 
 from __future__ import annotations
@@ -58,18 +58,6 @@ def _tri_hashes(text: str) -> np.ndarray:
         text.encode("utf-8", "replace")[:SAMPLE_BYTES], dtype=np.uint8
     )
     return _tri_hash_stream(b)
-
-
-def sparse_features(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """(bucket ids, L2-normalized counts) — the sparse unit feature
-    vector of one document (kept for tests/diagnostics)."""
-    h = _tri_hashes(text)
-    if h.size == 0:
-        return h, np.empty(0, dtype=np.float32)
-    uniq, cnt = np.unique(h, return_counts=True)
-    w = cnt.astype(np.float32)
-    w /= np.linalg.norm(w)
-    return uniq, w
 
 
 def trigram_counts(text: str) -> np.ndarray:

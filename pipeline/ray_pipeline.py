@@ -1,18 +1,18 @@
 """Dataset graph assembly — the flagship Ray-Data pipeline (SURVEY.md §3.4).
 
     read_parquet(code table)                                   [S9]
-      -> map_batches(heuristics, stateless task)               [§2.8]
-      -> map_batches(LangIdScorer, actor pool)                 [L1]
-      -> map_batches(PerplexityScorer, actor pool)             [Q1]
+      -> map_batches(QualityScorer: heuristics + langid +      [§2.8/L1/Q1]
+                     perplexity; actor pool, or plain tasks
+                     below FLAGSHIP_TASK_POOL_MAX_ROWS)
       -> map_batches(pii_scrub, stateless task)                [D1]
       -> map_batches(decide, stateless task)                   [M22-24]
       -> write_parquet / repo stats / metric partials          [S10/A6/A1]
 
 All stages are Arrow-in/Arrow-out (batch_format="pyarrow",
 zero_copy_batch=True). Stateless stages are plain functions (regexes
-compile at module import — once per worker process); the two model stages
-are callable classes -> Ray actor pools with the model built once in
-__init__ [T2 archetype: evaluation/model_evaluation.py:55-63].
+compile at module import — once per worker process); the fused model
+stage is a callable class -> a Ray actor pool with both models fetched
+once in __init__ [T2 archetype: evaluation/model_evaluation.py:55-63].
 
 Scale notes: the scrub path is map-only end-to-end (no shuffle, streams
 with backpressure); the only wide ops live in pipeline.partition.
@@ -25,7 +25,7 @@ import pyarrow as pa
 
 import ray.data
 
-from pipeline._util import clean_batch, sha256_hex
+from pipeline._util import _fetch_once, clean_batch, sha256_hex
 from pipeline.quality.decide import decide_batch
 from pipeline.quality.heuristics import heuristic_batch
 from pipeline.quality.langid import LangIdModel
@@ -69,67 +69,26 @@ def read_code_table(path: str | list[str], **kwargs) -> "ray.data.Dataset":
 
 # --------------------------------------------------------------- stages
 
-def heuristics_stage(batch: pa.Table, *, column: str = "content") -> pa.Table:
-    batch = clean_batch(batch)
-    cols = heuristic_batch(batch[column])
-    for name, arr in cols.items():
-        batch = batch.append_column(name, pa.array(arr))
-    return batch
-
-
-class LangIdScorer:
-    """Actor-pool stage. The model is fit ONCE on the driver and broadcast
-    via ray.put; each actor __init__ fetches it from the object store
-    (zero refit cost per actor — the broadcast-small-side pattern). With
-    no ref (standalone use) the actor fits the deterministic default."""
-
-    def __init__(self, column: str = "content", model_ref=None):
-        import ray as _ray
-
-        self.model = _ray.get(model_ref) if model_ref is not None else LangIdModel.default()
-        self.column = column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        batch = clean_batch(batch)
-        langs, conf = self.model.predict_batch_arrow(batch[self.column])
-        batch = batch.append_column("lang_pred", pa.array(langs, pa.string()))
-        return batch.append_column("lang_conf", pa.array(conf.astype(np.float64)))
-
-
-class PerplexityScorer:
-    def __init__(self, column: str = "content", model_ref=None):
-        import ray as _ray
-
-        self.model = _ray.get(model_ref) if model_ref is not None else PerplexityModel.default()
-        self.column = column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        batch = clean_batch(batch)
-        ppl = self.model.score_batch_arrow(batch[self.column])
-        return batch.append_column("perplexity", pa.array(ppl))
-
-
-
-
 class QualityScorer:
-    """Fused langid+perplexity actor stage: one actor-pool boundary instead
-    of two (each boundary costs an object-store write+read of the whole
-    batch). Both models broadcast via ray.put. The separate LangIdScorer /
-    PerplexityScorer stages remain available (fuse_scorers=False)."""
+    """The flagship's one scoring stage: (optional heuristics +) langid +
+    perplexity in one actor-pool boundary (each boundary costs an
+    object-store write+read of the whole batch). Both models are fit once
+    on the driver, broadcast via ray.put and fetched through the
+    per-worker _fetch_once cache; with no refs (standalone use) the
+    deterministic defaults are fit locally."""
 
     def __init__(self, column: str = "content", lang_ref=None, ppl_ref=None,
                  with_heuristics: bool = False):
-        import ray as _ray
-
-        self.lang = _ray.get(lang_ref) if lang_ref is not None else LangIdModel.default()
-        self.ppl = _ray.get(ppl_ref) if ppl_ref is not None else PerplexityModel.default()
+        self.lang = _fetch_once(lang_ref) if lang_ref is not None else LangIdModel.default()
+        self.ppl = _fetch_once(ppl_ref) if ppl_ref is not None else PerplexityModel.default()
         self.column = column
         self.with_heuristics = with_heuristics
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         batch = clean_batch(batch)
         if self.with_heuristics:
-            batch = heuristics_stage(batch, column=self.column)
+            for name, arr in heuristic_batch(batch[self.column]).items():
+                batch = batch.append_column(name, pa.array(arr))
         col = batch[self.column]
         langs, conf = self.lang.predict_batch_arrow(col)
         ppl = self.ppl.score_batch_arrow(col)
@@ -158,46 +117,59 @@ class QualityScorer:
 # 2M on this host).
 FLAGSHIP_TASK_POOL_MAX_ROWS = 1_000_000
 
-_TASK_SCORER_CACHE: dict = {}
-
 
 def quality_task_stage(batch: pa.Table, *, column: str = "content",
                        lang_ref=None, ppl_ref=None,
                        with_heuristics: bool = True) -> pa.Table:
-    """Task-pool variant of QualityScorer for small inputs.  Ray worker
-    processes persist across tasks, so the constructed scorer is cached
-    per worker keyed by the broadcast refs (ray.get of an already-local
-    plasma object is ~us); the cache holds up to 4 scorers (FIFO)."""
-    key = (column, with_heuristics,
-           lang_ref.hex() if lang_ref is not None else None,
-           ppl_ref.hex() if ppl_ref is not None else None)
-    scorer = _TASK_SCORER_CACHE.get(key)
-    if scorer is None:
-        scorer = QualityScorer(column=column, lang_ref=lang_ref,
-                               ppl_ref=ppl_ref,
-                               with_heuristics=with_heuristics)
-        while len(_TASK_SCORER_CACHE) >= 4:
-            # 4 slots, FIFO evict: one slot thrashes when two task-pool
-            # stages interleave batches on the same worker
-            _TASK_SCORER_CACHE.pop(next(iter(_TASK_SCORER_CACHE)))
-        _TASK_SCORER_CACHE[key] = scorer
-    return scorer(batch)
+    """Task-pool regime of QualityScorer for small inputs.  Building the
+    scorer per batch is cheap: Ray worker processes persist across
+    tasks, so _fetch_once deserializes each broadcast model once per
+    worker."""
+    return QualityScorer(column=column, lang_ref=lang_ref, ppl_ref=ppl_ref,
+                         with_heuristics=with_heuristics)(batch)
 
 
-def scrub_stage(batch: pa.Table, *, column: str = "content", profile: str = "code") -> pa.Table:
-    """Stateless scrub: per-trigger-group Arrow RE2 prescreen (a group's
-    trigger is a NECESSARY condition for its patterns — see
-    patterns.get_trigger_groups), compiled-regex detection restricted to
-    the fired groups, [LABEL] redaction + sha256 (the per-row parity
-    invariant). Untriggered rows never materialize a Python string: the
-    scrubbed column reuses the input array and the sha is computed
-    straight from the Arrow buffer slice."""
-    import hashlib
-
+def _fired_spans(col, profile: str):
+    """The one trigger-group prescreen -> detect loop: yields
+    (row index, text, spans) for each row of ``col`` whose group trigger
+    fired (a group's trigger is a NECESSARY condition for its patterns —
+    see patterns.get_trigger_groups). One Arrow RE2 pass per trigger
+    group; detect_spans runs only the fired groups' patterns, and
+    unfired rows never materialize a Python string."""
     import pyarrow.compute as pc
 
     from pipeline.detect.detector import detect_spans
     from pipeline.detect.patterns import get_trigger_groups
+
+    if not len(col):
+        return
+    groups = get_trigger_groups(profile)
+    masks = np.stack([
+        pc.match_substring_regex(col, trig).to_numpy(zero_copy_only=False)
+        for _, trig, _ in groups
+    ])
+    idx = np.nonzero(masks.any(axis=0))[0]
+    if not len(idx):
+        return
+    texts = col.take(pa.array(idx)).to_pylist()
+    for j, i in enumerate(idx):
+        specs = [
+            s for g, (_, _, sp) in enumerate(groups) if masks[g, i]
+            for s in sp
+        ]
+        yield int(i), texts[j], detect_spans(texts[j], profile, specs=specs)
+
+
+def scrub_stage(batch: pa.Table, *, column: str = "content", profile: str = "code") -> pa.Table:
+    """Stateless scrub: the _fired_spans prescreen -> detect loop,
+    [LABEL] redaction + sha256 (the per-row parity invariant).
+    Untriggered rows never materialize a Python string: the scrubbed
+    column reuses the input array and the sha is computed straight from
+    the Arrow buffer slice."""
+    import hashlib
+
+    import pyarrow.compute as pc
+
     from pipeline.detect.scrub import apply_spans
 
     batch = clean_batch(batch)
@@ -205,32 +177,17 @@ def scrub_stage(batch: pa.Table, *, column: str = "content", profile: str = "cod
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     n = len(col)
-    groups = get_trigger_groups(profile)
-    masks = np.stack([
-        pc.match_substring_regex(col, trig).to_numpy(zero_copy_only=False)
-        for _, trig, _ in groups
-    ]) if n else np.zeros((len(groups), 0), dtype=bool)
-    any_mask = masks.any(axis=0)
-
     n_spans = np.zeros(n, dtype=np.int64)
     hashes: list[str | None] = [None] * n
     repl_idx: list[int] = []
     repl_txt: list[str] = []
-    if any_mask.any():
-        idx = np.nonzero(any_mask)[0]
-        texts = col.take(pa.array(idx)).to_pylist()
-        for j, i in enumerate(idx):
-            specs = [
-                s for g, (_, _, sp) in enumerate(groups) if masks[g, i]
-                for s in sp
-            ]
-            spans = detect_spans(texts[j], profile, specs=specs)
-            if spans:
-                scrubbed = apply_spans(texts[j], spans)
-                n_spans[i] = len(spans)
-                hashes[i] = sha256_hex(scrubbed)
-                repl_idx.append(int(i))
-                repl_txt.append(scrubbed)
+    for i, text, spans in _fired_spans(col, profile):
+        if spans:
+            scrubbed = apply_spans(text, spans)
+            n_spans[i] = len(spans)
+            hashes[i] = sha256_hex(scrubbed)
+            repl_idx.append(i)
+            repl_txt.append(scrubbed)
 
     # untouched rows: sha over the utf-8 buffer slice (no str round-trip)
     from pipeline._util import string_buffers
@@ -260,40 +217,16 @@ def entity_count_stage(
     """Per-batch partial PII entity-type counts — the corpus-level
     analog of the reference's per-label entity analysis
     [evaluation/model_evaluation.py entity_counts; metrics.py A3].
-    Same trigger-group Arrow prescreen as scrub_stage (detect_spans
-    runs only on rows whose group trigger fired); emits tiny
+    Same _fired_spans prescreen -> detect loop as scrub_stage; emits tiny
     (label, n) combiner rows, so a downstream groupby(label).sum
     shuffles the 9-entity vocabulary, never documents."""
     from collections import Counter
 
-    import pyarrow.compute as pc
-
-    from pipeline.detect.detector import detect_spans
-    from pipeline.detect.patterns import get_trigger_groups
-
-    batch = clean_batch(batch)
-    col = batch[column]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
-    groups = get_trigger_groups(profile)
-    counts: Counter = Counter()
-    if n:
-        masks = np.stack([
-            pc.match_substring_regex(col, trig).to_numpy(zero_copy_only=False)
-            for _, trig, _ in groups
-        ])
-        any_mask = masks.any(axis=0)
-        if any_mask.any():
-            idx = np.nonzero(any_mask)[0]
-            texts = col.take(pa.array(idx)).to_pylist()
-            for j, i in enumerate(idx):
-                specs = [
-                    s for g, (_, _, sp) in enumerate(groups) if masks[g, i]
-                    for s in sp
-                ]
-                for span in detect_spans(texts[j], profile, specs=specs):
-                    counts[span.label] += 1
+    counts = Counter(
+        span.label
+        for _, _, spans in _fired_spans(batch[column], profile)
+        for span in spans
+    )
     labels = sorted(counts)
     return pa.table({
         "label": pa.array(labels, pa.string()),
@@ -332,28 +265,11 @@ def decide_stage(batch: pa.Table, *, column: str = "content") -> pa.Table:
 
 # ------------------------------------------------------------- assembly
 
-def _default_pool_size() -> int:
-    """Actor-pool size per model stage: ~1/4 of cluster CPUs each, so the
-    two pools reserve at most half the cluster and the stateless task
-    stages (read, heuristics, scrub, decide, write) always have CPUs — a
-    pool that reserves every CPU deadlocks the streaming executor."""
-    import ray as _ray
-
-    try:
-        n = int(_ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        n = 4
-    return max(1, n // 4)
-
-
 def flagship_pipeline(
     ds: "ray.data.Dataset",
     *,
     profile: str = "code",
     batch_size: int = DEFAULT_BATCH_SIZE,
-    langid_concurrency: int | tuple | None = None,
-    ppl_concurrency: int | tuple | None = None,
-    fuse_scorers: bool = True,
     drop_raw_content: bool = False,
     n_rows_hint: int | None = None,
 ) -> "ray.data.Dataset":
@@ -366,63 +282,33 @@ def flagship_pipeline(
     hint — the actor pool is used."""
     import ray as _ray
 
-    try:
-        n_cpus = int(_ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        n_cpus = 4
-    if langid_concurrency is None:
-        # fused pool: half the cluster. A 3n/8 variant looked better at
-        # 32 CPUs but was within run noise there and measurably WORSE at
-        # 8 CPUs (34k -> 22k files/s) — the scorer pool is the heavier
-        # per-row stage and needs the half share on small clusters.
-        langid_concurrency = _default_pool_size() * (2 if fuse_scorers else 1)
-        # never reserve every CPU: task stages (read/scrub/decide/write)
-        # starve and the streaming executor deadlocks on tiny clusters
-        langid_concurrency = max(1, min(langid_concurrency, n_cpus - 1))
-    if ppl_concurrency is None:
-        ppl_concurrency = max(1, min(_default_pool_size(), n_cpus - 1))
-
-    lang_ref = _ray.put(LangIdModel.default())     # fit once, broadcast
-    ppl_ref = _ray.put(PerplexityModel.default())
-    use_task_pool = (
-        fuse_scorers and n_rows_hint is not None
-        and n_rows_hint <= FLAGSHIP_TASK_POOL_MAX_ROWS
-    )
-    if use_task_pool:
+    scorer_kwargs = {
+        "lang_ref": _ray.put(LangIdModel.default()),  # fit once, broadcast
+        "ppl_ref": _ray.put(PerplexityModel.default()),
+        "with_heuristics": True,
+    }
+    if n_rows_hint is not None and n_rows_hint <= FLAGSHIP_TASK_POOL_MAX_ROWS:
         ds = ds.map_batches(
             quality_task_stage, batch_format="pyarrow",
-            batch_size=batch_size,
-            fn_kwargs={"lang_ref": lang_ref, "ppl_ref": ppl_ref,
-                       "with_heuristics": True},
+            batch_size=batch_size, fn_kwargs=scorer_kwargs,
             zero_copy_batch=True,
-        )
-    elif fuse_scorers:
-        # heuristics run INSIDE the scorer actors (with_heuristics=True):
-        # one actor-pool boundary for heuristics+langid+ppl instead of a
-        # separate task stage — each boundary costs an object-store
-        # write+read of the full batch
-        ds = ds.map_batches(
-            QualityScorer, batch_format="pyarrow", batch_size=batch_size,
-            fn_constructor_kwargs={
-                "lang_ref": lang_ref, "ppl_ref": ppl_ref,
-                "with_heuristics": True,
-            },
-            concurrency=langid_concurrency, num_cpus=1, zero_copy_batch=True,
         )
     else:
+        try:
+            n_cpus = int(_ray.cluster_resources().get("CPU", 4))
+        except Exception:
+            n_cpus = 4
+        # half the cluster (a 3n/8 variant was within noise at 32 CPUs
+        # and measurably WORSE at 8: 34k -> 22k files/s), but never every
+        # CPU: the task stages (read/scrub/decide/write) starve and the
+        # streaming executor deadlocks on tiny clusters
+        pool_size = max(1, min(2 * max(1, n_cpus // 4), n_cpus - 1))
+        # heuristics run INSIDE the scorer actors (with_heuristics=True):
+        # one actor-pool boundary for heuristics+langid+ppl
         ds = ds.map_batches(
-            heuristics_stage, batch_format="pyarrow", batch_size=batch_size,
-            zero_copy_batch=True,
-        )
-        ds = ds.map_batches(
-            LangIdScorer, batch_format="pyarrow", batch_size=batch_size,
-            fn_constructor_kwargs={"model_ref": lang_ref},
-            concurrency=langid_concurrency, num_cpus=1, zero_copy_batch=True,
-        )
-        ds = ds.map_batches(
-            PerplexityScorer, batch_format="pyarrow", batch_size=batch_size,
-            fn_constructor_kwargs={"model_ref": ppl_ref},
-            concurrency=ppl_concurrency, num_cpus=1, zero_copy_batch=True,
+            QualityScorer, batch_format="pyarrow", batch_size=batch_size,
+            fn_constructor_kwargs=scorer_kwargs,
+            concurrency=pool_size, num_cpus=1, zero_copy_batch=True,
         )
     ds = ds.map_batches(
         scrub_stage, batch_format="pyarrow", batch_size=batch_size,

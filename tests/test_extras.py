@@ -320,78 +320,6 @@ def test_multimodal_plumbing(tmp_path):
         decode_image_real(p1)
 
 
-def test_multimodal_resize_stage(tmp_path):
-    import ray.data as rd
-    import struct as _struct
-
-    from pipeline.extras.multimodal import (
-        MAGIC, FakeImageResizer, write_media_table,
-    )
-
-    write_media_table(tmp_path / "m", 20, n_files=1)
-    ds = rd.read_parquet(str(tmp_path / "m"))
-    out = ds.map_batches(
-        FakeImageResizer, batch_format="pyarrow", batch_size=8,
-        fn_constructor_kwargs={"side": 4}, concurrency=2, num_cpus=1,
-    ).to_pandas()
-    assert len(out) == 20
-    for p in out["payload"]:
-        assert p[:4] == MAGIC
-        w, h, c = _struct.unpack("<III", p[4:16])
-        assert (w, h, c) == (4, 4, 3)
-        assert len(p) == 16 + 4 * 4 * 3
-
-
-def test_multimodal_audio_features(tmp_path):
-    import ray.data as rd
-
-    from pipeline.extras.multimodal import (
-        FakeAudioFeatures, decode_audio_real, make_fake_audio,
-        write_audio_table,
-    )
-
-    write_audio_table(tmp_path / "a", 30, n_files=2)
-    ds = rd.read_parquet(str(tmp_path / "a"))
-    out = ds.map_batches(
-        FakeAudioFeatures, batch_format="pyarrow", batch_size=16,
-        concurrency=2, num_cpus=1,
-    ).to_pandas()
-    assert len(out) == 30
-    assert out["decode_ok"].all()
-    assert (out["duration_sec"] > 0).all()
-    assert (out["rms"] > 0).all()
-    assert (out["zcr"] > 0).all()
-    p1, _ = make_fake_audio(3)
-    p2, _ = make_fake_audio(3)
-    assert p1 == p2  # deterministic
-    with pytest.raises(NotImplementedError):
-        decode_audio_real(p1)
-
-
-def test_multimodal_video_frame_sample(tmp_path):
-    import ray.data as rd
-    import struct as _struct
-
-    from pipeline.extras.multimodal import (
-        VIDEO_MAGIC, make_fake_video, video_frame_pipeline, write_video_table,
-    )
-
-    write_video_table(tmp_path / "v", 12, n_files=2)
-    ds = rd.read_parquet(str(tmp_path / "v"))
-    out = video_frame_pipeline(ds, every=2, concurrency=2, batch_size=8).to_pandas()
-    # expected frame count: ceil(n_frames/2) summed over items
-    exp = 0
-    for i in range(12):
-        p, meta = make_fake_video(i)
-        assert p[:4] == VIDEO_MAGIC
-        n_frames = _struct.unpack("<IIII", p[4:20])[3]
-        exp += (n_frames + 1) // 2
-    assert len(out) == exp
-    assert out["decode_ok"].all()
-    assert (out["frame_idx"] % 2 == 0).all()
-    assert "payload" not in out.columns
-
-
 def test_ivf_high_recall_on_clustered_data():
     """The fixture embeddings are near-uniform on the sphere (no cluster
     structure), which caps IVF recall at ~nprobe/n_clusters by

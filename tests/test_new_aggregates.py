@@ -330,7 +330,7 @@ def test_events_user_paths_null_semantics(ray_session, tmp_path):
 def test_grouped_quantiles_null_keys_and_values(ray_session):
     """SQL parity on nulls: NULL grouping key keeps its own group,
     NULL values are ignored by the rank walk, and an all-null-value
-    group emits NULL quantiles."""
+    group emits NULL quantiles; q=0.29 names its column p29."""
     import ray
 
     from pipeline.extras.corpusstats import grouped_quantiles
@@ -340,8 +340,10 @@ def test_grouped_quantiles_null_keys_and_values(ray_session):
         "v": pd.array([1, 3, 10, 20, None, None], dtype="Int64"),
     })
     ds = ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
-    got = grouped_quantiles(ds, key_col="k", val_col="v", qs=[0.5])
+    got = grouped_quantiles(ds, key_col="k", val_col="v", qs=[0.5, 0.29])
     assert len(got) == 3
+    # round, not truncate: int(0.29 * 100) == 28
+    assert list(got.columns) == ["k", "p50", "p29"]
     as_map = {
         (k if isinstance(k, str) else None): v
         for k, v in zip(got["k"], got["p50"])

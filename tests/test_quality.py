@@ -193,12 +193,16 @@ def test_trigger_groups_cover_all_specs():
 def test_scrub_stage_matches_scalar_scrub():
     """The per-trigger-group prescreen must be invisible: scrub_stage over
     a batch == scrub_text per row, for both profiles, including rows that
-    fire zero/one/many groups."""
+    fire zero/one/many groups.  entity_count_stage consumes the same
+    prescreen -> detect loop, so its per-label counts on the same batch
+    must equal a Counter over the scrub_text spans."""
+    from collections import Counter
+
     import pyarrow as pa
 
     from pipeline._util import sha256_hex
     from pipeline.detect.scrub import scrub_text
-    from pipeline.ray_pipeline import scrub_stage
+    from pipeline.ray_pipeline import entity_count_stage, scrub_stage
     from pipeline.synth.corpus import make_conformance_row
 
     texts = [make_conformance_row(i)["text"] for i in range(120)]
@@ -211,11 +215,16 @@ def test_scrub_stage_matches_scalar_scrub():
     for profile in ("conformance", "code"):
         batch = pa.table({"content": pa.array(texts, pa.string())})
         out = scrub_stage(batch, profile=profile)
+        want: Counter = Counter()
         for i, t in enumerate(texts):
             s, spans = scrub_text(t, profile)
+            want.update(sp.label for sp in spans)
             assert out["n_pii_spans"][i].as_py() == len(spans), (profile, i)
             assert out["content_scrubbed"][i].as_py() == s, (profile, i)
             assert out["content_sha256"][i].as_py() == sha256_hex(s), (profile, i)
+        counts = entity_count_stage(batch, profile=profile).to_pydict()
+        assert dict(zip(counts["label"], counts["n"])) == dict(want), profile
+        assert len(want) > 1, profile  # the batch exercises several labels
 
 
 def test_blocklist_score_and_scrub_match_duckdb():
