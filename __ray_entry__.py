@@ -404,20 +404,12 @@ def _events_hourly(sf_dir: str) -> pd.DataFrame:
     ds = _read(f"{sf_dir}/events.parquet")
 
     def bucket(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        from pipeline._util import epoch_floor_div
 
-        # normalize any input precision to microseconds first (a ns
-        # column would shift buckets 1000x); FLOOR division like
-        # events_type_pivot/events_hopping — int64 divide truncates
-        # toward zero and misplaces pre-epoch timestamps; float64 is
-        # exact for |epoch| < 2^53 us
-        epoch = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64())
-        hour = pc.floor(pc.divide(pc.cast(epoch, pa.float64()),
-                                  pa.scalar(3_600_000_000.0)))
         return pa.table(
             {
                 "event_type": batch["event_type"],
-                "hour_bucket": pc.cast(hour, pa.int64()),
+                "hour_bucket": epoch_floor_div(batch["ts"], 3_600_000_000),
                 "value": batch["value"],
             }
         )
@@ -447,16 +439,9 @@ def _events_hopping(sf_dir: str) -> pd.DataFrame:
     def partial(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        # normalize precision first (ns input would shift buckets 1000x);
-        # FLOOR division like events_type_pivot — int64 divide truncates
-        # toward zero and would misplace pre-epoch timestamps; float64 is
-        # exact for |epoch| < 2^53 us
-        epoch = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64())
-        hour = pc.cast(
-            pc.floor(pc.divide(pc.cast(epoch, pa.float64()),
-                               pa.scalar(3_600_000_000.0))),
-            pa.int64(),
-        )
+        from pipeline._util import epoch_floor_div
+
+        hour = epoch_floor_div(batch["ts"], 3_600_000_000)
         base = pa.table({
             "event_type": batch["event_type"], "win": hour,
             "value": batch["value"],
@@ -1211,18 +1196,11 @@ def _events_type_pivot(sf_dir: str) -> pd.DataFrame:
     )
 
     def combine(t: pa.Table) -> pa.Table:
-        # normalize any input precision (s/ms/us/ns) to microseconds
-        # before the int cast — a ns-precision column would otherwise
-        # shift the buckets by 1000x
-        epoch = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
-        # FLOOR division (matches SQL floor(epoch/86400) for pre-epoch
-        # timestamps too; int64 divide truncates toward zero instead) —
-        # float64 is exact for |epoch| < 2^53 us (±285 years)
-        day = pc.cast(
-            pc.floor(pc.divide(pc.cast(epoch, pa.float64()),
-                               pa.scalar(86_400_000_000.0))),
-            pa.int64(),
-        )
+        from pipeline._util import epoch_floor_div
+
+        # FLOOR division: matches SQL floor(epoch/86400) for pre-epoch
+        # timestamps too
+        day = epoch_floor_div(t["ts"], 86_400_000_000)
         vm = pc.cast(
             pc.floor(pc.add(pc.multiply(t["value"], pa.scalar(1000.0)),
                             pa.scalar(0.5))),

@@ -72,6 +72,22 @@ def string_buffers(arr):
     return off, data
 
 
+def epoch_floor_div(ts, unit_us: int):
+    """floor(epoch_us / unit_us) as int64 (time buckets), exact for every
+    int64 epoch: integer divide (truncates toward zero), then subtract 1
+    where the epoch is negative and not an exact multiple. A float64
+    divide is exact only for |epoch| < 2^53 us. ``ts`` is normalized to
+    microseconds first (a ns column would shift buckets 1000x)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    epoch = pc.cast(pc.cast(ts, pa.timestamp("us")), pa.int64())
+    unit = pa.scalar(unit_us, pa.int64())
+    q = pc.divide(epoch, unit)
+    neg_rem = pc.less(pc.subtract(epoch, pc.multiply(q, unit)), pa.scalar(0, pa.int64()))
+    return pc.if_else(neg_rem, pc.subtract(q, pa.scalar(1, pa.int64())), q)
+
+
 def clip_segments(data, off, clip: int):
     """Gather per-segment prefixes of at most `clip` bytes into a fresh
     concatenated stream. Returns (clipped data, clipped offsets)."""

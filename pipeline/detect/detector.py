@@ -16,10 +16,11 @@ from pipeline.detect.spans import Span, resolve_overlaps
 def detect_spans(text: str, profile: str = "conformance", specs=None) -> list[Span]:
     """All PII spans in `text`, non-overlapping, sorted by start.
 
-    `specs` restricts the scan to a subset (the batch stage passes only
-    the trigger groups whose Arrow prescreen fired — identical output to
-    a full run because each trigger is a necessary condition for its
-    group, see patterns.get_trigger_groups)."""
+    `specs` restricts the scan to a subset, kept in get_specs order: the
+    batch stage (ray_pipeline._fired_spans) passes only the specs whose
+    derived RE2 trigger fired on the row. The output equals a full run
+    because on ASCII text each trigger is a necessary condition for its
+    spec (patterns.derive_trigger); non-ASCII rows get every spec."""
     cands: list[Span] = []
     for spec in (get_specs(profile) if specs is None else specs):
         for m in spec.compiled.finditer(text):

@@ -106,6 +106,32 @@ def _window_after(text: str, end: int) -> str:
     return win
 
 
+_BOUNDED_SHORT = ("ssn", "dob", " at ", "call", "dial", "age:", "info")
+
+
+def _edit_budget(word: str) -> int:
+    """Edits _fuzzy_alts tolerates in ``word``: 0 (exact only), 1 (one
+    substitution or adjacent transposition) or 2 (also two substitutions).
+    Long labels ("address", "ship to") survive 2 edits; "mine is" is
+    held to 1 — its 2-edit shadow matched "...ing is" carrier tails."""
+    if len(word) >= 7 and word != "mine is":
+        return 2
+    return 1 if (len(word) >= 5 or word in _BOUNDED_SHORT) else 0
+
+
+def _cue_chunks(word: str) -> tuple[str, ...]:
+    """Lower-case literals at least one of which every _fuzzy_alts(word)
+    match contains. Exact-only cues need the whole word. A fuzzy match is
+    the word with at most 2 positions changed (substitutions or one
+    adjacent transposition), so by pigeonhole one of the word's three
+    contiguous thirds is intact."""
+    w = word.lower()
+    if _edit_budget(word) == 0:
+        return (w,)
+    a, b = len(w) // 3, 2 * len(w) // 3
+    return (w[:a], w[a:b], w[b:])
+
+
 def _fuzzy_alts(word: str) -> list[str]:
     """Exact + one-substitution + one-adjacent-transposition variants.
 
@@ -121,9 +147,9 @@ def _fuzzy_alts(word: str) -> list[str]:
     # wildcard ("C nTact"), and the short boundary-wrapped cues keep it
     # too — "S SN:" / "D Ob" space-noise MUST still match (measured 28
     # SSN misses when it doesn't).
-    bounded_short = word in ("ssn", "dob", " at ", "call", "dial", "age:", "info")
-    wc = "." if (len(word) >= 6 or bounded_short) else r"[^\s]"
-    if len(word) >= 5 or bounded_short:
+    edits = _edit_budget(word)
+    wc = "." if (len(word) >= 6 or word in _BOUNDED_SHORT) else r"[^\s]"
+    if edits >= 1:
         for i in range(len(word)):
             alts.append(re.escape(word[:i]) + wc + re.escape(word[i + 1:]))
         for i in range(len(word) - 1):
@@ -131,9 +157,7 @@ def _fuzzy_alts(word: str) -> list[str]:
                 alts.append(
                     re.escape(word[:i] + word[i + 1] + word[i] + word[i + 2:])
                 )
-    if len(word) >= 7 and word != "mine is":
-        # long labels ("address", "ship to") survive 2 edits ("mine is"
-        # excluded — its 2-edit shadow matched "...ing is" carrier tails)
+    if edits == 2:
         for i in range(0, len(word)):
             for j in range(i + 1, len(word)):
                 alts.append(
@@ -160,16 +184,17 @@ def _fuzzy_alts(word: str) -> list[str]:
     return alts
 
 
-_CUE_RE_CACHE: dict[tuple, list[tuple[re.Pattern, int]]] = {}
+_CUE_RE_CACHE: dict[tuple, list[tuple[re.Pattern, int, tuple[str, ...]]]] = {}
 
 
-def _cue_res(cues: tuple) -> list[tuple[re.Pattern, int]]:
+def _cue_res(cues: tuple) -> list[tuple[re.Pattern, int, tuple[str, ...]]]:
+    """(compiled fuzzy cue, max distance, _cue_chunks) per cue."""
     if cues not in _CUE_RE_CACHE:
-        out: list[tuple[re.Pattern, int]] = []
+        out: list[tuple[re.Pattern, int, tuple[str, ...]]] = []
         for c in cues:
             word, maxdist = c if isinstance(c, tuple) else (c, 10_000)
             rx = re.compile("|".join(_fuzzy_alts(word)), re.IGNORECASE)
-            out.append((rx, maxdist))
+            out.append((rx, maxdist, _cue_chunks(word)))
         _CUE_RE_CACHE[cues] = out
     return _CUE_RE_CACHE[cues]
 
@@ -182,10 +207,20 @@ def _cue_res(cues: tuple) -> list[tuple[re.Pattern, int]]:
 _CUE_DENY = frozenset({"dot", "into"})
 
 
-def _nearest(win: str, cues: tuple, *, from_end: bool) -> int:
-    """Distance of nearest (fuzzy) cue occurrence, or a large sentinel."""
+def _ascii_lower(win: str) -> str | None:
+    """``win`` lower-cased when ASCII (only there does str.lower() fold
+    exactly as sre's IGNORECASE does), else None."""
+    return win.lower() if win.isascii() else None
+
+
+def _nearest(win: str, cues: tuple, *, from_end: bool, low: str | None) -> int:
+    """Distance of nearest (fuzzy) cue occurrence, or a large sentinel.
+    ``low`` is _ascii_lower(win): a cue whose chunks are all absent from
+    it cannot match, so its regex is skipped (None = scan every cue)."""
     best = 10_000
-    for rx, maxdist in _cue_res(cues):
+    for rx, maxdist, chunks in _cue_res(cues):
+        if low is not None and not any(c in low for c in chunks):
+            continue
         for m in rx.finditer(win):
             if m.group().lower() in _CUE_DENY:
                 continue
@@ -209,16 +244,17 @@ def resolve_numeric_cue(
     ("4581 call me") count."""
     back = _window_before(text, start)
     fwd = _window_after(text, end)
+    back_low, fwd_low = _ascii_lower(back), _ascii_lower(fwd)
     best_label, best_dist = None, 10_000
     for label, cues in options:
-        d = _nearest(back, cues, from_end=True)
+        d = _nearest(back, cues, from_end=True, low=back_low)
         if d < best_dist:
             best_label, best_dist = label, d
     if best_label is None:
         for label, cues in options:
             if label == "ADDRESS":
                 continue  # "ship to X" cues point forward — never backward
-            d = _nearest(fwd, cues, from_end=False)
+            d = _nearest(fwd, cues, from_end=False, low=fwd_low)
             if fwd_maxdist is not None and d > fwd_maxdist:
                 continue
             if d < best_dist:

@@ -41,10 +41,25 @@ from pipeline.detect.gates import (
 
 SEP_D = r"(?: - |-)"          # dash, or noise-spaced dash
 SEP_P = r"(?: \. |\.)"        # dot, or noise-spaced dot
-NB = r"(?<![\w.\-#:])(?<!\d/)"  # numeric lookbehind: fresh token start
-#   ('/'-preceded allowed for the "Contact: {email}/{phone}" template shape,
-#    but digit-slash blocked so nothing matches inside 05/15/1990; ':' barred
-#    so nothing matches inside MAC addresses — "f5:e9:..." is a hard negative)
+
+
+def _fresh(atom: str) -> str:
+    """One-character ``atom`` at a fresh numeric-token start: not after a
+    word character, '.', '-', '#' or ':' (':' so nothing matches inside
+    MAC addresses — "f5:e9:..." is a hard negative), nor after
+    digit-slash (nothing matches inside 05/15/1990; a bare '/' stays
+    allowed for the "Contact: {email}/{phone}" template shape).
+
+    The lookbehinds sit AFTER the atom and re-check it, so they test the
+    same characters as lookbehinds placed first; but the pattern now
+    starts with the atom, and sre's first-character skip passes over
+    every position that cannot start a match in C instead of trying
+    each one."""
+    return rf"{atom}(?<![\w.\-#:]{atom})(?<!\d/{atom})"
+
+
+ND = _fresh(r"\d")             # a digit that starts a fresh numeric token
+NPAR, NPLUS, NZERO = _fresh(r"\("), _fresh(r"\+"), _fresh("0")
 NA = r"(?![\w\-/:])(?!\.\d)"   # numeric lookahead: token end ('.'+digit barred)
 
 
@@ -98,14 +113,14 @@ class PatternSpec:
     gate: GateFn | None = None
     flags: int = re.IGNORECASE
     group: int = 0
-    # trigger-group key: a batch stage may skip this spec for any row
-    # whose Arrow prescreen for the group found no hit (the group trigger
-    # is a NECESSARY condition for this pattern — see TRIGGERS)
-    tg: str = "num"
     compiled: re.Pattern = field(init=False)
+    # RE2 prescreen derived from ``pattern``: on ASCII text a row with no
+    # trigger hit has no finditer hit either (see derive_trigger)
+    trigger: str = field(init=False)
 
     def __post_init__(self):
         self.compiled = re.compile(self.pattern, self.flags)
+        self.trigger = derive_trigger(self.pattern, self.flags)
 
 
 # ---------------------------------------------------------------- gates
@@ -378,25 +393,25 @@ def _conformance_specs() -> list[PatternSpec]:
     P: list[PatternSpec] = []
 
     # ---- EMAIL [G:350-390, 708-739, M12 noise]
-    P.append(PatternSpec("EMAIL", rf"(?<![A-Za-z0-9_%+.]){ELOCAL}{EAT_COMPACT}{EDOMAIN}", tg="email"))
+    P.append(PatternSpec("EMAIL", rf"(?<![A-Za-z0-9_%+.]){ELOCAL}{EAT_COMPACT}{EDOMAIN}"))
     # " at " word obfuscation [G:719]: domain must be a 2-part TLD domain
-    P.append(PatternSpec("EMAIL", rf"(?<![A-Za-z0-9_%+.]){ELOCAL}{EAT_WORD}{EATOM}{ELSEP}{ETLD}(?![\w@])", tg="email"))
+    P.append(PatternSpec("EMAIL", rf"(?<![A-Za-z0-9_%+.]){ELOCAL}{EAT_WORD}{EATOM}{ELSEP}{ETLD}(?![\w@])"))
     # no-at obfuscation: "john dot gmail dot com" [G:730]
-    P.append(PatternSpec("EMAIL", rf"(?<![A-Za-z0-9_%+.]){ELOCAL} dot {EATOM} dot {ETLD}(?![\w@])", tg="email"))
+    P.append(PatternSpec("EMAIL", rf"(?<![A-Za-z0-9_%+.]){ELOCAL} dot {EATOM} dot {ETLD}(?![\w@])"))
 
     # ---- CREDIT_CARD: bare 13-19 digits + Luhn [G:46,760-761]
-    P.append(PatternSpec(None, rf"{NB}\d{{13,19}}{NA}", gate=_gate_luhn))
+    P.append(PatternSpec(None, rf"{ND}\d{{12,18}}{NA}", gate=_gate_luhn))
 
     # ---- SSN unique shapes [G:120-153]
-    P.append(PatternSpec("SSN", rf"{NB}\d{{3}}{SEP_D}\d{{2}}{SEP_D}\d{{4}}{NA}"))          # 123-45-6789
-    P.append(PatternSpec("SSN", rf"{NB}\d{{4}}{SEP_D}\d{{4}}{SEP_D}\d{{4}}{NA}"))          # 1234-5678-9012
+    P.append(PatternSpec("SSN", rf"{ND}\d{{2}}{SEP_D}\d{{2}}{SEP_D}\d{{4}}{NA}"))          # 123-45-6789
+    P.append(PatternSpec("SSN", rf"{ND}\d{{3}}{SEP_D}\d{{4}}{SEP_D}\d{{4}}{NA}"))          # 1234-5678-9012
     P.append(PatternSpec(None, rf"(?<![\w.\-/#])[A-Z]\d{{7,8}}{NA}", flags=0,
                          gate=_gate_ssn_letter))                           # A12345678
     # case-noised letter prefix ("r99496293"): only with an SSN cue nearby
     P.append(PatternSpec(None, rf"(?<![\w.\-/#])[a-z]\d{{7,8}}{NA}", gate=_gate_ssn_cue, flags=0))
     P.append(PatternSpec(                                                                   # 27.01.06.52.N67.7
         "SSN",
-        rf"{NB}\d{{2}}{SEP_P}\d{{2}}{SEP_P}\d{{2}}{SEP_P}\d{{2}}{SEP_P}[A-Za-z]\d{{2}}{SEP_P}\d{NA}",
+        rf"{ND}\d{SEP_P}\d{{2}}{SEP_P}\d{{2}}{SEP_P}\d{{2}}{SEP_P}[A-Za-z]\d{{2}}{SEP_P}\d{NA}",
     ))
 
     # ---- PHONE unique shapes [G:180-234, 742-751]
@@ -407,47 +422,47 @@ def _conformance_specs() -> list[PatternSpec]:
                          gate=_gate_phone_prefix))
     P.append(PatternSpec("PHONE", rf"ends in \d{{4}}"))                                     # [G:193]
     P.append(PatternSpec("PHONE", rf"(?:xxx|\*\*\*){SEP_D}(?:xxx|\*\*\*){SEP_D}\d{{4}}"))   # [G:191-192]
-    P.append(PatternSpec("PHONE", rf"{NB}{ph334}{NA}"))                                     # 555-123-4567
-    P.append(PatternSpec("PHONE", rf"{NB}\d{{3}}/\d{{3}}/\d{{4}}{NA}"))                     # [G:196 '/']
-    P.append(PatternSpec("PHONE", rf"{NB}\(\d{{3}}\) ?\d{{3}}{SEP_D}\d{{4}}{NA}"))          # (555) 123-4567
-    P.append(PatternSpec("PHONE", rf"{NB}\d{{3}}{SEP_D}\d{{4}}{NA}"))                       # last-8 [G:189]
-    P.append(PatternSpec("PHONE", rf"{NB}\+1 {ph334}{NA}"))                                 # [G:197]
-    P.append(PatternSpec("PHONE", rf"{NB}\+\d{{4,6}}{SEP_D}\d{{3}}{SEP_D}\d{{4}}{NA}"))     # [G:204]
-    P.append(PatternSpec("PHONE", rf"{NB}\+\d{{1,2}}{SEP_D}\d{{3}}{SEP_P}\d{{3}}{SEP_P}\d{{4}}{NA}"))  # [G:207]
-    P.append(PatternSpec("PHONE", rf"{NB}\+\d{{1,2}}{SEP_D}\d{{3}}{SEP_D}\d{{3}}{SEP_P}\d{{4}}{NA}"))  # [G:210]
-    P.append(PatternSpec("PHONE", rf"{NB}0\d{{4}}{SEP_P}\d{{3}}{SEP_P}\d{{3}}{SEP_D}\d{{4}}{NA}"))     # [G:213]
-    P.append(PatternSpec("PHONE", rf"{NB}\+\d{{5,7}} \d{{4}}{NA}"))                         # [G:216]
-    P.append(PatternSpec("PHONE", rf"{NB}0\d{{2}} \d{{4}}{SEP_P}\d{{4}}{NA}"))              # [G:219]
-    P.append(PatternSpec("PHONE", rf"{NB}\d{{4}}{SEP_D}\d{{3}}{SEP_D}\d{{4}}{NA}"))         # [G:222]
-    P.append(PatternSpec("PHONE", rf"{NB}\+\d{{1,2}} \d{{2}}{SEP_D}\d{{3}} \d{{4}}{NA}"))   # [G:225]
-    P.append(PatternSpec("PHONE", rf"{NB}00\d{{2}}{SEP_D}\d{{4}}{NA}"))                     # [G:228]
-    P.append(PatternSpec("PHONE", rf"{NB}\+\d{{1,2}} \d{{3}} \d{{3}} \d{{4}}{NA}"))         # [G:231]
-    P.append(PatternSpec("PHONE", rf"{NB}\d(?: \d){{6,14}}{NA}"))                           # obf spaced [G:747]
+    P.append(PatternSpec("PHONE", rf"{ND}\d{{2}}{SEP_D}\d{{3}}{SEP_D}\d{{4}}{NA}"))         # 555-123-4567
+    P.append(PatternSpec("PHONE", rf"{ND}\d{{2}}/\d{{3}}/\d{{4}}{NA}"))                     # [G:196 '/']
+    P.append(PatternSpec("PHONE", rf"{NPAR}\d{{3}}\) ?\d{{3}}{SEP_D}\d{{4}}{NA}"))          # (555) 123-4567
+    P.append(PatternSpec("PHONE", rf"{ND}\d{{2}}{SEP_D}\d{{4}}{NA}"))                       # last-8 [G:189]
+    P.append(PatternSpec("PHONE", rf"{NPLUS}1 {ph334}{NA}"))                                # [G:197]
+    P.append(PatternSpec("PHONE", rf"{NPLUS}\d{{4,6}}{SEP_D}\d{{3}}{SEP_D}\d{{4}}{NA}"))    # [G:204]
+    P.append(PatternSpec("PHONE", rf"{NPLUS}\d{{1,2}}{SEP_D}\d{{3}}{SEP_P}\d{{3}}{SEP_P}\d{{4}}{NA}"))  # [G:207]
+    P.append(PatternSpec("PHONE", rf"{NPLUS}\d{{1,2}}{SEP_D}\d{{3}}{SEP_D}\d{{3}}{SEP_P}\d{{4}}{NA}"))  # [G:210]
+    P.append(PatternSpec("PHONE", rf"{NZERO}\d{{4}}{SEP_P}\d{{3}}{SEP_P}\d{{3}}{SEP_D}\d{{4}}{NA}"))   # [G:213]
+    P.append(PatternSpec("PHONE", rf"{NPLUS}\d{{5,7}} \d{{4}}{NA}"))                        # [G:216]
+    P.append(PatternSpec("PHONE", rf"{NZERO}\d{{2}} \d{{4}}{SEP_P}\d{{4}}{NA}"))            # [G:219]
+    P.append(PatternSpec("PHONE", rf"{ND}\d{{3}}{SEP_D}\d{{3}}{SEP_D}\d{{4}}{NA}"))         # [G:222]
+    P.append(PatternSpec("PHONE", rf"{NPLUS}\d{{1,2}} \d{{2}}{SEP_D}\d{{3}} \d{{4}}{NA}"))  # [G:225]
+    P.append(PatternSpec("PHONE", rf"{NZERO}0\d{{2}}{SEP_D}\d{{4}}{NA}"))                   # [G:228]
+    P.append(PatternSpec("PHONE", rf"{NPLUS}\d{{1,2}} \d{{3}} \d{{3}} \d{{4}}{NA}"))        # [G:231]
+    P.append(PatternSpec("PHONE", rf"{ND}(?: \d){{6,14}}{NA}"))                             # obf spaced [G:747]
     # template-parenthesized last-4 ("Attendees: {person} ({phone})"): no
     # sampled phone format has parens, so the parens are carrier text
     P.append(PatternSpec("PHONE", rf"\((\d{{4}})\)", group=1))
-    P.append(PatternSpec("PHONE", rf"{NB}\d{{3}}(?:{SEP_D}\d{{3}}){{1,4}}(?:{SEP_D}\d{{1,2}})?{NA}"))  # obf 3-chunks [G:748]
+    P.append(PatternSpec("PHONE", rf"{ND}\d{{2}}(?:{SEP_D}\d{{3}}){{1,4}}(?:{SEP_D}\d{{1,2}})?{NA}"))  # obf 3-chunks [G:748]
 
     # ---- ambiguous numerics (cue-resolved)
-    P.append(PatternSpec(None, rf"{NB}\d{{3}}{SEP_P}\d{{3}}{SEP_P}\d{{4}}{NA}", gate=_gate_dotspace334))
-    P.append(PatternSpec(None, rf"{NB}\d{{3}} \d{{3}} \d{{1,9}}{NA}", gate=_gate_dotspace334))
-    P.append(PatternSpec(None, rf"{NB}\d{{9,10}}{NA}", gate=_gate_num9_10))
+    P.append(PatternSpec(None, rf"{ND}\d{{2}}{SEP_P}\d{{3}}{SEP_P}\d{{4}}{NA}", gate=_gate_dotspace334))
+    P.append(PatternSpec(None, rf"{ND}\d{{2}} \d{{3}} \d{{1,9}}{NA}", gate=_gate_dotspace334))
+    P.append(PatternSpec(None, rf"{ND}\d{{8,9}}{NA}", gate=_gate_num9_10))
 
     # ---- DATE [G:236-288]
-    P.append(PatternSpec("DATE", rf"{NB}\d{{4}}{SEP_D}\d{{2}}{SEP_D}\d{{2}}(?:T00:00:00)?{NA}"))
-    P.append(PatternSpec("DATE", rf"{NB}\d{{1,2}}/\d{{1,2}}/\d{{1,4}}{NA}"))  # year%100 can be 1 digit [G:264]
+    P.append(PatternSpec("DATE", rf"{ND}\d{{3}}{SEP_D}\d{{2}}{SEP_D}\d{{2}}(?:T00:00:00)?{NA}"))
+    P.append(PatternSpec("DATE", rf"{ND}\d?/\d{{1,2}}/\d{{1,4}}{NA}"))  # year%100 can be 1 digit [G:264]
     P.append(PatternSpec("DATE", rf"birthday: \d{{1,2}}/\d{{1,2}}{NA}"))
     P.append(PatternSpec("DATE", rf"\b{MON} \d{{1,2}}{ORD}?, \d{{4}}{NA}"))
-    P.append(PatternSpec("DATE", rf"{NB}\d{{1,2}}{ORD} {MON} \d{{4}}{NA}"))
+    P.append(PatternSpec("DATE", rf"{ND}\d?{ORD} {MON} \d{{4}}{NA}"))
     P.append(PatternSpec("DATE", rf"\b{MON} \d{{4}}{NA}"))
     P.append(PatternSpec("DATE", rf"\b{MON}/\d{{1,2}}{NA}"))
     P.append(PatternSpec("DATE", rf"\bborn in \d{{4}}{NA}"))
 
     # ---- AGE [G:155-178]
-    P.append(PatternSpec("AGE", rf"{NB}\d{{1,2}}[mf]/\d{{1,2}}[mf]{NA}"))
-    P.append(PatternSpec("AGE", rf"{NB}\d{{1,2}}(?:{SEP_D}| )?years? ?{SEP_D}?old\b"))
-    P.append(PatternSpec("AGE", rf"{NB}\d{{1,2}}yo\b"))
-    P.append(PatternSpec("AGE", rf"\bage {NB}\d{{1,2}}{NA}(?! ?[mf]\b)"))
+    P.append(PatternSpec("AGE", rf"{ND}\d?[mf]/\d{{1,2}}[mf]{NA}"))
+    P.append(PatternSpec("AGE", rf"{ND}\d?(?:{SEP_D}| )?years? ?{SEP_D}?old\b"))
+    P.append(PatternSpec("AGE", rf"{ND}\d?yo\b"))
+    P.append(PatternSpec("AGE", rf"\bage {ND}\d?{NA}(?! ?[mf]\b)"))
     P.append(PatternSpec("AGE", rf"\bi'm \d{{1,2}}{NA}"))
     # "(45M) applied on …" is the '{person} ({age}) applied …' template
     # parenthesizing a BARE age value — emit the inner span there; any
@@ -469,37 +484,37 @@ def _conformance_specs() -> list[PatternSpec]:
     ))
     P.append(PatternSpec("AGE", rf"\({agevals}\)(?!\)|.{{0,2}}?(?:{applied}))"))
     P.append(PatternSpec("AGE", rf"\[\d{{1,2}}[mf]\]"))
-    P.append(PatternSpec("AGE", rf"{NB}\d{{2}} ?[mf]\b(?!{SEP_D})"))
+    P.append(PatternSpec("AGE", rf"{ND}\d ?[mf]\b(?!{SEP_D})"))
     P.append(PatternSpec("AGE", rf"(?<![\w.\-/#(])[mf]\d{{2}}{NA}"))
-    P.append(PatternSpec(None, rf"{NB}\d ?[mf]\b(?!{SEP_D})", gate=_gate_age_cue))
+    P.append(PatternSpec(None, rf"{ND} ?[mf]\b(?!{SEP_D})", gate=_gate_age_cue))
     P.append(PatternSpec(None, rf"(?<![\w.\-/#(])[mf]\d{NA}", gate=_gate_age_cue))
 
     # ---- ADDRESS [G:290-348]
     P.append(PatternSpec(
         "ADDRESS",
-        rf"{NB}\d{{1,4}} {SBASE} {STYPE}, {CITY}, [A-Z]{{2}} \d{{5}}{NA}",
+        rf"{ND}\d{{0,3}} {SBASE} {STYPE}, {CITY}, [A-Z]{{2}} \d{{5}}{NA}",
     ))
-    P.append(PatternSpec("ADDRESS", rf"{NB}\d{{1,4}} {SBASE} {STYPE}\b"))
-    P.append(PatternSpec("ADDRESS", rf"\b{SBASE} {STYPE}\b", tg="vocab"))
-    P.append(PatternSpec("ADDRESS", rf"\b{CITY}\b", tg="vocab"))
-    P.append(PatternSpec("ADDRESS", rf"\b{COUNTRY}\b", tg="vocab"))
-    P.append(PatternSpec("ADDRESS", rf"\b{STATEF}\b", tg="vocab"))
+    P.append(PatternSpec("ADDRESS", rf"{ND}\d{{0,3}} {SBASE} {STYPE}\b"))
+    P.append(PatternSpec("ADDRESS", rf"\b{SBASE} {STYPE}\b"))
+    P.append(PatternSpec("ADDRESS", rf"\b{CITY}\b"))
+    P.append(PatternSpec("ADDRESS", rf"\b{COUNTRY}\b"))
+    P.append(PatternSpec("ADDRESS", rf"\b{STATEF}\b"))
     P.append(PatternSpec("ADDRESS", rf"\b(?:apartment|suite|floor) \d{{1,3}}{NA}"))
-    P.append(PatternSpec("ADDRESS", rf"{NB}\d{{5}}, \d{{5}}{NA}"))
-    P.append(PatternSpec("ADDRESS", rf"(?<![\w.\-/#]){ABBR}(?![\w\-])", flags=0, tg="vocab"))
+    P.append(PatternSpec("ADDRESS", rf"{ND}\d{{4}}, \d{{5}}{NA}"))
+    P.append(PatternSpec("ADDRESS", rf"(?<![\w.\-/#]){ABBR}(?![\w\-])", flags=0))
     P.append(PatternSpec(None, rf"(?<![\w.\-/#])[A-Z]{{2}}\d{{2}}{NA}", flags=0,
                          gate=_gate_addr_postcode))
 
     # ---- ORG: company() analog shapes [G:41]
-    P.append(PatternSpec("ORG", rf"\b{ORGW}, {ORGW} and {ORGW}\b", tg="vocab"))
-    P.append(PatternSpec("ORG", rf"\b{ORGW} {SUFFIX}\b", tg="vocab"))
-    P.append(PatternSpec("ORG", rf"\b{ORGW}{SEP_D}{ORGW}\b", tg="vocab"))
+    P.append(PatternSpec("ORG", rf"\b{ORGW}, {ORGW} and {ORGW}\b"))
+    P.append(PatternSpec("ORG", rf"\b{ORGW} {SUFFIX}\b"))
+    P.append(PatternSpec("ORG", rf"\b{ORGW}{SEP_D}{ORGW}\b"))
 
     # ---- PERSON [G:51-118]
-    P.append(PatternSpec("PERSON", rf"\b{FIRST} {LAST}\b", tg="vocab"))
-    P.append(PatternSpec("PERSON", rf"(?<![\w.@]){FIRST}{SEP_P}{LAST}(?:\d{{2}})?{NA}", tg="vocab"))
-    P.append(PatternSpec("PERSON", rf"(?<![\w.@]){FIRST}_{LAST}(?:\d{{1,2}})?{NA}", tg="vocab"))
-    P.append(PatternSpec("PERSON", rf"(?<![\w.@]){FIRST}\d{{2,3}}{NA}", tg="vocab"))
+    P.append(PatternSpec("PERSON", rf"\b{FIRST} {LAST}\b"))
+    P.append(PatternSpec("PERSON", rf"(?<![\w.@]){FIRST}{SEP_P}{LAST}(?:\d{{2}})?{NA}"))
+    P.append(PatternSpec("PERSON", rf"(?<![\w.@]){FIRST}_{LAST}(?:\d{{1,2}})?{NA}"))
+    P.append(PatternSpec("PERSON", rf"(?<![\w.@]){FIRST}\d{{2,3}}{NA}"))
     P.append(PatternSpec("PERSON", rf"(?<![\w.@])(?:19|20)\d{{2}}{FIRST}{SEP_P}{LAST}{NA}"))
     P.append(PatternSpec("PERSON", rf"(?<![\w.@])(?:19|20)\d{{2}}(?:{FIRST}|{LAST}){NA}"))
     P.append(PatternSpec("PERSON", rf"(?<![\w.@])\d{{2}}(?:{FIRST}|{LAST}){NA}"))
@@ -508,14 +523,14 @@ def _conformance_specs() -> list[PatternSpec]:
     P.append(PatternSpec("PERSON", rf"(?<![\w.@])[A-Z]\d{{6}}{NA}", flags=0))
     P.append(PatternSpec(None, rf"(?<![\w.@])[A-EG-LN-Z]\d{{2}}{NA}", flags=0,
                          gate=_gate_person_l2))
-    P.append(PatternSpec("PERSON", rf"(?<![\w.@]){INITIALS}(?![\w\-])", flags=0, tg="vocab"))
-    P.append(PatternSpec("PERSON", rf"(?<![\w.@']){FIRST}(?![\w.\-])", tg="vocab"))
+    P.append(PatternSpec("PERSON", rf"(?<![\w.@]){INITIALS}(?![\w\-])", flags=0))
+    P.append(PatternSpec("PERSON", rf"(?<![\w.@']){FIRST}(?![\w.\-])"))
 
     # ---- residual bare numerics (cue-gated; lowest specificity)
-    P.append(PatternSpec(None, rf"{NB}\d{{4}}{NA}", gate=_gate_bare4))
-    P.append(PatternSpec(None, rf"{NB}\d{{5}}{NA}", gate=_gate_bare3or5))
-    P.append(PatternSpec(None, rf"{NB}\d{{3}}{NA}", gate=_gate_bare3or5))
-    P.append(PatternSpec(None, rf"{NB}\d{{1,2}}{NA}", gate=_gate_bare12))
+    P.append(PatternSpec(None, rf"{ND}\d{{3}}{NA}", gate=_gate_bare4))
+    P.append(PatternSpec(None, rf"{ND}\d{{4}}{NA}", gate=_gate_bare3or5))
+    P.append(PatternSpec(None, rf"{ND}\d{{2}}{NA}", gate=_gate_bare3or5))
+    P.append(PatternSpec(None, rf"{ND}\d?{NA}", gate=_gate_bare12))
 
     return P
 
@@ -534,23 +549,16 @@ def _code_specs() -> list[PatternSpec]:
     conformance profile [G:767] — profile flag per SURVEY.md §2.8.
     """
     P: list[PatternSpec] = []
-    P.append(PatternSpec("EMAIL", rf"(?<![A-Za-z0-9_%+.])[A-Za-z0-9_%+.]+@[A-Za-z0-9_%+]+(?:\.[A-Za-z0-9_%+]+)+", tg="email"))
-    # per-pattern trigger keys [VERDICT r4 item 7]: one shared "apikey"
-    # trigger fired on 74% of bench rows (any mention of "token" etc.)
-    # and ran all three patterns on every fired row — the 45 us/row
-    # HEX_SECRET scan dominated the scrub stage. Split triggers confine
-    # each pattern to rows containing its own necessary prefix; the
-    # hexsec trigger includes the assignment "[:=]" so a bare keyword
-    # mention no longer fires it.
-    P.append(PatternSpec("API_KEY", AWS_KEY, flags=0, tg="aws"))
-    P.append(PatternSpec("API_KEY", GH_TOKEN, flags=0, tg="ghtok"))
-    P.append(PatternSpec("API_KEY", HEX_SECRET, group=1, tg="hexsec"))
-    P.append(PatternSpec(None, rf"(?<![\w.])\d{{1,3}}\.\d{{1,3}}\.\d{{1,3}}\.\d{{1,3}}(?![\w.])", gate=_gate_ipv4, tg="ip"))
-    P.append(PatternSpec(None, rf"{NB}\d{{13,19}}{NA}", gate=_gate_luhn_plain))
-    P.append(PatternSpec("SSN", rf"{NB}\d{{3}}-\d{{2}}-\d{{4}}{NA}"))
-    P.append(PatternSpec("PHONE", rf"{NB}\d{{3}}[-.]\d{{3}}[-.]\d{{4}}{NA}"))
-    P.append(PatternSpec("PHONE", rf"{NB}\(\d{{3}}\) ?\d{{3}}-\d{{4}}{NA}"))
-    P.append(PatternSpec("PHONE", rf"{NB}\+\d{{1,2}} \d{{3}} \d{{3}} \d{{4}}{NA}"))
+    P.append(PatternSpec("EMAIL", rf"(?<![A-Za-z0-9_%+.])[A-Za-z0-9_%+.]+@[A-Za-z0-9_%+]+(?:\.[A-Za-z0-9_%+]+)+"))
+    P.append(PatternSpec("API_KEY", AWS_KEY, flags=0))
+    P.append(PatternSpec("API_KEY", GH_TOKEN, flags=0))
+    P.append(PatternSpec("API_KEY", HEX_SECRET, group=1))
+    P.append(PatternSpec(None, rf"(?<![\w.])\d{{1,3}}\.\d{{1,3}}\.\d{{1,3}}\.\d{{1,3}}(?![\w.])", gate=_gate_ipv4))
+    P.append(PatternSpec(None, rf"{ND}\d{{12,18}}{NA}", gate=_gate_luhn_plain))
+    P.append(PatternSpec("SSN", rf"{ND}\d{{2}}-\d{{2}}-\d{{4}}{NA}"))
+    P.append(PatternSpec("PHONE", rf"{ND}\d{{2}}[-.]\d{{3}}[-.]\d{{4}}{NA}"))
+    P.append(PatternSpec("PHONE", rf"{NPAR}\d{{3}}\) ?\d{{3}}-\d{{4}}{NA}"))
+    P.append(PatternSpec("PHONE", rf"{NPLUS}\d{{1,2}} \d{{3}} \d{{3}} \d{{4}}{NA}"))
     return P
 
 
@@ -568,62 +576,179 @@ def get_specs(profile: str = "conformance") -> list[PatternSpec]:
     return _SPEC_CACHE[profile]
 
 
-# --------------------------------------------- trigger groups (prescreen)
+# ------------------------------------------- derived triggers (prescreen)
+#
+# Every PatternSpec derives its own RE2 trigger from its pattern, so the
+# batch stage (ray_pipeline._fired_spans) can skip a spec for any row the
+# Arrow scan finds no trigger hit in. On ASCII text each trigger is a
+# NECESSARY condition for its pattern by construction:
+# - lookarounds and the anchors ^ $ \A \Z are dropped, which can only
+#   widen what matches;
+# - every one-character node (class, escape, '.', non-ASCII literal) is
+#   emitted as the explicit set of ASCII characters that Python's own
+#   compiled node accepts under the spec's flags, so the engines'
+#   differences in \d, \w, \s (Python's ASCII \s also holds \v and
+#   \x1c-\x1f, RE2's does not) and case folding cannot leak in;
+# - \b and \B stay: on ASCII text both engines put a word boundary
+#   between [0-9A-Za-z_] and anything else;
+# - an IGNORECASE spec's trigger is wrapped in (?i:...), scoped (?-i:...)
+#   groups stay scoped, and lazy repeats become greedy ones (the same
+#   set of texts matches).
+# Rows that are not ASCII bypass the prescreen and run every spec. A
+# construct the deriver cannot translate raises when the specs are built.
 
-# RE2-safe (no lookarounds) NECESSARY conditions per trigger-group key: a
-# row where the Arrow scan finds no hit for a group cannot match any of
-# that group's patterns, so the Python detector skips them for that row.
-# A trigger may over-fire (it is a superset condition) — that only costs
-# a wasted scan, never a missed span.
-_PROFILE_TRIGGERS: dict[str, dict[str, str]] = {
-    "conformance": {
-        # every email form needs an at/dot obfuscation marker
-        "email": r"(?i:@|\[at\]|\(at\)| at | dot |\[dot\])",
-        # every numeric-shaped pattern contains a digit
-        "num": r"[0-9]",
-        # vocab-only PERSON/ORG/ADDRESS shapes need a vocabulary word
-        # (built below from the same alternations the patterns use)
-        "vocab": None,  # filled lazily in get_trigger_groups
-    },
-    "code": {
-        "email": r"@",
-        "aws": r"AKIA",
-        "ghtok": r"gh[pousr]_",
-        # the assignment marker AND a >=16-char value are part of every
-        # HEX_SECRET match, so a bare keyword mention ("token" in
-        # prose/code) or a short assigned value never fires this
-        "hexsec": (r"(?i:api[_-]?key|secret|token|password|passwd)"
-                   r"\s*[:=]\s*[\"']?[A-Za-z0-9_\-]{16}"),
-        "ip": r"[0-9]+\.[0-9]+\.[0-9]+\.[0-9]+",
-        "num": r"(?i:[0-9]{9}|[0-9]{3}[-.][0-9]|\([0-9]{3}\)|\+[0-9])",
-    },
-}
+import re._compiler as _sre_compile
+import re._constants as _sre
+import re._parser as _sre_parse
 
-
-def _vocab_trigger() -> str:
-    ci = "|".join([FIRST, LAST, ORGW, CITY, COUNTRY, STATEF, SBASE])
-    cs = "|".join([ABBR, INITIALS])
-    return rf"(?i:\b(?:{ci}))|\b(?:{cs})"
+_ONE_CHAR_OPS = (_sre.LITERAL, _sre.NOT_LITERAL, _sre.ANY, _sre.IN)
+_DROPPED_ATS = (_sre.AT_BEGINNING, _sre.AT_BEGINNING_STRING, _sre.AT_END,
+                _sre.AT_END_STRING)
+_RE2_MAX_REPEAT = 1000
 
 
-_TRIGGER_CACHE: dict[str, list[tuple[str, str, list[PatternSpec]]]] = {}
+_CLASS_CACHE: dict[tuple[str, int], str] = {}
+
+
+def _ascii_class(node, flags: int) -> str:
+    """RE2 class of the ASCII characters one sre node accepts."""
+    key = (repr(node), flags)
+    if key not in _CLASS_CACHE:
+        state = _sre_parse.State()
+        state.flags = flags
+        rx = _sre_compile.compile(_sre_parse.SubPattern(state, [node]), flags)
+        codes = [c for c in range(128) if rx.fullmatch(chr(c))]
+        if not codes:
+            raise ValueError(f"no ASCII character matches {node!r}")
+        runs, start = [], codes[0]
+        for a, b in zip(codes, codes[1:] + [None]):
+            if b != a + 1:
+                runs.append(rf"\x{start:02x}" + (rf"-\x{a:02x}" if a > start else ""))
+                start = b
+        _CLASS_CACHE[key] = "[" + "".join(runs) + "]"
+    return _CLASS_CACHE[key]
+
+
+def _quant(lo: int, hi) -> str:
+    hi_s = "" if hi is _sre.MAXREPEAT else str(hi)
+    if hi_s == str(lo):
+        return "" if lo == 1 else f"{{{lo}}}"
+    return {"0,": "*", "1,": "+", "0,1": "?"}.get(f"{lo},{hi_s}", f"{{{lo},{hi_s}}}")
+
+
+def _factors(seq, flags: int) -> list[tuple[str, bool]]:
+    """RE2 translation of an sre sequence as (factor, may match the empty
+    string anywhere) pairs whose concatenation is the translation. A
+    repeat X{lo,hi} with lo >= 1 is split into X then X{lo-1,hi-1}, so
+    the digit that starts every ND pattern is a factor of its own."""
+    out: list[tuple[str, bool]] = []
+    for op, av in seq:
+        if op is _sre.LITERAL and av < 128:
+            ch = chr(av)
+            out.append((ch if ch.isalnum() else rf"\x{av:02x}", False))
+        elif op in _ONE_CHAR_OPS:
+            out.append((_ascii_class((op, av), flags), False))
+        elif op is _sre.BRANCH:
+            out.append(("(?:" + "|".join(_re2(alt, flags) for alt in av[1]) + ")", False))
+        elif op is _sre.SUBPATTERN:
+            _, add, drop, sub = av
+            inner = (flags | add) & ~drop
+            if (inner ^ flags) & re.IGNORECASE:
+                head = "(?i:" if inner & re.IGNORECASE else "(?-i:"
+            else:
+                head = "(?:"
+            out.append((head + _re2(sub, inner) + ")", False))
+        elif op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT):
+            lo, hi, sub = av
+            if max(lo, 0 if hi is _sre.MAXREPEAT else hi) > _RE2_MAX_REPEAT:
+                raise ValueError(f"repeat {{{lo},{hi}}} exceeds RE2's limit")
+            body = _re2(sub, flags)
+            if not body:
+                continue
+            one = len(sub) == 1 and sub[0][0] in _ONE_CHAR_OPS
+            atom = body if one else f"(?:{body})"
+            if lo >= 1:
+                out.append((atom, False))
+                lo, hi = lo - 1, hi if hi is _sre.MAXREPEAT else hi - 1
+                if hi == 0:
+                    continue
+            out.append((atom + _quant(lo, hi), lo == 0))
+        elif op in (_sre.ASSERT, _sre.ASSERT_NOT):
+            continue
+        elif op is _sre.AT and av in (_sre.AT_BOUNDARY, _sre.AT_NON_BOUNDARY):
+            out.append((r"\b" if av is _sre.AT_BOUNDARY else r"\B", False))
+        elif op is _sre.AT and av in _DROPPED_ATS:
+            continue
+        else:
+            raise ValueError(f"cannot derive an RE2 trigger for {op} {av!r}")
+    return out
+
+
+def _re2(seq, flags: int) -> str:
+    return "".join(f for f, _ in _factors(seq, flags))
+
+
+@functools.lru_cache(maxsize=None)
+def _trigger_factors(pattern: str, flags: int) -> tuple[bool, tuple[tuple[str, bool], ...]]:
+    """(IGNORECASE at top level, top-level factors) of a pattern."""
+    tree = _sre_parse.parse(pattern, flags)
+    top = tree.state.flags
+    if top & (re.LOCALE | re.ASCII):
+        raise ValueError("LOCALE/ASCII patterns are not derived")
+    return bool(top & re.IGNORECASE), tuple(_factors(tree.data, top))
+
+
+def _wrap(ci: bool, body: str) -> str:
+    return f"(?i:{body})" if ci else body
+
+
+def derive_trigger(pattern: str, flags: int) -> str:
+    """RE2 regex that matches every ASCII text ``pattern`` has a
+    finditer hit in (see the section comment above); raises ValueError
+    on a construct it cannot translate."""
+    ci, fs = _trigger_factors(pattern, flags)
+    return _wrap(ci, "".join(f for f, _ in fs))
 
 
 def get_trigger_groups(profile: str = "conformance") -> list[tuple[str, str, list[PatternSpec]]]:
-    """[(group key, RE2 trigger regex, specs in group)] for a profile.
-    Union of groups == get_specs(profile); detector results on the union
-    of FIRED groups equal a full-spec run because each trigger is a
-    necessary condition for its group's patterns."""
-    if profile not in _TRIGGER_CACHE:
-        trig = dict(_PROFILE_TRIGGERS[profile])
-        if trig.get("vocab", "") is None:
-            trig["vocab"] = _vocab_trigger()
-        specs = get_specs(profile)
-        keys = sorted({s.tg for s in specs})
-        missing = [k for k in keys if k not in trig]
-        if missing:
-            raise ValueError(f"{profile}: no trigger for groups {missing}")
-        _TRIGGER_CACHE[profile] = [
-            (k, trig[k], [s for s in specs if s.tg == k]) for k in keys
-        ]
-    return _TRIGGER_CACHE[profile]
+    """[(key, RE2 trigger, [spec])] for a profile: one group per spec, in
+    get_specs order, the trigger being the spec's derived one."""
+    return [(str(i), s.trigger, [s]) for i, s in enumerate(get_specs(profile))]
+
+
+def _core(fs: tuple[tuple[str, bool], ...]) -> tuple[str, ...]:
+    """Factors without the leading/trailing ones that can match empty:
+    a text has a match of X Y? iff it has a match of X."""
+    lo, hi = 0, len(fs)
+    while lo < hi and fs[lo][1]:
+        lo += 1
+    while hi > lo and fs[hi - 1][1]:
+        hi -= 1
+    return tuple(f for f, _ in fs[lo:hi])
+
+
+def _contains(outer: tuple[str, ...], inner: tuple[str, ...]) -> bool:
+    n = len(inner)
+    return any(outer[i: i + n] == inner for i in range(len(outer) - n + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def union_trigger(profile: str = "conformance") -> str:
+    """One RE2 alternation that matches exactly the texts some spec
+    trigger of the profile matches (ASCII rows only: a row it misses can
+    skip every spec). A trigger whose factor sequence contains another
+    trigger's as a contiguous run (same case mode) is left out: every
+    text it matches, the other matches too. This shrinks the
+    conformance union from 83 triggers to 23, which keeps RE2's DFA
+    small: every ND trigger contains the lone digit the 1-2 digit
+    residual's trigger reduces to, and every FIRST-name shape contains
+    the bare FIRST one."""
+    cores = dict.fromkeys(
+        (ci, _core(fs)) for ci, fs in
+        (_trigger_factors(s.pattern, s.flags) for s in get_specs(profile))
+    )
+    keep = [
+        (ci, c) for ci, c in cores
+        if not any(d != c and dci == ci and _contains(c, d) for dci, d in cores)
+    ]
+    return "|".join(_wrap(ci, "".join(c)) for ci, c in keep)

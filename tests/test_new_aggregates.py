@@ -297,6 +297,33 @@ def test_events_hopping_pre_epoch_floor(ray_session, tmp_path):
     assert_frame_equal(_norm(got_h), _norm(want_h), check_exact=True)
 
 
+def test_epoch_floor_div_exact_beyond_float():
+    """Time buckets are exact int64 floor division: pre-epoch values one
+    microsecond either side of a bucket edge, and |epoch| > 2^53 us
+    where a float64 divide rounds (2^53 + 1 is not a double)."""
+    from pipeline._util import epoch_floor_div
+
+    hour, day = 3_600_000_000, 86_400_000_000
+    edge = 2**53
+    vals = [
+        0, 1, -1, -hour, -hour - 1, -hour + 1, hour - 1,
+        edge + 1, -edge - 1, edge * 7 + 3, -(edge * 7) - 3,
+        edge // hour * hour + hour - 1, -(edge // hour * hour) - hour + 1,
+        2**62 + 12345, -(2**62) - 12345, None,
+    ]
+    ts = pa.array(vals, pa.int64()).cast(pa.timestamp("us"))
+    for unit in (hour, day):
+        got = epoch_floor_div(ts, unit).to_pylist()
+        assert got == [None if v is None else v // unit for v in vals], unit
+    # the old float path misplaces a value just below a bucket edge
+    v = 2**55 // hour * hour - 1
+    assert epoch_floor_div(pa.array([v], pa.int64()).cast(pa.timestamp("us")), hour)[0].as_py() == v // hour
+    assert int(np.floor(float(v) / float(hour))) != v // hour
+    # ns input normalizes to microseconds first
+    ns = pa.array([-1_000, 3_600_000_000_000, -3_600_000_001_000], pa.int64())
+    assert epoch_floor_div(ns.cast(pa.timestamp("ns")), hour).to_pylist() == [-1, 1, -2]
+
+
 def test_events_user_paths_null_semantics(ray_session, tmp_path):
     """string_agg semantics on nulls: NULL event_type elements are
     skipped, an all-NULL group aggregates to NULL, and a NULL user_id

@@ -182,12 +182,23 @@ def test_code_profile_luhn_ignores_benchmark_trap_words():
 
 
 def test_trigger_groups_cover_all_specs():
-    from pipeline.detect.patterns import get_specs, get_trigger_groups
+    """One trigger group per spec, in get_specs order, carrying the
+    spec's derived trigger; every trigger and the union compile in RE2.
+    That each trigger is a necessary condition for its spec is pinned
+    by tests/test_prescreen.py."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from pipeline.detect.patterns import get_specs, get_trigger_groups, union_trigger
 
     for prof in ("conformance", "code"):
-        grouped = [s for _, _, sp in get_trigger_groups(prof) for s in sp]
-        assert len(grouped) == len(get_specs(prof))
+        groups = get_trigger_groups(prof)
+        grouped = [s for _, _, sp in groups for s in sp]
+        assert len(grouped) == len(get_specs(prof)) == len(groups)
         assert {id(s) for s in grouped} == {id(s) for s in get_specs(prof)}
+        assert [trig for _, trig, _ in groups] == [s.trigger for s in get_specs(prof)]
+        for trig in [trig for _, trig, _ in groups] + [union_trigger(prof)]:
+            pc.match_substring_regex(pa.array(["x"]), trig)
 
 
 def test_scrub_stage_matches_scalar_scrub():
@@ -211,6 +222,13 @@ def test_scrub_stage_matches_scalar_scrub():
         "email bob@x.com phone 555-123-4567 ip 10.0.0.1 AKIA" + "A" * 16,
         "api_key = 'abcdefghij0123456789'",
         "héllo wörld ünïcode ☃ 42",
+        # rows that are not ASCII skip the prescreen and run every spec:
+        # Arabic-Indic digits match Python's \d but not RE2's; the Kelvin
+        # sign and long s fold to k / s under IGNORECASE only
+        "SSN \u0663\u0664\u0665-\u0661\u0662-\u0666\u0667\u0668\u0669 on file",
+        "contact \u212aofi vexler or Mari\u017fol today",
+        # ASCII, but \x1c is whitespace to Python's \s and not to RE2's
+        "api_key\x1c=\x1cabcdefghij0123456789",
     ]
     for profile in ("conformance", "code"):
         batch = pa.table({"content": pa.array(texts, pa.string())})
@@ -225,6 +243,9 @@ def test_scrub_stage_matches_scalar_scrub():
         counts = entity_count_stage(batch, profile=profile).to_pydict()
         assert dict(zip(counts["label"], counts["n"])) == dict(want), profile
         assert len(want) > 1, profile  # the batch exercises several labels
+    # the edge rows carry spans, so a prescreen that skipped them would show
+    assert all(scrub_text(t, "conformance")[1] for t in texts[-3:-1])
+    assert scrub_text(texts[-1], "code")[1]
 
 
 def test_blocklist_score_and_scrub_match_duckdb():
