@@ -19,8 +19,8 @@ def detect_spans(text: str, profile: str = "conformance", specs=None) -> list[Sp
     `specs` restricts the scan to a subset, kept in get_specs order: the
     batch stage (ray_pipeline._fired_spans) passes only the specs whose
     derived RE2 trigger fired on the row. The output equals a full run
-    because on ASCII text each trigger is a necessary condition for its
-    spec (patterns.derive_trigger); non-ASCII rows get every spec."""
+    because on any text each trigger is a necessary condition for its
+    spec (patterns.derive_trigger)."""
     cands: list[Span] = []
     for spec in (get_specs(profile) if specs is None else specs):
         for m in spec.compiled.finditer(text):

@@ -207,19 +207,27 @@ def _cue_res(cues: tuple) -> list[tuple[re.Pattern, int, tuple[str, ...]]]:
 _CUE_DENY = frozenset({"dot", "into"})
 
 
-def _ascii_lower(win: str) -> str | None:
-    """``win`` lower-cased when ASCII (only there does str.lower() fold
-    exactly as sre's IGNORECASE does), else None."""
-    return win.lower() if win.isascii() else None
+# the non-ASCII characters sre's IGNORECASE matches to an ASCII letter
+# (dotted and dotless i, long s, Kelvin sign), each with that letter
+ASCII_FOLDS = {"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"}
+_TO_ASCII = str.maketrans(ASCII_FOLDS)
 
 
-def _nearest(win: str, cues: tuple, *, from_end: bool, low: str | None) -> int:
+def _cue_lower(win: str) -> str:
+    """``win`` folded as IGNORECASE matches it against the ASCII cue
+    words: ASCII_FOLDS mapped to their letters, then lower-cased. A cue
+    match's characters are all ASCII or ASCII_FOLDS, so the intact chunk
+    of a match appears in this string, whatever else the window holds."""
+    return win.translate(_TO_ASCII).lower()
+
+
+def _nearest(win: str, cues: tuple, *, from_end: bool, low: str) -> int:
     """Distance of nearest (fuzzy) cue occurrence, or a large sentinel.
-    ``low`` is _ascii_lower(win): a cue whose chunks are all absent from
-    it cannot match, so its regex is skipped (None = scan every cue)."""
+    ``low`` is _cue_lower(win): a cue whose chunks are all absent from
+    it cannot match, so its regex is skipped."""
     best = 10_000
     for rx, maxdist, chunks in _cue_res(cues):
-        if low is not None and not any(c in low for c in chunks):
+        if not any(c in low for c in chunks):
             continue
         for m in rx.finditer(win):
             if m.group().lower() in _CUE_DENY:
@@ -244,7 +252,7 @@ def resolve_numeric_cue(
     ("4581 call me") count."""
     back = _window_before(text, start)
     fwd = _window_after(text, end)
-    back_low, fwd_low = _ascii_lower(back), _ascii_lower(fwd)
+    back_low, fwd_low = _cue_lower(back), _cue_lower(fwd)
     best_label, best_dist = None, 10_000
     for label, cues in options:
         d = _nearest(back, cues, from_end=True, low=back_low)

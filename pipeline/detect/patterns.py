@@ -28,6 +28,7 @@ from typing import Callable, Match, Optional
 from pipeline.detect import vocab
 from pipeline.detect.gates import (
     ADDRESS_CUES,
+    ASCII_FOLDS,
     DATE_CUES,
     PHONE_CUES,
     SSN_CUES,
@@ -580,22 +581,36 @@ def get_specs(profile: str = "conformance") -> list[PatternSpec]:
 #
 # Every PatternSpec derives its own RE2 trigger from its pattern, so the
 # batch stage (ray_pipeline._fired_spans) can skip a spec for any row the
-# Arrow scan finds no trigger hit in. On ASCII text each trigger is a
-# NECESSARY condition for its pattern by construction:
-# - lookarounds and the anchors ^ $ \A \Z are dropped, which can only
-#   widen what matches;
-# - every one-character node (class, escape, '.', non-ASCII literal) is
-#   emitted as the explicit set of ASCII characters that Python's own
-#   compiled node accepts under the spec's flags, so the engines'
-#   differences in \d, \w, \s (Python's ASCII \s also holds \v and
-#   \x1c-\x1f, RE2's does not) and case folding cannot leak in;
-# - \b and \B stay: on ASCII text both engines put a word boundary
-#   between [0-9A-Za-z_] and anything else;
-# - an IGNORECASE spec's trigger is wrapped in (?i:...), scoped (?-i:...)
+# Arrow scan finds no trigger hit in. On any text, ASCII or not, each
+# trigger is a NECESSARY condition for its pattern by construction: every
+# node of the translation accepts at least what the sre node it comes
+# from accepts at the same position.
+# - Lookarounds, \B and the anchors ^ $ \A \Z are dropped, which can
+#   only widen what matches.
+# - Every one-character node (class, escape, '.', literal) is emitted as
+#   the explicit set of characters Python's own compiled node accepts
+#   under the spec's flags: its ASCII members, the non-ASCII characters
+#   IGNORECASE folds to ASCII ones (_ASCII_FOLDS), and the whole
+#   non-ASCII range when the node can take any other non-ASCII character
+#   (\d \w \s '.', negated sets). So the engines' differences in \d, \w,
+#   \s (Python's \s also holds \v and \x1c-\x1f) and case folding cannot
+#   leak in. A letter stays a bare literal when RE2's own (?i) takes all
+#   it must (i needs its class: RE2 does not fold the dotted or dotless
+#   i), and a class holding non-ASCII characters is wrapped in (?-i:...)
+#   so RE2's folding adds nothing to it.
+# - \b is pushed into the alternatives of an adjacent branch until it
+#   sits next to a one-character node, and is kept only in front of (or
+#   behind) that node's ASCII word characters [0-9A-Za-z_]: where the
+#   node consumes one of those, RE2's ASCII \b holds wherever Python's
+#   Unicode \b does. The node's other characters are emitted without
+#   the \b, and a \b with no one-character neighbour is dropped.
+# - An IGNORECASE spec's trigger is wrapped in (?i:...), scoped (?-i:...)
 #   groups stay scoped, and lazy repeats become greedy ones (the same
 #   set of texts matches).
-# Rows that are not ASCII bypass the prescreen and run every spec. A
-# construct the deriver cannot translate raises when the specs are built.
+# A construct the deriver cannot translate raises when the specs are
+# built. The deriver walks the parse trees of CPython's private re
+# modules; checked on CPython 3.11, and the exact-output assertions in
+# tests/test_prescreen.py fail first if a later version reshapes them.
 
 import re._compiler as _sre_compile
 import re._constants as _sre
@@ -603,30 +618,113 @@ import re._parser as _sre_parse
 
 _ONE_CHAR_OPS = (_sre.LITERAL, _sre.NOT_LITERAL, _sre.ANY, _sre.IN)
 _DROPPED_ATS = (_sre.AT_BEGINNING, _sre.AT_BEGINNING_STRING, _sre.AT_END,
-                _sre.AT_END_STRING)
+                _sre.AT_END_STRING, _sre.AT_NON_BOUNDARY)
+_B = (_sre.AT, _sre.AT_BOUNDARY)
 _RE2_MAX_REPEAT = 1000
+# the non-ASCII characters IGNORECASE matches to an ASCII character;
+# tests/test_prescreen.py scans every code point to confirm the list
+_ASCII_FOLDS = "".join(ASCII_FOLDS)
+# the ones RE2's own (?i) folding already adds to a bare letter
+_RE2_FOLDS = {"k": "\u212a", "s": "\u017f"}
+_WORD = frozenset(map(ord, "0123456789_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"))
 
 
-_CLASS_CACHE: dict[tuple[str, int], str] = {}
+def _char_set(node: tuple, flags: int) -> tuple[frozenset[int], bool]:
+    """(the ASCII and _ASCII_FOLDS characters one sre node accepts,
+    whether it may accept any other non-ASCII character)."""
+    op, av = node
+    if op is _sre.IN:
+        wide = any(o in (_sre.NEGATE, _sre.CATEGORY)
+                   or (o is _sre.LITERAL and a >= 128)
+                   or (o is _sre.RANGE and a[1] >= 128) for o, a in av)
+    else:
+        wide = op is not _sre.LITERAL or av >= 128
+    state = _sre_parse.State()
+    state.flags = flags
+    rx = _sre_compile.compile(_sre_parse.SubPattern(state, [node]), flags)
+    codes = frozenset(c for c in [*range(128), *map(ord, _ASCII_FOLDS)] if rx.fullmatch(chr(c)))
+    if not (codes or wide):
+        raise ValueError(f"no character matches {node!r}")
+    return codes, wide
 
 
-def _ascii_class(node, flags: int) -> str:
-    """RE2 class of the ASCII characters one sre node accepts."""
-    key = (repr(node), flags)
-    if key not in _CLASS_CACHE:
-        state = _sre_parse.State()
-        state.flags = flags
-        rx = _sre_compile.compile(_sre_parse.SubPattern(state, [node]), flags)
-        codes = [c for c in range(128) if rx.fullmatch(chr(c))]
-        if not codes:
-            raise ValueError(f"no ASCII character matches {node!r}")
-        runs, start = [], codes[0]
-        for a, b in zip(codes, codes[1:] + [None]):
-            if b != a + 1:
-                runs.append(rf"\x{start:02x}" + (rf"-\x{a:02x}" if a > start else ""))
-                start = b
-        _CLASS_CACHE[key] = "[" + "".join(runs) + "]"
-    return _CLASS_CACHE[key]
+def _set_re2(codes: frozenset[int], wide: bool, flags: int) -> str:
+    """RE2 for one character out of ``codes`` (or any non-ASCII one when
+    ``wide``); a lone character, or under IGNORECASE a letter with the
+    characters RE2's (?i) folds it to, stays a bare literal."""
+    ascii_ = sorted(c for c in codes if c < 128)
+    if not wide and ascii_:
+        ch = chr(ascii_[-1])
+        same = {ch}
+        if flags & re.IGNORECASE:
+            same |= {ch.swapcase(), *_RE2_FOLDS.get(ch.lower(), "")}
+        if {chr(c) for c in codes} <= same:
+            return ch if ch.isalnum() else rf"\x{ascii_[-1]:02x}"
+    runs: list[str] = []
+    for c in ascii_ if wide else sorted(codes):
+        if runs and c == runs[-1][1] + 1:
+            runs[-1][1] = c
+        else:
+            runs.append([c, c])
+    hx = (lambda c: rf"\x{c:02x}" if c < 128 else rf"\x{{{c:x}}}")
+    body = "".join(hx(a) + (f"-{hx(b)}" if b > a else "") for a, b in runs)
+    cls = "[" + body + (r"\x{80}-\x{10ffff}" if wide else "") + "]"
+    # the class lists every character it takes; under (?i) RE2 would fold
+    # the long s and Kelvin sign back into s, S, k, K
+    if flags & re.IGNORECASE and (wide or max(codes) >= 128):
+        return f"(?-i:{cls})"
+    return cls
+
+
+_ONE_CHAR: dict[tuple, str] = {}
+
+
+def _one_char(node: tuple, flags: int, lead: bool, trail: bool) -> str:
+    """One-character node, with a \\b before (``lead``) and/or after
+    (``trail``) it kept in front of its ASCII word characters only."""
+    key = (repr(node), int(flags), lead, trail)
+    if key not in _ONE_CHAR:
+        _ONE_CHAR[key] = _one_char_re2(node, flags, lead, trail)
+    return _ONE_CHAR[key]
+
+
+def _one_char_re2(node: tuple, flags: int, lead: bool, trail: bool) -> str:
+    codes, wide = _char_set(node, flags)
+    if not (lead or trail):
+        return _set_re2(codes, wide, flags)
+    word, rest = codes & _WORD, codes - _WORD
+    parts = []
+    if word:
+        parts.append((r"\b" if lead else "") + _set_re2(word, False, flags) + (r"\b" if trail else ""))
+    if rest or wide:
+        parts.append(_set_re2(rest, wide, flags))
+    return parts[0] if len(parts) == 1 else "(?:" + "|".join(parts) + ")"
+
+
+def _push_boundaries(seq) -> list:
+    """``seq`` with groups that change no flag inlined and each \\b that
+    borders a branch moved into every alternative of it."""
+    out: list = []
+    for op, av in seq:
+        if op is _sre.SUBPATTERN and not (av[1] or av[2]):
+            out.extend(_push_boundaries(av[3]))
+        else:
+            out.append((op, av))
+    i, res = 0, []
+    while i < len(out):
+        op, av = out[i]
+        if op is _sre.BRANCH:
+            lead = bool(res) and res[-1] == _B
+            trail = i + 1 < len(out) and out[i + 1] == _B
+            if lead:
+                res.pop()
+            alts = [[_B] * lead + _push_boundaries(a) + [_B] * trail for a in av[1]]
+            res.append((op, (av[0], alts)))
+            i += 1 + trail
+        else:
+            res.append((op, av))
+            i += 1
+    return res
 
 
 def _quant(lo: int, hi) -> str:
@@ -641,13 +739,13 @@ def _factors(seq, flags: int) -> list[tuple[str, bool]]:
     string anywhere) pairs whose concatenation is the translation. A
     repeat X{lo,hi} with lo >= 1 is split into X then X{lo-1,hi-1}, so
     the digit that starts every ND pattern is a factor of its own."""
+    seq = _push_boundaries(seq)
     out: list[tuple[str, bool]] = []
-    for op, av in seq:
-        if op is _sre.LITERAL and av < 128:
-            ch = chr(av)
-            out.append((ch if ch.isalnum() else rf"\x{av:02x}", False))
-        elif op in _ONE_CHAR_OPS:
-            out.append((_ascii_class((op, av), flags), False))
+    for i, (op, av) in enumerate(seq):
+        if op in _ONE_CHAR_OPS:
+            lead = i > 0 and seq[i - 1] == _B
+            trail = i + 1 < len(seq) and seq[i + 1] == _B
+            out.append((_one_char((op, av), flags, lead, trail), False))
         elif op is _sre.BRANCH:
             out.append(("(?:" + "|".join(_re2(alt, flags) for alt in av[1]) + ")", False))
         elif op is _sre.SUBPATTERN:
@@ -675,8 +773,9 @@ def _factors(seq, flags: int) -> list[tuple[str, bool]]:
             out.append((atom + _quant(lo, hi), lo == 0))
         elif op in (_sre.ASSERT, _sre.ASSERT_NOT):
             continue
-        elif op is _sre.AT and av in (_sre.AT_BOUNDARY, _sre.AT_NON_BOUNDARY):
-            out.append((r"\b" if av is _sre.AT_BOUNDARY else r"\B", False))
+        elif op is _sre.AT and av is _sre.AT_BOUNDARY:
+            # kept by a one-character neighbour (_one_char), else dropped
+            continue
         elif op is _sre.AT and av in _DROPPED_ATS:
             continue
         else:
@@ -703,17 +802,18 @@ def _wrap(ci: bool, body: str) -> str:
 
 
 def derive_trigger(pattern: str, flags: int) -> str:
-    """RE2 regex that matches every ASCII text ``pattern`` has a
-    finditer hit in (see the section comment above); raises ValueError
-    on a construct it cannot translate."""
+    """RE2 regex that matches every text ``pattern`` has a finditer hit
+    in (see the section comment above); raises ValueError on a construct
+    it cannot translate."""
     ci, fs = _trigger_factors(pattern, flags)
     return _wrap(ci, "".join(f for f, _ in fs))
 
 
 def get_trigger_groups(profile: str = "conformance") -> list[tuple[str, str, list[PatternSpec]]]:
-    """[(key, RE2 trigger, [spec])] for a profile: one group per spec, in
-    get_specs order, the trigger being the spec's derived one."""
-    return [(str(i), s.trigger, [s]) for i, s in enumerate(get_specs(profile))]
+    """[(key, RE2 trigger, [spec])] for a profile: a single group, the
+    union trigger over every spec, so one pass of it is the first stage
+    of the prescreen (ray_pipeline._fired_spans)."""
+    return [("union", union_trigger(profile), get_specs(profile))]
 
 
 def _core(fs: tuple[tuple[str, bool], ...]) -> tuple[str, ...]:
@@ -735,8 +835,8 @@ def _contains(outer: tuple[str, ...], inner: tuple[str, ...]) -> bool:
 @functools.lru_cache(maxsize=None)
 def union_trigger(profile: str = "conformance") -> str:
     """One RE2 alternation that matches exactly the texts some spec
-    trigger of the profile matches (ASCII rows only: a row it misses can
-    skip every spec). A trigger whose factor sequence contains another
+    trigger of the profile matches (a row it misses can skip every
+    spec). A trigger whose factor sequence contains another
     trigger's as a contiguous run (same case mode) is left out: every
     text it matches, the other matches too. This shrinks the
     conformance union from 83 triggers to 23, which keeps RE2's DFA

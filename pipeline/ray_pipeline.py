@@ -136,42 +136,31 @@ def _fired_spans(col, profile: str):
     Two Arrow RE2 stages (patterns.derive_trigger): one pass of the
     union of every spec trigger over the batch, then one pass per spec
     trigger over the rows the union fired on. Each fired row runs only
-    its fired specs, in get_specs order. On ASCII text a trigger is a
+    its fired specs, in get_specs order. On any text a trigger is a
     NECESSARY condition for its spec, so the spans equal a full-spec
-    detect_spans run; rows that are not ASCII skip the prescreen and run
-    every spec. Rows no stage fires on never materialize a Python
+    detect_spans run. Rows no stage fires on never materialize a Python
     string."""
     import pyarrow.compute as pc
 
-    from pipeline._util import string_buffers
     from pipeline.detect.detector import detect_spans
     from pipeline.detect.patterns import get_specs, union_trigger
 
     if not len(col):
         return
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
 
     def matches(arr, trigger: str) -> np.ndarray:
         hit = pc.fill_null(pc.match_substring_regex(arr, trigger), False)
         return hit.to_numpy(zero_copy_only=False)
 
     specs = get_specs(profile)
-    off, data = string_buffers(col)
-    # rows that are not ASCII bypass the triggers; one vectorized max over
-    # the bytes spares the per-row check when the whole batch is ASCII
-    if data[off[0]: off[-1]].max(initial=0) < 0x80:
-        other = np.zeros(len(col), dtype=bool)
-    else:
-        other = ~pc.fill_null(pc.string_is_ascii(col), True).to_numpy(zero_copy_only=False)
-    idx = np.flatnonzero(matches(col, union_trigger(profile)) | other)
+    idx = np.flatnonzero(matches(col, union_trigger(profile)))
     if not len(idx):
         return
-    sub, sub_other = col.take(pa.array(idx)), other[idx]
+    sub = col.take(pa.array(idx))
     by_trigger: dict[str, np.ndarray] = {}
     for s in specs:
         if s.trigger not in by_trigger:
-            by_trigger[s.trigger] = matches(sub, s.trigger) | sub_other
+            by_trigger[s.trigger] = matches(sub, s.trigger)
     masks = np.stack([by_trigger[s.trigger] for s in specs], axis=1)
     texts = sub.to_pylist()
     for j, i in enumerate(idx):

@@ -1,8 +1,8 @@
 """The scrub prescreen and the detector's speed rewrites must never change
-a span: derived RE2 triggers are necessary conditions for their specs,
-the cue-gate chunk pre-filter skips only cue regexes that cannot match,
-and the fresh-token numeric patterns match exactly what the
-lookbehind-first form matched."""
+a span: derived RE2 triggers are necessary conditions for their specs on
+any text, the cue-gate chunk pre-filter skips only cue regexes that
+cannot match, and the fresh-token numeric patterns match exactly what
+the lookbehind-first form matched."""
 
 from __future__ import annotations
 
@@ -16,16 +16,27 @@ from hypothesis import example, given, settings, strategies as st
 
 from pipeline.detect import gates, vocab
 from pipeline.detect.detector import detect_spans
-from pipeline.detect.patterns import _fresh, derive_trigger, get_specs, union_trigger
+from pipeline.detect.patterns import (
+    _ASCII_FOLDS, _RE2_FOLDS, _fresh, derive_trigger, get_specs, union_trigger,
+)
 from pipeline.synth.codegen import code_batch
 from pipeline.synth.corpus import make_conformance_row
 
 PROFILES = ("conformance", "code")
 
-# ASCII alphabet the triggers must survive: digits, the numeric-shape
+# alphabet the triggers must survive: digits, the numeric-shape
 # punctuation, every whitespace Python's \s holds but RE2's does not
-# (\v, \x1c-\x1f), newline, and the vocabulary the patterns alternate over
-_CHARS = list("0123456789.-/#:@()+_'=\",*[]xXaAmMfF ") + ["\v", "\x1c", "\x1d", "\x1e", "\x1f", "\n", "\t"]
+# (\v, \x1c-\x1f, and non-ASCII ones), newline, non-ASCII digits and
+# letters (Arabic-Indic digits match Python's \d only; the dotted and
+# dotless i, long s and Kelvin sign fold to ASCII letters under
+# IGNORECASE and are word characters to Python's \b only), and the
+# vocabulary the patterns alternate over
+_CHARS = list("0123456789.-/#:@()+_'=\",*[]xXaAmMfF ") + [
+    "\v", "\x1c", "\x1d", "\x1e", "\x1f", "\n", "\t",
+    "\u0663", "\u0661", "\xe9", "\xfc", "\u4e2d", "\xa0", "\u2028", "\u3000", *_ASCII_FOLDS,
+]
+# a word with its i, k or s swapped for the non-ASCII letter that folds to it
+_FOLD_SWAPS = ("", "i\u0131", "I\u0130", "k\u212a", "s\u017f", "S\u017f")
 _WORDS = sorted({
     w for group in (
         vocab.FIRST_NAMES, vocab.LAST_NAMES, vocab.CITIES, vocab.COUNTRIES,
@@ -42,6 +53,8 @@ _WORDS = sorted({
 _TOKEN = st.one_of(
     st.sampled_from(_CHARS),
     st.tuples(st.sampled_from(_WORDS), st.booleans()).map(lambda wb: wb[0].upper() if wb[1] else wb[0]),
+    st.tuples(st.sampled_from(_WORDS), st.sampled_from(_FOLD_SWAPS)).map(
+        lambda ws: ws[0].replace(ws[1][:1], ws[1][1:]) if ws[1] else ws[0]),
     st.integers(0, 10**12).map(str),
 )
 
@@ -52,7 +65,6 @@ def _trigger_hit(trigger: str, text: str) -> bool:
 
 
 def _assert_necessary(text: str, profile: str) -> None:
-    assert text.isascii()
     hits = [s for s in get_specs(profile) if s.compiled.search(text)]
     for s in hits:
         assert _trigger_hit(s.trigger, text), (profile, s.pattern[:80], text)
@@ -65,20 +77,25 @@ def _assert_necessary(text: str, profile: str) -> None:
 @example("api_key\x1c=\x1cabcdefghij0123456789")
 @example("SSN 123\v-\v45 kofi\x1dvexler 4111111111111111\n(45M) applied")
 @example("card 0\x1f1234.567.890-1234 +44 20-123 4567 ends in 1234")
+@example("SSN \u0663\u0664\u0665-\u0661\u0662-\u0666\u0667\u0668\u0669 \u017fuite 12, \u0130'm 40")
+@example("\xe9suite 12 \u212aansas \u4e2d\u017fecret=abcdefghij0123456789")
 def test_derived_triggers_are_necessary(text):
-    """On ASCII text, any spec with a finditer hit has its derived
+    """On any text, any spec with a finditer hit has its derived
     trigger (and the profile's union trigger) fire too."""
     for profile in PROFILES:
         _assert_necessary(text, profile)
 
 
 def test_derived_triggers_necessary_on_corpus_rows():
-    """The same property on real rows, once as generated and once with
-    every space swapped for a whitespace only Python's \\s knows."""
+    """The same property on real rows: as generated, with every space
+    swapped for a whitespace only Python's \\s knows, and with letters
+    and digits swapped for non-ASCII ones Python's IGNORECASE and \\d
+    take (all of them word characters to Python's \\b, none to RE2's)."""
     texts = [make_conformance_row(i)["text"] for i in range(300)]
     texts += code_batch(range(48), seed=3)["content"].to_pylist()
+    non_ascii = str.maketrans("iIksS0123456789", "\u0131\u0130\u212a\u017f\u017f\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
     for k, t in enumerate(texts):
-        for variant in (t, t.replace(" ", "\x1c\v"[k % 2])):
+        for variant in (t, t.replace(" ", "\x1c\v"[k % 2]), t.translate(non_ascii)):
             for profile in PROFILES:
                 _assert_necessary(variant, profile)
 
@@ -101,8 +118,8 @@ def _nearest_reference(win: str, cues: tuple, from_end: bool) -> int:
 def test_nearest_prefilter_matches_reference_loop(monkeypatch):
     """Every cue window the first 2000 conformance rows produce, plus
     non-ASCII windows where str.lower() and IGNORECASE folding differ
-    (Kelvin sign, long s), gives the same distance with and without the
-    pre-filter."""
+    (Kelvin sign, long s, dotted and dotless i), gives the same distance
+    with and without the pre-filter."""
     calls: list[tuple[str, tuple, bool]] = []
     real = gates._nearest
 
@@ -117,12 +134,14 @@ def test_nearest_prefilter_matches_reference_loop(monkeypatch):
     cue_sets = {cues for _, cues, _ in calls}
     calls += [
         (w, cues, fe)
-        for w in ("my ſſn is", "Kall me", "addreſſ: ", "Ad dre ss", "SSN: ")
+        for w in ("my ſſn is", "Kall me", "addreſſ: ", "Ad dre ss", "SSN: ",
+                  "d\u0130al 555", "\u0131nfo: x", "phone n\u0131mber \u4e2d", "na\xefve caf\xe9 \u2603 \u017fhip to",
+                  "z\u0131p 02134", "\u017fhip")
         for cues in cue_sets for fe in (True, False)
     ]
     assert len(calls) > 2000
     for win, cues, from_end in calls:
-        low = gates._ascii_lower(win)
+        low = gates._cue_lower(win)
         assert gates._nearest(win, cues, from_end=from_end, low=low) == \
             _nearest_reference(win, cues, from_end), (win, cues, from_end)
 
@@ -157,5 +176,25 @@ def test_derive_trigger_raises_on_untranslatable_constructs():
     for pattern in (r"(a)\1", r"(?P<x>a)(?(x)b|c)", r"(?>ab)", r"a++", r"x{1001}"):
         with pytest.raises(ValueError):
             derive_trigger(pattern, 0)
-    assert derive_trigger(r"(?<!x)\s\b(?=y)", 0) == r"[\x09-\x0d\x1c-\x20]\b"
-    assert derive_trigger(r"a\d", re.IGNORECASE) == r"(?i:a[\x30-\x39])"
+    # exact outputs: the deriver walks CPython's private re parse trees,
+    # so a Python release that reshapes them fails here first
+    assert derive_trigger(r"(?<!x)\s\b(?=y)", 0) == r"[\x09-\x0d\x1c-\x20\x{80}-\x{10ffff}]"
+    assert derive_trigger(r"a\d", re.IGNORECASE) == r"(?i:a(?-i:[\x30-\x39\x{80}-\x{10ffff}]))"
+    assert derive_trigger(r"\bsuite\b|x\B", re.IGNORECASE) == (
+        r"(?i:(?:(?:\bs|(?-i:[\x{17f}]))u(?-i:[\x49\x69\x{130}-\x{131}])te\b|x))"
+    )
+
+
+def test_case_fold_tables():
+    """gates.ASCII_FOLDS is every non-ASCII character IGNORECASE matches
+    to an ASCII one (a scan of every code point), each with the one
+    letter it matches, and RE2's (?i) folds a bare letter to the ones
+    _RE2_FOLDS says it does, and to no other of them."""
+    every = "".join(map(chr, range(0x80, 0x110000)))
+    assert sorted(set(re.findall(r"[\x00-\x7f]", every, re.IGNORECASE))) == sorted(_ASCII_FOLDS)
+    for c, letter in gates.ASCII_FOLDS.items():
+        assert {a for a in map(chr, range(128)) if re.fullmatch(re.escape(a), c, re.IGNORECASE)} == \
+            {letter, letter.upper()}
+    for letter in "abcdefghijklmnopqrstuvwxyz":
+        hit = pc.match_substring_regex(pa.array(list(_ASCII_FOLDS)), f"(?i){letter}")
+        assert {c for c, h in zip(_ASCII_FOLDS, hit.to_pylist()) if h} == set(_RE2_FOLDS.get(letter, ""))

@@ -182,8 +182,8 @@ def test_code_profile_luhn_ignores_benchmark_trap_words():
 
 
 def test_trigger_groups_cover_all_specs():
-    """One trigger group per spec, in get_specs order, carrying the
-    spec's derived trigger; every trigger and the union compile in RE2.
+    """The trigger groups carry every spec, in get_specs order, under the
+    union trigger; every spec trigger and the union compile in RE2.
     That each trigger is a necessary condition for its spec is pinned
     by tests/test_prescreen.py."""
     import pyarrow as pa
@@ -194,17 +194,16 @@ def test_trigger_groups_cover_all_specs():
     for prof in ("conformance", "code"):
         groups = get_trigger_groups(prof)
         grouped = [s for _, _, sp in groups for s in sp]
-        assert len(grouped) == len(get_specs(prof)) == len(groups)
-        assert {id(s) for s in grouped} == {id(s) for s in get_specs(prof)}
-        assert [trig for _, trig, _ in groups] == [s.trigger for s in get_specs(prof)]
-        for trig in [trig for _, trig, _ in groups] + [union_trigger(prof)]:
+        assert [id(s) for s in grouped] == [id(s) for s in get_specs(prof)]
+        assert [trig for _, trig, _ in groups] == [union_trigger(prof)]
+        for trig in [s.trigger for s in get_specs(prof)] + [union_trigger(prof)]:
             pc.match_substring_regex(pa.array(["x"]), trig)
 
 
 def test_scrub_stage_matches_scalar_scrub():
-    """The per-trigger-group prescreen must be invisible: scrub_stage over
+    """The two-stage prescreen must be invisible: scrub_stage over
     a batch == scrub_text per row, for both profiles, including rows that
-    fire zero/one/many groups.  entity_count_stage consumes the same
+    fire zero/one/many spec triggers.  entity_count_stage consumes the same
     prescreen -> detect loop, so its per-label counts on the same batch
     must equal a Counter over the scrub_text spans."""
     from collections import Counter
@@ -222,11 +221,13 @@ def test_scrub_stage_matches_scalar_scrub():
         "email bob@x.com phone 555-123-4567 ip 10.0.0.1 AKIA" + "A" * 16,
         "api_key = 'abcdefghij0123456789'",
         "héllo wörld ünïcode ☃ 42",
-        # rows that are not ASCII skip the prescreen and run every spec:
-        # Arabic-Indic digits match Python's \d but not RE2's; the Kelvin
-        # sign and long s fold to k / s under IGNORECASE only
+        # non-ASCII rows go through the same prescreen: Arabic-Indic digits
+        # match Python's \d but not RE2's; the Kelvin sign, long s and
+        # dotted / dotless i fold to k / s / i under IGNORECASE only, and
+        # are word characters to Python's \b but not to RE2's
         "SSN \u0663\u0664\u0665-\u0661\u0662-\u0666\u0667\u0668\u0669 on file",
         "contact \u212aofi vexler or Mari\u017fol today",
+        "ship to \u017fuite 12 in \u212aansas; \u0130'm 34",
         # ASCII, but \x1c is whitespace to Python's \s and not to RE2's
         "api_key\x1c=\x1cabcdefghij0123456789",
     ]
@@ -244,7 +245,7 @@ def test_scrub_stage_matches_scalar_scrub():
         assert dict(zip(counts["label"], counts["n"])) == dict(want), profile
         assert len(want) > 1, profile  # the batch exercises several labels
     # the edge rows carry spans, so a prescreen that skipped them would show
-    assert all(scrub_text(t, "conformance")[1] for t in texts[-3:-1])
+    assert all(scrub_text(t, "conformance")[1] for t in texts[-4:-1])
     assert scrub_text(texts[-1], "code")[1]
 
 
