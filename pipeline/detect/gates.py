@@ -215,9 +215,10 @@ _TO_ASCII = str.maketrans(ASCII_FOLDS)
 
 def _cue_lower(win: str) -> str:
     """``win`` folded as IGNORECASE matches it against the ASCII cue
-    words: ASCII_FOLDS mapped to their letters, then lower-cased. A cue
-    match's characters are all ASCII or ASCII_FOLDS, so the intact chunk
-    of a match appears in this string, whatever else the window holds."""
+    words: ASCII_FOLDS mapped to their letters, then lower-cased. A cue's
+    literal characters match only ASCII characters or ASCII_FOLDS, so the
+    intact chunk of a match appears in this string, whatever else the
+    window holds."""
     return win.translate(_TO_ASCII).lower()
 
 
