@@ -9,11 +9,23 @@ A regex candidate only becomes a span if its gate passes. Gates encode:
 - context-cue resolution for shape-ambiguous numerics (dotted/spaced
   ddd.ddd.dddd is both an SSN format, generation.py:138-141, and a phone
   variation, generation.py:186-187 — only context distinguishes them).
+
+Cue matching is positional. Every _fuzzy_alts(word) alternative consumes
+exactly len(word) characters (checked when the regex is compiled) and
+changes at most two of its positions, so a match starting at p leaves
+one of the word's anchors (_anchors: the whole word, its halves plus the
+middle-pair swap, or its thirds) intact at a fixed offset from p in the
+folded window (_cue_lower, which keeps every position). cue_matches tries
+the regex only at those starts, in ascending order, skipping starts
+inside the previous match: exactly finditer's non-overlapping walk.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+import re._parser as _sre_parse
+from typing import Iterator
 
 DIGITS_RE = re.compile(r"\d")
 
@@ -119,19 +131,6 @@ def _edit_budget(word: str) -> int:
     return 1 if (len(word) >= 5 or word in _BOUNDED_SHORT) else 0
 
 
-def _cue_chunks(word: str) -> tuple[str, ...]:
-    """Lower-case literals at least one of which every _fuzzy_alts(word)
-    match contains. Exact-only cues need the whole word. A fuzzy match is
-    the word with at most 2 positions changed (substitutions or one
-    adjacent transposition), so by pigeonhole one of the word's three
-    contiguous thirds is intact."""
-    w = word.lower()
-    if _edit_budget(word) == 0:
-        return (w,)
-    a, b = len(w) // 3, 2 * len(w) // 3
-    return (w[:a], w[a:b], w[b:])
-
-
 def _fuzzy_alts(word: str) -> list[str]:
     """Exact + one-substitution + one-adjacent-transposition variants.
 
@@ -184,21 +183,6 @@ def _fuzzy_alts(word: str) -> list[str]:
     return alts
 
 
-_CUE_RE_CACHE: dict[tuple, list[tuple[re.Pattern, int, tuple[str, ...]]]] = {}
-
-
-def _cue_res(cues: tuple) -> list[tuple[re.Pattern, int, tuple[str, ...]]]:
-    """(compiled fuzzy cue, max distance, _cue_chunks) per cue."""
-    if cues not in _CUE_RE_CACHE:
-        out: list[tuple[re.Pattern, int, tuple[str, ...]]] = []
-        for c in cues:
-            word, maxdist = c if isinstance(c, tuple) else (c, 10_000)
-            rx = re.compile("|".join(_fuzzy_alts(word)), re.IGNORECASE)
-            out.append((rx, maxdist, _cue_chunks(word)))
-        _CUE_RE_CACHE[cues] = out
-    return _CUE_RE_CACHE[cues]
-
-
 # Real English tokens that sit one edit from a cue word and appear in the
 # templates themselves: "at gmail DOT com" (obfuscated emails) is one
 # substitution from the DATE cue "dob" — measured DATE false positives.
@@ -215,22 +199,97 @@ _TO_ASCII = str.maketrans(ASCII_FOLDS)
 
 def _cue_lower(win: str) -> str:
     """``win`` folded as IGNORECASE matches it against the ASCII cue
-    words: ASCII_FOLDS mapped to their letters, then lower-cased. A cue's
-    literal characters match only ASCII characters or ASCII_FOLDS, so the
-    intact chunk of a match appears in this string, whatever else the
-    window holds."""
+    words: ASCII_FOLDS mapped to their letters, then lower-cased. Every
+    character keeps its position (the dotted I, the one character whose
+    lower case is two, is mapped first), and a cue's literal characters
+    match only ASCII characters or ASCII_FOLDS, so the characters a
+    match leaves unchanged read as the lower-case cue here, at the same
+    offsets, whatever else the window holds."""
     return win.translate(_TO_ASCII).lower()
 
 
+def _anchors(word: str) -> tuple[tuple[str, int], ...]:
+    """(literal, offset) pairs such that every _fuzzy_alts(word) match
+    starting at p has one of the literals at p + offset of the folded
+    window. A match changes at most _edit_budget(word) positions: none
+    keeps the whole word; one substitution keeps one half, and an
+    adjacent transposition either keeps one half or swaps exactly the
+    middle pair; two changed positions leave one of three thirds intact."""
+    w = word.lower()
+    edits = _edit_budget(word)
+    if edits == 0:
+        return ((w, 0),)
+    if edits == 1:
+        h = len(w) // 2
+        swapped = w[:h - 1] + w[h] + w[h - 1] + w[h + 1:]
+        return ((w[:h], 0), (w[h:], h)) + (((swapped, 0),) if swapped != w else ())
+    a, b = len(w) // 3, 2 * len(w) // 3
+    return ((w[:a], 0), (w[a:b], a), (w[b:], b))
+
+
+def _fixed_width_re(word: str, alts: list[str]) -> re.Pattern:
+    """The IGNORECASE alternation of ``alts``, which must each consume
+    exactly len(word) characters: the anchor offsets assume it."""
+    pattern = "|".join(alts)
+    width = _sre_parse.parse(pattern, re.IGNORECASE).getwidth()
+    if width != (len(word), len(word)):
+        raise ValueError(f"cue {word!r}: alternatives span {width} characters, not {len(word)}")
+    return re.compile(pattern, re.IGNORECASE)
+
+
+@functools.lru_cache(maxsize=None)
+def _cue_table(cues: tuple) -> tuple[tuple, tuple]:
+    """(compiled fuzzy regex, max distance) per cue, and each distinct
+    anchor literal of the set with the (cue index, offset) pairs it
+    anchors."""
+    res, places = [], {}
+    for i, c in enumerate(cues):
+        word, maxdist = c if isinstance(c, tuple) else (c, 10_000)
+        res.append((_fixed_width_re(word, _fuzzy_alts(word)), maxdist))
+        for lit, off in _anchors(word):
+            places.setdefault(lit, []).append((i, off))
+    return tuple(res), tuple((lit, tuple(v)) for lit, v in places.items())
+
+
+def cue_matches(cues: tuple, win: str, low: str) -> Iterator[tuple[int, list[re.Match]]]:
+    """(max distance, matches) for each cue of ``cues``, in order, with a
+    fuzzy match in ``win``: the matches its regex's finditer(win) yields.
+    ``low`` is _cue_lower(win). A match can start only at an anchor
+    occurrence minus its offset, so each regex is tried at those starts
+    alone, in ascending order, skipping any start before the end of the
+    last match: finditer's own non-overlapping walk (lookbehinds still
+    see the window before the start)."""
+    res, lits = _cue_table(cues)
+    starts: dict[int, list[int]] = {}
+    for lit, places in lits:
+        j = low.find(lit)
+        while j >= 0:
+            for i, off in places:
+                if j >= off:
+                    starts.setdefault(i, []).append(j - off)
+            j = low.find(lit, j + 1)
+    for i in sorted(starts):
+        rx, maxdist = res[i]
+        out, end = [], 0
+        for p in sorted(set(starts[i])):
+            if p >= end:
+                m = rx.match(win, p)
+                if m:
+                    out.append(m)
+                    end = m.end()
+        if out:
+            yield maxdist, out
+
+
 def _nearest(win: str, cues: tuple, *, from_end: bool, low: str) -> int:
-    """Distance of nearest (fuzzy) cue occurrence, or a large sentinel.
-    ``low`` is _cue_lower(win): a cue whose chunks are all absent from
-    it cannot match, so its regex is skipped."""
+    """Distance of the nearest (fuzzy) cue occurrence, or a large
+    sentinel: from the window's end to the last match (``from_end``), or
+    from its start to the first. ``low`` is _cue_lower(win). Each cue's
+    matches are cue_matches(), exactly its regex's finditer walk, and
+    deny-listed matches are skipped as before."""
     best = 10_000
-    for rx, maxdist, chunks in _cue_res(cues):
-        if not any(c in low for c in chunks):
-            continue
-        for m in rx.finditer(win):
+    for maxdist, ms in cue_matches(cues, win, low):
+        for m in ms:
             if m.group().lower() in _CUE_DENY:
                 continue
             dist = (len(win) - m.start()) if from_end else m.start()
@@ -252,14 +311,15 @@ def resolve_numeric_cue(
     cue two words ahead — pass ~6 so only truly adjacent forward cues
     ("4581 call me") count."""
     back = _window_before(text, start)
-    fwd = _window_after(text, end)
-    back_low, fwd_low = _cue_lower(back), _cue_lower(fwd)
+    back_low = _cue_lower(back)
     best_label, best_dist = None, 10_000
     for label, cues in options:
         d = _nearest(back, cues, from_end=True, low=back_low)
         if d < best_dist:
             best_label, best_dist = label, d
     if best_label is None:
+        fwd = _window_after(text, end)
+        fwd_low = _cue_lower(fwd)
         for label, cues in options:
             if label == "ADDRESS":
                 continue  # "ship to X" cues point forward — never backward

@@ -21,6 +21,7 @@ Hard negatives (G:756-775) stay O via:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Match, Optional
@@ -32,6 +33,8 @@ from pipeline.detect.gates import (
     DATE_CUES,
     PHONE_CUES,
     SSN_CUES,
+    _cue_lower,
+    cue_matches,
     luhn_ok,
     pipe_flanked,
     resolve_numeric_cue,
@@ -126,17 +129,9 @@ class PatternSpec:
 
 # ---------------------------------------------------------------- gates
 
-import functools
-
-
-@functools.lru_cache(maxsize=64)
-def _fuzzy_re(word: str) -> re.Pattern:
-    """Compiled fuzzy-alternation for a trap/cue word — cached: the
-    gates call this per regex candidate in the scrub hot path, and the
-    2-edit variant list for 7+-char words is O(len^2) strings."""
-    from pipeline.detect.gates import _fuzzy_alts
-
-    return re.compile("|".join(_fuzzy_alts(word)), re.IGNORECASE)
+def _has_cue(win: str, *words: str) -> bool:
+    """Whether a fuzzy match of any trap/cue word sits in ``win``."""
+    return next(cue_matches(words, win, _cue_lower(win)), None) is not None
 
 
 def _gate_luhn(text: str, m: Match) -> str | None:
@@ -151,7 +146,7 @@ def _gate_luhn(text: str, m: Match) -> str | None:
     # hard_negative_strings] fails Luhn BY CONSTRUCTION, but outside-span
     # noise occasionally flips a digit back to Luhn-valid — the trailing
     # marker is the only stable signal (trap-only vocabulary).
-    if _fuzzy_re("missing").search(text[m.end(): m.end() + 16]):
+    if _has_cue(text[m.end(): m.end() + 16], "missing"):
         return None
     return "CREDIT_CARD"
 
@@ -169,8 +164,7 @@ def _gate_ssn_letter(text: str, m: Match) -> str | None:
     'checksum'/'pending' — none appear near true SSN slots)."""
     if re.search(r"(?i)acct\s*$", text[max(0, m.start() - 8): m.start()]):
         return None
-    fwd = text[m.end(): m.end() + 24]
-    if _fuzzy_re("checksum").search(fwd) or _fuzzy_re("pending").search(fwd):
+    if _has_cue(text[m.end(): m.end() + 24], "checksum", "pending"):
         return None
     return "SSN"
 
@@ -202,7 +196,7 @@ def _gate_addr_postcode(text: str, m: Match) -> str | None:
     """2-letter+2-digit short postcode vs the 'Handle @{username}' hard
     negative whose '@' noise made the handle look bare: reject when
     preceded by the trap's own cue word."""
-    if _fuzzy_re("handle").search(text[max(0, m.start() - 12): m.start()]):
+    if _has_cue(text[max(0, m.start() - 12): m.start()], "handle"):
         return None
     return "ADDRESS"
 
@@ -379,7 +373,7 @@ def _gate_bare3or5(text: str, m: Match) -> str | None:
     )
     if lbl is not None:
         return lbl
-    if _fuzzy_re("hope").search(text[m.end(): m.end() + 12]):
+    if _has_cue(text[m.end(): m.end() + 12], "hope"):
         return "ADDRESS"
     return None
 

@@ -1,12 +1,13 @@
 """The scrub prescreen and the detector's speed rewrites must never change
 a span: derived RE2 triggers are necessary conditions for their specs on
-any text, the cue-gate chunk pre-filter skips only cue regexes that
-cannot match, and the fresh-token numeric patterns match exactly what
-the lookbehind-first form matched."""
+any text, the positional cue walk finds exactly the matches a full
+finditer scan finds, and the fresh-token numeric patterns match exactly
+what the lookbehind-first form matched."""
 
 from __future__ import annotations
 
 import functools
+import random
 import re
 
 import pyarrow as pa
@@ -17,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 from pipeline.detect import gates, vocab
 from pipeline.detect.detector import detect_spans
 from pipeline.detect.patterns import (
-    _ASCII_FOLDS, _RE2_FOLDS, _fresh, derive_trigger, get_specs, union_trigger,
+    _ASCII_FOLDS, _RE2_FOLDS, AGE_CUES_B12, AGE_CUES_TIGHT, _fresh, derive_trigger,
+    get_specs, union_trigger,
 )
 from pipeline.synth.codegen import code_batch
 from pipeline.synth.corpus import make_conformance_row
@@ -100,11 +102,21 @@ def test_derived_triggers_necessary_on_corpus_rows():
                 _assert_necessary(variant, profile)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_re(word: str) -> re.Pattern:
+    return re.compile("|".join(gates._fuzzy_alts(word)), re.IGNORECASE)
+
+
+def _cue_word(cue) -> tuple[str, int]:
+    return cue if isinstance(cue, tuple) else (cue, 10_000)
+
+
 def _nearest_reference(win: str, cues: tuple, from_end: bool) -> int:
-    """_nearest without the chunk pre-filter: every cue regex scans."""
+    """_nearest as a full finditer scan of every cue's fuzzy regex,
+    compiled here straight from _fuzzy_alts."""
     best = 10_000
-    for rx, maxdist, _ in gates._cue_res(cues):
-        for m in rx.finditer(win):
+    for word, maxdist in map(_cue_word, cues):
+        for m in _reference_re(word).finditer(win):
             if m.group().lower() in gates._CUE_DENY:
                 continue
             dist = (len(win) - m.start()) if from_end else m.start()
@@ -115,11 +127,23 @@ def _nearest_reference(win: str, cues: tuple, from_end: bool) -> int:
     return best
 
 
+def _assert_walk_matches_finditer(win: str, cues: tuple) -> None:
+    """cue_matches yields, per cue, exactly finditer's matches, and
+    _nearest reads the reference distance in both directions."""
+    low = gates._cue_lower(win)
+    got = [[m.span() for m in ms] for _, ms in gates.cue_matches(cues, win, low)]
+    want = [[m.span() for m in _reference_re(w).finditer(win)] for w, _ in map(_cue_word, cues)]
+    assert got == [spans for spans in want if spans], (win, cues)
+    for from_end in (True, False):
+        assert gates._nearest(win, cues, from_end=from_end, low=low) == \
+            _nearest_reference(win, cues, from_end), (win, cues, from_end)
+
+
 def test_nearest_prefilter_matches_reference_loop(monkeypatch):
     """Every cue window the first 2000 conformance rows produce, plus
     non-ASCII windows where str.lower() and IGNORECASE folding differ
     (Kelvin sign, long s, dotted and dotless i), gives the same distance
-    with and without the pre-filter."""
+    as a full finditer scan of every cue."""
     calls: list[tuple[str, tuple, bool]] = []
     real = gates._nearest
 
@@ -134,7 +158,7 @@ def test_nearest_prefilter_matches_reference_loop(monkeypatch):
     cue_sets = {cues for _, cues, _ in calls}
     calls += [
         (w, cues, fe)
-        for w in ("my ſſn is", "Kall me", "addreſſ: ", "Ad dre ss", "SSN: ",
+        for w in ("my ſſn is", "Kall me", "addreſſ: ", "Ad dre ss", "SSN: ",
                   "d\u0130al 555", "\u0131nfo: x", "phone n\u0131mber \u4e2d", "na\xefve caf\xe9 \u2603 \u017fhip to",
                   "z\u0131p 02134", "\u017fhip")
         for cues in cue_sets for fe in (True, False)
@@ -144,6 +168,81 @@ def test_nearest_prefilter_matches_reference_loop(monkeypatch):
         low = gates._cue_lower(win)
         assert gates._nearest(win, cues, from_end=from_end, low=low) == \
             _nearest_reference(win, cues, from_end), (win, cues, from_end)
+
+
+CUE_SETS = (
+    gates.SSN_CUES, gates.PHONE_CUES, gates.DATE_CUES, gates.ADDRESS_CUES,
+    AGE_CUES_TIGHT, AGE_CUES_B12,
+    ("missing", "checksum", "pending", "handle", "hope"),  # patterns' trap words
+)
+# substitutes: letters, fold letters, space, newline, digit, punctuation
+_NOISE = "abdeilnsxzAISZ \n7:.'" + "".join(gates.ASCII_FOLDS)
+_FILLER = ("the", "me", "is", "at", " ", "\n", "dot", "into", "ssnssn",
+           "callcall", "dobdob", "nrnr", "4581", "x", ": ")
+_BOUNDED = ("ssn", "dob", "nr", "age:")
+
+
+def _noisy(rng: random.Random, word: str) -> str:
+    """``word`` with up to two substitutions or one adjacent
+    transposition, a random case and, sometimes, fold letters."""
+    w = list(word)
+    r = rng.random()
+    if r < 0.35:
+        for i in rng.sample(range(len(w)), min(len(w), rng.choice((1, 2)))):
+            w[i] = rng.choice(_NOISE)
+    elif r < 0.5 and len(w) > 1:
+        i = rng.randrange(len(w) - 1)
+        w[i], w[i + 1] = w[i + 1], w[i]
+    out = "".join(w)
+    out = rng.choice((out, out, out.upper(), out.title(),
+                      "".join(c.upper() if rng.random() < 0.5 else c for c in out)))
+    if rng.random() < 0.2:
+        fold, to = rng.choice(("i\u0131", "I\u0130", "k\u212a", "s\u017f", "S\u017f"))
+        out = out.replace(fold, to)
+    return out
+
+
+def _adversarial_window(rng: random.Random, words: list[str]) -> str:
+    parts = []
+    while sum(map(len, parts)) < 70:
+        parts.append(_noisy(rng, rng.choice(words)) if rng.random() < 0.6 else rng.choice(_FILLER))
+    text = "".join(parts)
+    lo = rng.randrange(len(text))
+    win = text[lo: lo + rng.randint(1, 60)]
+    if rng.random() < 0.3:   # a bounded cue touching the window's start or end
+        cue = _noisy(rng, rng.choice(_BOUNDED))
+        win = (cue + win) if rng.random() < 0.5 else (win + cue)
+    return win[-60:] if rng.random() < 0.5 else win[:60]
+
+
+def test_cue_walk_matches_finditer_on_adversarial_windows():
+    """Seeded windows of noised cue words (substitutions, transpositions,
+    case, fold letters), newlines, overlapping repeats, the deny words
+    and bounded cues at both window edges: the positional walk equals
+    the full finditer scan for every cue set, in both directions."""
+    rng = random.Random(20261017)
+    n = 0
+    for cues in CUE_SETS:
+        words = [w for w, _ in map(_cue_word, cues)]
+        for _ in range(400):
+            _assert_walk_matches_finditer(_adversarial_window(rng, words), cues)
+            n += 1
+    for win in ("ssnssn", "SSNSSN", "callcall", "ssn", "nr", "age:", "dob",
+                "x ssn", "ssn x", "zssn", "S SN:", "m yssn", "into", "dot",
+                "Do b", "addrses", "ccall", "dialdial", "\nssn\n", ""):
+        for cues in CUE_SETS:
+            _assert_walk_matches_finditer(win, cues)
+            n += 1
+    assert n >= 2900
+
+
+def test_cue_regex_must_be_fixed_width():
+    """The anchor offsets assume every alternative of a cue regex
+    consumes exactly len(word) characters; any other width raises."""
+    for alts in (["abc", "ab?c"], ["abc", "abcd"], ["abc", "a.*c"], ["ab"]):
+        with pytest.raises(ValueError):
+            gates._fixed_width_re("abc", alts)
+    assert gates._fixed_width_re("ssn", gates._fuzzy_alts("ssn")).fullmatch("S n")
 
 
 def test_fresh_numeric_patterns_match_lookbehind_first_form():
