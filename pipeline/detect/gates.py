@@ -251,14 +251,27 @@ def _cue_table(cues: tuple) -> tuple[tuple, tuple]:
     return tuple(res), tuple((lit, tuple(v)) for lit, v in places.items())
 
 
-def cue_matches(cues: tuple, win: str, low: str) -> Iterator[tuple[int, list[re.Match]]]:
-    """(max distance, matches) for each cue of ``cues``, in order, with a
-    fuzzy match in ``win``: the matches its regex's finditer(win) yields.
-    ``low`` is _cue_lower(win). A match can start only at an anchor
-    occurrence minus its offset, so each regex is tried at those starts
-    alone, in ascending order, skipping any start before the end of the
-    last match: finditer's own non-overlapping walk (lookbehinds still
-    see the window before the start)."""
+def _walk(rx: re.Pattern, win: str, starts: list[int]) -> Iterator[re.Match]:
+    """rx's matches in ``win`` at the ascending candidate ``starts``,
+    skipping any start before the end of the last match: finditer's own
+    non-overlapping walk (lookbehinds still see the window before the
+    start). Lazy, so a caller that stops early tries no further start."""
+    end = 0
+    for p in starts:
+        if p >= end:
+            m = rx.match(win, p)
+            if m:
+                yield m
+                end = m.end()
+
+
+def cue_matches(cues: tuple, win: str, low: str) -> Iterator[tuple[int, Iterator[re.Match]]]:
+    """(max distance, matches) for each cue of ``cues``, in order, that
+    has a candidate start in ``win``: the matches, produced lazily, are
+    the ones its regex's finditer(win) yields, and may be none. ``low``
+    is _cue_lower(win). A match can start only at an anchor occurrence
+    minus its offset, so each regex is tried at those starts alone
+    (_walk)."""
     res, lits = _cue_table(cues)
     starts: dict[int, list[int]] = {}
     for lit, places in lits:
@@ -270,15 +283,7 @@ def cue_matches(cues: tuple, win: str, low: str) -> Iterator[tuple[int, list[re.
             j = low.find(lit, j + 1)
     for i in sorted(starts):
         rx, maxdist = res[i]
-        out, end = [], 0
-        for p in sorted(set(starts[i])):
-            if p >= end:
-                m = rx.match(win, p)
-                if m:
-                    out.append(m)
-                    end = m.end()
-        if out:
-            yield maxdist, out
+        yield maxdist, _walk(rx, win, sorted(set(starts[i])))
 
 
 def _nearest(win: str, cues: tuple, *, from_end: bool, low: str) -> int:

@@ -131,7 +131,7 @@ class PatternSpec:
 
 def _has_cue(win: str, *words: str) -> bool:
     """Whether a fuzzy match of any trap/cue word sits in ``win``."""
-    return next(cue_matches(words, win, _cue_lower(win)), None) is not None
+    return any(next(ms, None) is not None for _, ms in cue_matches(words, win, _cue_lower(win)))
 
 
 def _gate_luhn(text: str, m: Match) -> str | None:

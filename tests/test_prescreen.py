@@ -133,7 +133,7 @@ def _assert_walk_matches_finditer(win: str, cues: tuple) -> None:
     low = gates._cue_lower(win)
     got = [[m.span() for m in ms] for _, ms in gates.cue_matches(cues, win, low)]
     want = [[m.span() for m in _reference_re(w).finditer(win)] for w, _ in map(_cue_word, cues)]
-    assert got == [spans for spans in want if spans], (win, cues)
+    assert [s for s in got if s] == [s for s in want if s], (win, cues)
     for from_end in (True, False):
         assert gates._nearest(win, cues, from_end=from_end, low=low) == \
             _nearest_reference(win, cues, from_end), (win, cues, from_end)
@@ -158,7 +158,7 @@ def test_nearest_prefilter_matches_reference_loop(monkeypatch):
     cue_sets = {cues for _, cues, _ in calls}
     calls += [
         (w, cues, fe)
-        for w in ("my ſſn is", "Kall me", "addreſſ: ", "Ad dre ss", "SSN: ",
+        for w in ("my \u017f\u017fn is", "\u212aall me", "addre\u017f\u017f: ", "Ad dre ss", "SSN: ",
                   "d\u0130al 555", "\u0131nfo: x", "phone n\u0131mber \u4e2d", "na\xefve caf\xe9 \u2603 \u017fhip to",
                   "z\u0131p 02134", "\u017fhip")
         for cues in cue_sets for fe in (True, False)
