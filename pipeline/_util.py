@@ -9,6 +9,7 @@ core departure required by a distributed engine (SURVEY.md §4.2).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import struct
@@ -72,6 +73,44 @@ def string_buffers(arr):
     return off, data
 
 
+_BLOCK_MULT = -7046029254386353131  # odd; wraps in int64
+
+
+@functools.lru_cache(maxsize=1)
+def _hash_w():
+    """Position weights for hash_strings64 (fixed seed: deterministic
+    across processes). The table repeats past 64 KiB, so the effective
+    weight adds a block-index term (+ blk * _BLOCK_MULT, odd): positions
+    exactly 64 KiB apart get DIFFERENT weights, killing the structured
+    collision class (bytes swapped table-length apart) a purely periodic
+    table has. Strings < 64 KiB (blk == 0) never see the block term."""
+    import numpy as np
+
+    w = np.random.RandomState(7).randint(
+        1, (1 << 62), size=65536, dtype=np.int64
+    ) | np.int64(1)
+    w.flags.writeable = False  # one shared table per process
+    return w
+
+
+def hash_strings64(arr):
+    """Position-weighted 64-bit hash per string of a (Large)StringArray,
+    vectorized over the Arrow buffer (int64 wraparound is the mixing).
+    Two different strings collide with probability ~2^-62 per pair."""
+    import numpy as np
+
+    off, data = string_buffers(arr)
+    lens = np.diff(off)
+    pos = np.arange(off[0], off[-1], dtype=np.int64) - np.repeat(
+        off[:-1], lens
+    )
+    w = _hash_w()[pos & 0xFFFF] + (pos >> 16) * np.int64(_BLOCK_MULT)
+    vals = data[off[0]: off[-1]].astype(np.int64) * w
+    # empty strings keep a 0 sum (invariant in segment_sums)
+    seg = segment_sums(vals, off - off[0], dtype=np.int64)
+    return seg * np.int64(31) + lens
+
+
 def epoch_floor_div(ts, unit_us: int):
     """floor(epoch_us / unit_us) as int64 (time buckets), exact for every
     int64 epoch: integer divide (truncates toward zero), then subtract 1
@@ -89,20 +128,25 @@ def epoch_floor_div(ts, unit_us: int):
 
 
 def clip_segments(data, off, clip: int):
-    """Gather per-segment prefixes of at most `clip` bytes into a fresh
-    concatenated stream. Returns (clipped data, clipped offsets)."""
+    """Per-segment prefixes of at most `clip` bytes, concatenated into a
+    fresh stream. Returns (clipped data, clipped offsets from 0).
+
+    Only segments longer than `clip` lose bytes, so the kept bytes form
+    (number of cut segments + 1) contiguous runs of `data`: run k goes
+    from the start of the segment after cut k-1 to byte `clip` of cut
+    segment k. One `np.concatenate` of those slices copies runs, not
+    bytes through a per-byte index."""
     import numpy as np
 
     lens = np.diff(off)
-    lens_c = np.minimum(lens, clip)
     out_off = np.zeros(len(off), dtype=np.int64)
-    np.cumsum(lens_c, out=out_off[1:])
-    total = int(out_off[-1])
-    if total == 0:
-        return np.empty(0, dtype=np.uint8), out_off
-    pos = np.arange(total, dtype=np.int64) - np.repeat(out_off[:-1], lens_c)
-    idx = np.repeat(off[:-1], lens_c) + pos
-    return data[idx], out_off
+    np.cumsum(np.minimum(lens, clip), out=out_off[1:])
+    cut = np.flatnonzero(lens > clip)
+    starts = [int(off[0])] + off[cut + 1].tolist()
+    ends = (off[cut] + clip).tolist() + [int(off[-1])]
+    return np.concatenate(
+        [data[s:e] for s, e in zip(starts, ends)]
+    ), out_off
 
 
 def segment_sums(vals, rel, dtype=None):

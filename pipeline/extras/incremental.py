@@ -45,11 +45,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from pipeline._util import hash_strings64
 from pipeline.extras.corpusstats import _splitmix64
-
-# Generic vectorized 64-bit string hash (position-weighted buffer hash);
-# named for its original call site but row-wise over ANY string array.
-from pipeline.quality.heuristics import _line_hashes as hash_strings64
 
 logger = logging.getLogger(__name__)
 

@@ -39,7 +39,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pipeline.quality.heuristics import _line_hashes as hash_strings64
+from pipeline._util import hash_strings64
 
 _GLEN_BITS = 21  # packed (count << 21 | glen): glen < 2 MiB per gram
 

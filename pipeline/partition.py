@@ -376,16 +376,42 @@ def semi_join(
     return left.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _pa_type(t) -> pa.DataType:
-    """Arrow type of one ``ds.schema().types`` entry: arrow-backed blocks
-    report Arrow types, pandas-backed ones (e.g. from_pandas with object
-    columns) numpy dtypes or Python classes."""
-    if isinstance(t, pa.DataType):
-        return t
-    # equality, not identity: np.dtype('O') == object but is NOT it
-    if t == object or t is str:
-        return pa.string()  # pandas object column: assume string
-    return pa.from_numpy_dtype(np.dtype(t))
+def _column_types(ds: "ray.data.Dataset") -> dict[str, pa.DataType]:
+    """{column: Arrow type} of ``ds.schema()``. Arrow-backed blocks report
+    Arrow types and numpy-backed columns numpy dtypes; a pandas object
+    column carries no type, so it is inferred from the first block that
+    holds a non-null value of it. Strings give pa.string(), and so does a
+    column with no value at all (nothing contradicts it); any other
+    content (bytes, ints, structs, ...) raises TypeError naming the
+    column instead of being padded or cast as a string."""
+    schema = ds.schema()
+    out = {}
+    for name, t in zip(schema.names, schema.types):
+        if isinstance(t, pa.DataType):
+            out[name] = t
+        # equality, not identity: np.dtype('O') == object but is NOT it
+        elif t == object or t is str:
+            out[name] = _object_column_type(ds, name)
+        else:
+            out[name] = pa.from_numpy_dtype(np.dtype(t))
+    return out
+
+
+def _object_column_type(ds: "ray.data.Dataset", name: str) -> pa.DataType:
+    for b in ds.select_columns([name]).iter_batches(
+        batch_format="pyarrow", batch_size=None,
+    ):
+        t = b.schema.field(name).type
+        if pa.types.is_null(t):
+            continue  # this block holds no value of the column
+        if pa.types.is_string(t) or pa.types.is_large_string(t):
+            return pa.string()
+        raise TypeError(
+            f"column {name!r} is a pandas object column holding {t} "
+            f"values; only string object columns are supported — convert "
+            f"it to an Arrow-typed column first"
+        )
+    return pa.string()
 
 
 def _full_outer_batch(batch: pa.Table, *, small_ref, on: str,
@@ -428,16 +454,15 @@ def full_outer_join(
     right_on = right_on or on
     small = small.rename(columns={right_on: on}) if right_on != on else small
 
-    left_schema = ds.schema()
-    left_names = list(left_schema.names)
-    left_types = {n: _pa_type(t)
-                  for n, t in zip(left_schema.names, left_schema.types)}
+    left_types = _column_types(ds)
+    left_names = list(left_types)
 
     small_tbl = pa.Table.from_pandas(small, preserve_index=False)
     for i, f in enumerate(small_tbl.schema):
         if pa.types.is_null(f.type):
-            # empty object column infers Arrow null, which Acero rejects
-            # as a join payload; assume string (same rule as _pa_type)
+            # an object column with no value infers Arrow null, which
+            # Acero rejects as a join payload: string, as in
+            # _column_types (from_pandas types every non-empty one)
             small_tbl = small_tbl.set_column(
                 i, pa.field(f.name, pa.string()),
                 small_tbl.column(i).cast(pa.string()),
@@ -549,11 +574,8 @@ def asof_join(
             return t.select(schema_cols + ["_side", "_bkt"])
         return fn
 
-    r_schema = right.schema()
-    l_schema = left.schema()
-    # ray Schema wrapper: parallel .names / .types lists
-    l_types = {n: _pa_type(t) for n, t in zip(l_schema.names, l_schema.types)}
-    r_types = {n: _pa_type(t) for n, t in zip(r_schema.names, r_schema.types)}
+    l_types = _column_types(left)
+    r_types = _column_types(right)
     union_types = {**r_types, **l_types}
     lt = left.map_batches(
         tag(0, all_cols, {c: t for c, t in union_types.items() if c not in l_types}),

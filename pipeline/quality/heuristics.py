@@ -3,11 +3,13 @@ stats, alphanumeric ratio, repetition score.
 
 `heuristic_scores` is the scalar (oracle) form; `heuristic_batch` is the
 vectorized Arrow form used by the Ray stage — line splitting and per-line
-lengths run in pyarrow kernels; alnum counting and the duplicate-line
-fraction run directly over the Arrow string BUFFERS (byte LUT + cumsum,
-position-weighted line hashes + segment sort) with no per-row Python and
-no regex scan (the RE2 char-class count measured ~80 us/doc, ~65% of the
-stage; the buffer path is ~2 us/doc).
+lengths run in pyarrow kernels; alnum counting runs directly over the
+Arrow string BUFFERS (two uint8 range tests + segment reduceat) with no
+per-row Python and no regex scan (the RE2 char-class count measured
+~80 us/doc). The duplicate-line fraction is exact: one
+`pc.dictionary_encode` of the flattened lines gives equal lines equal
+ids, and the distinct (row, id) keys are counted per row — no line
+hashes, no per-row sort.
 """
 
 from __future__ import annotations
@@ -18,21 +20,6 @@ import pyarrow.compute as pc
 
 from pipeline._util import segment_sums as _segment_sums
 from pipeline._util import string_buffers as _string_buffers
-
-_ALNUM_LUT = np.zeros(256, dtype=np.uint8)
-for _c in b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789":
-    _ALNUM_LUT[_c] = 1
-
-# position weights for the vectorized line hash (fixed seed: deterministic
-# across processes). The table repeats past 64 KiB, so the effective weight
-# adds a block-index term (+ blk * _BLOCK_MULT, odd): positions exactly
-# 64 KiB apart get DIFFERENT weights, killing the structured collision
-# class (bytes swapped table-length apart) the pure-periodic table had.
-# Hashes for lines < 64 KiB (blk == 0) are unchanged.
-_HASH_W = np.random.RandomState(7).randint(
-    1, (1 << 62), size=65536, dtype=np.int64
-) | np.int64(1)
-_BLOCK_MULT = np.int64(-7046029254386353131)  # odd; wraps in int64
 
 
 def heuristic_scores(text: str) -> dict:
@@ -50,35 +37,22 @@ def heuristic_scores(text: str) -> dict:
 
 
 def _alnum_counts(arr: pa.Array) -> np.ndarray:
-    """Per-row count of ASCII alnum CHARS. Byte-level LUT equals the
-    char-level count because [A-Za-z0-9] are single-byte in UTF-8 and
-    non-ASCII bytes are >= 0x80 (LUT 0)."""
+    """Per-row count of ASCII alnum CHARS. The byte-level count equals
+    the char-level count because [A-Za-z0-9] are single-byte in UTF-8
+    and every byte of a multi-byte char is >= 0x80. Two SIMD range tests
+    on uint8 (wraparound) replace a 256-entry LUT gather: `b - 48 < 10`
+    is a digit, `(b | 32) - 97 < 26` a letter (`| 32` lower-cases
+    A-Z and maps no other byte into a-z)."""
     off, data = _string_buffers(arr)
-    # segment reduceat (int64 accumulator) instead of a full-stream
-    # cumsum: same exact integer sums, no len(data)-sized int64 output;
-    # the empty-segment reduceat invariant lives in _util.segment_sums.
-    return _segment_sums(
-        _ALNUM_LUT[data[off[0]: off[-1]]], off - off[0], dtype=np.int64
-    )
-
-
-def _line_hashes(flat: pa.Array) -> np.ndarray:
-    """Position-weighted 64-bit hash per line (vectorized over the flat
-    buffer; int64 wraparound is the mixing). Two different lines in the
-    SAME document colliding would nudge repetition_score — probability
-    ~2^-62 per pair, on par with the engine's other hash-based ops."""
-    off, data = _string_buffers(flat)
-    lens = np.diff(off)
-    pos = np.arange(off[0], off[-1], dtype=np.int64) - np.repeat(
-        off[:-1], lens
-    )
-    w = _HASH_W[pos & 0xFFFF] + (pos >> 16) * _BLOCK_MULT
-    vals = data[off[0]: off[-1]].astype(np.int64) * w
-    # segment reduceat == the previous cumsum-diff bit-for-bit (int64
-    # addition is associative-exact under wraparound); empty lines keep
-    # the 0 sum the diff produced (invariant in _util.segment_sums).
-    seg = _segment_sums(vals, off - off[0], dtype=np.int64)
-    return seg * np.int64(31) + lens
+    b = data[off[0]: off[-1]]
+    x = b - np.uint8(48)
+    hit = x < 10
+    np.bitwise_or(b, np.uint8(32), out=x)
+    x -= np.uint8(97)
+    hit |= x < 26
+    # segment reduceat (int64 accumulator); the empty-segment reduceat
+    # invariant lives in _util.segment_sums.
+    return _segment_sums(hit.view(np.uint8), off - off[0], dtype=np.int64)
 
 
 def heuristic_batch(content: pa.Array | pa.ChunkedArray) -> dict[str, np.ndarray]:
@@ -101,20 +75,14 @@ def heuristic_batch(content: pa.Array | pa.ChunkedArray) -> dict[str, np.ndarray
     alnum = _alnum_counts(content).astype(np.float64)
     alnum_ratio = np.divide(alnum, total_len, out=np.zeros_like(alnum), where=total_len > 0)
 
-    # duplicate-line fraction: hash lines (vectorized), sort within each
-    # row's segment, count value changes — no Python loop, no object spill
-    h = _line_hashes(flat)
-    row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
-    order = np.lexsort((h, row_ids))
-    hs = h[order]
-    newv = np.ones(len(hs), dtype=np.int64)
-    if len(hs) > 1:
-        newv[1:] = (hs[1:] != hs[:-1]).astype(np.int64)
-    newv[offsets[:-1][counts > 0]] = 1  # first line of each row is new
-    uniq = (
-        np.add.reduceat(newv, offsets[:-1])
-        if len(hs) else np.zeros(n_rows, dtype=np.int64)
-    )
+    # duplicate-line fraction, exact (== the scalar's len(set(lines))):
+    # one hash-table pass gives equal lines equal dictionary ids, and
+    # the distinct (row, id) keys, counted per row, are the distinct
+    # lines of each row. No line hashes, so no collision bound.
+    ids = pc.dictionary_encode(flat).indices.to_numpy(zero_copy_only=False)
+    keys = np.repeat(np.arange(n_rows, dtype=np.int64) << 32, counts)
+    keys |= ids
+    uniq = np.bincount(np.unique(keys) >> 32, minlength=n_rows)
     rep = np.where(counts > 0, 1.0 - uniq / np.maximum(counts, 1), 0.0)
 
     return {

@@ -8,14 +8,17 @@ them. Fit deterministically at first use from pipeline.synth.codelang
 snippets (offline env — no lid.176 download; §7.0).
 
 Scoring is one vectorized pass over a CONCATENATED byte stream with
-per-document segment offsets: trigram bucket ids for the whole batch,
-one (row, bucket) sort, run-length counts per document, then a single
-profile gather + per-segment reduceat. No per-document Python, no
-np.unique per doc, and `predict_batch_arrow` reads the Arrow string
-buffers directly (no to_pylist — the flagship is memory-bandwidth bound
-at 32 cores). Per-document results are independent of batch composition
-(segment-local sequential sums), so the Ray stage and the sequential
-oracle agree bit-for-bit.
+per-document segment offsets: trigram bucket ids for the whole batch
+(in-place shifts, ORs and a `& (D-1)` mask), one sort of a
+`row << 16 | bucket` key (uint32 below 2^16 rows, int64 above),
+run-length counts per document, then a single profile gather into a
+preallocated buffer whose last row is the zero sentinel, the count
+multiply in place, and one per-segment reduceat. No per-document
+Python, no np.unique per doc, and `predict_batch_arrow` reads the Arrow
+string buffers directly (no to_pylist — the flagship is memory-bandwidth
+bound at 32 cores). Per-document results are independent of batch
+composition (segment-local sequential sums), so the Ray stage and the
+sequential oracle agree bit-for-bit.
 
 Ray usage: the fused `ray_pipeline.QualityScorer` is the T2 actor-pool
 archetype [ref: evaluation/model_evaluation.py:55-63 — model loaded
@@ -40,17 +43,19 @@ _FIT_SNIPPETS = 120
 
 def _tri_hash_stream(b: np.ndarray) -> np.ndarray:
     """Hashed byte-trigram bucket ids over a uint8 stream (multiplicative
-    hash, deterministic). uint32 wraparound arithmetic: since D divides
-    2^32, (a*b mod 2^32) mod D == (a*b) mod D — identical buckets to the
-    exact int64 product at half the temp traffic."""
+    hash, deterministic), built in place in one uint32 array. uint32
+    wraparound arithmetic: since D divides 2^32, (a*b mod 2^32) mod D ==
+    (a*b) mod D — identical buckets to the exact int64 product."""
     if b.size < 3:
         return np.empty(0, dtype=np.uint32)
-    codes = (
-        b[:-2].astype(np.uint32) * np.uint32(65536)
-        + b[1:-1].astype(np.uint32) * np.uint32(256)
-        + b[2:].astype(np.uint32)
-    )
-    return (codes * np.uint32(2654435761)) % np.uint32(D)
+    codes = b[:-2].astype(np.uint32)
+    codes <<= 8
+    codes |= b[1:-1]
+    codes <<= 8
+    codes |= b[2:]
+    codes *= np.uint32(2654435761)
+    codes &= np.uint32(D - 1)
+    return codes
 
 
 def _tri_hashes(text: str) -> np.ndarray:
@@ -133,71 +138,80 @@ class LangIdModel:
         h = h_all[keep]
         if len(h) == 0:
             return scores
-        # ONE sort of a combined (row*D + bucket) key run-length-encodes
-        # the per-(doc, bucket) counts, which drive BOTH the numerator
-        # and the norm.  The numerator gathers one profile row per
-        # DISTINCT (doc, bucket) pair weighted by its count — ~3-4x
+        # ONE sort of a combined (row << 16 | bucket) key run-length-
+        # encodes the per-(doc, bucket) counts, which drive BOTH the
+        # numerator and the norm.  The numerator gathers one profile row
+        # per DISTINCT (doc, bucket) pair weighted by its count — ~3-4x
         # fewer gathered rows than one-per-window on natural/code text
         # (measured 0.27 distinct/window on the code fixture), and the
         # per-doc summation order (bucket ascending) is canonical, i.e.
-        # independent of batch composition by construction.
-        if n < (1 << 15):  # row*D + bucket fits uint32 -> faster sort
-            rows32 = np.repeat(np.arange(n, dtype=np.uint32), valid_counts)
-            key = rows32 * np.uint32(D) + h
-        else:
-            rows64 = np.repeat(np.arange(n, dtype=np.int64), valid_counts)
-            key = rows64 * np.int64(D) + h.astype(np.int64)
-        ks = np.sort(key)
-        new = np.ones(len(ks), dtype=bool)
-        new[1:] = ks[1:] != ks[:-1]
-        run_starts = np.nonzero(new)[0]
-        cnt = np.diff(np.concatenate([run_starts, [len(ks)]])).astype(np.float64)
-        run_rows = (ks[run_starts] // D).astype(np.int64)
-        run_buckets = (ks[run_starts] % D).astype(np.int64)
-        row_run_off = np.searchsorted(run_rows, np.arange(n))
+        # independent of batch composition by construction.  Below 2^16
+        # rows the key fits uint32 (faster sort, half the traffic).
+        kdt = np.uint32 if n < (1 << 16) else np.int64
+        key = np.repeat(np.arange(n, dtype=kdt) << kdt(16), valid_counts)
+        key |= h
+        key.sort()
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        run_starts = np.flatnonzero(new)
+        runs = len(run_starts)
+        cnt = np.diff(run_starts, append=len(key))
+        run_keys = key[run_starts]
+        run_buckets = run_keys & kdt(D - 1)
+        run_keys >>= kdt(16)  # now the run's row
+        ind = np.empty(n + 1, dtype=np.int64)
+        ind[:-1] = np.searchsorted(run_keys, np.arange(n, dtype=kdt))
+        ind[-1] = runs
         # numerator: sum_b profile[l,b] * cnt_b over the doc's distinct
-        # buckets.  Sentinel zero row so an empty row's index (== n_runs)
-        # is valid WITHOUT clamping — a clamp would shift the previous
-        # row's segment boundary and corrupt its sum (found by
-        # hypothesis); the closing index bounds the LAST real segment so
-        # it never includes the sentinel.  (reduceat on rows where
-        # ind[i] == ind[i+1] yields a garbage single element — masked
-        # below by `has`, exactly as for norm_sq.)
-        contrib = self.profiles_t[run_buckets] * cnt[:, None].astype(np.float32)
-        contrib = np.vstack([contrib, np.zeros((1, L), dtype=contrib.dtype)])
-        ind = np.concatenate([row_run_off, [len(cnt)]])
+        # buckets, gathered straight into a buffer whose last row is a
+        # zero sentinel, so an empty row's index (== runs) is valid
+        # WITHOUT clamping — a clamp would shift the previous row's
+        # segment boundary and corrupt its sum (found by hypothesis); the
+        # closing index bounds the LAST real segment so it never includes
+        # the sentinel.  (reduceat on rows where ind[i] == ind[i+1] yields
+        # a garbage single element — masked below by `has`, exactly as
+        # for norm_sq.)
+        contrib = np.empty((runs + 1, L), dtype=np.float32)
+        np.take(self.profiles_t, run_buckets, axis=0, out=contrib[:-1])
+        contrib[:-1] *= cnt.astype(np.float32)[:, None]
+        contrib[-1] = 0.0
         num = np.add.reduceat(contrib, ind, axis=0)[:-1]  # n x L
-        norm_sq = np.add.reduceat(
-            np.concatenate([cnt * cnt, [0.0]]),          # sentinel, no clamp
-            ind,                                          # closing index
-        )[:-1]
-        norms = np.sqrt(norm_sq)
+        sq = np.empty(runs + 1, dtype=np.float64)
+        np.multiply(cnt, cnt, out=sq[:-1])
+        sq[-1] = 0.0
+        norms = np.sqrt(np.add.reduceat(sq, ind)[:-1])
         has = valid_counts > 0
         scores[has] = (num[has] / norms[has, None]).astype(np.float32)
         return scores
 
-    def _predict_from_scores(self, scores: np.ndarray) -> tuple[list[str], np.ndarray]:
+    def _predict_from_scores(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(argmax language index, confidence) per row."""
         idx = scores.argmax(axis=1)
         # softmax confidence over cosine scores (temperature sharpens)
         z = np.exp((scores - scores.max(axis=1, keepdims=True)) * 12.0)
         conf = z[np.arange(len(scores)), idx] / z.sum(axis=1)
-        return [self.langs[i] for i in idx], conf
+        return idx, conf
 
     def predict_batch(self, texts: list[str]) -> tuple[list[str], np.ndarray]:
         enc = [t.encode("utf-8", "replace")[:SAMPLE_BYTES] for t in texts]
         off = np.zeros(len(enc) + 1, dtype=np.int64)
         np.cumsum([len(e) for e in enc], out=off[1:])
         data = np.frombuffer(b"".join(enc), dtype=np.uint8)
-        return self._predict_from_scores(self._scores_segments(data, off))
+        idx, conf = self._predict_from_scores(self._scores_segments(data, off))
+        return [self.langs[i] for i in idx], conf
 
-    def predict_batch_arrow(self, arr: pa.Array | pa.ChunkedArray) -> tuple[list[str], np.ndarray]:
+    def predict_batch_arrow(self, arr: pa.Array | pa.ChunkedArray) -> tuple[pa.Array, np.ndarray]:
         """Predict straight off the Arrow string buffers — bit-identical
-        to predict_batch on the same texts, zero string materialization."""
+        to predict_batch on the same texts, zero string materialization.
+        The languages come back as an Arrow string array (one `take`
+        from the label array, no per-row Python)."""
         if isinstance(arr, pa.ChunkedArray):
             arr = arr.combine_chunks()
         off, data = _string_buffers(arr)
         data_c, off_c = _clip_segments(data, off, SAMPLE_BYTES)
-        return self._predict_from_scores(self._scores_segments(data_c, off_c))
+        idx, conf = self._predict_from_scores(self._scores_segments(data_c, off_c))
+        return pa.array(self.langs, pa.string()).take(idx), conf
 
     def predict_one(self, text: str) -> tuple[str, float]:
         langs, conf = self.predict_batch([text])

@@ -100,9 +100,13 @@ class PerplexityModel:
         if len(data) < 3:
             return out
         c = _FOLD[data]
-        t = (c[:-2] * V + c[1:-1]) * V + c[2:]  # Horner: one fewer temp
-        lp = self.logp[t].astype(np.float64)
-        lp = np.concatenate([lp, [0.0]])  # sentinel: end index == len(t) ok
+        t = c[:-2] * V  # Horner codes, built in place
+        t += c[1:-1]
+        t *= V
+        t += c[2:]
+        lp = np.empty(len(t) + 1, dtype=np.float64)
+        lp[:-1] = self.logp[t]
+        lp[-1] = 0.0  # sentinel: end index == len(t) ok
         starts = off[:-1]
         ends = starts + nwin
         ind = np.empty(2 * n, dtype=np.int64)

@@ -92,7 +92,7 @@ class QualityScorer:
         col = batch[self.column]
         langs, conf = self.lang.predict_batch_arrow(col)
         ppl = self.ppl.score_batch_arrow(col)
-        batch = batch.append_column("lang_pred", pa.array(langs, pa.string()))
+        batch = batch.append_column("lang_pred", langs)
         batch = batch.append_column("lang_conf", pa.array(conf.astype(np.float64)))
         return batch.append_column("perplexity", pa.array(ppl))
 

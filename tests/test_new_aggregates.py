@@ -176,6 +176,46 @@ def test_full_outer_join_string_keys_and_empty_sides(ray_session):
     assert len(got3) == 3
 
 
+def test_full_outer_join_object_column_types(ray_session):
+    """A pandas object column on the streamed side is typed from its
+    first non-null values, not assumed to be a string: a bytes payload
+    raises TypeError naming the column, while the same bytes as an
+    Arrow binary column (either side) join exactly. A string column
+    whose first block holds no value still types as string."""
+    import ray
+
+    from pipeline.partition import full_outer_join
+
+    small = pd.DataFrame({"k": [2, 9], "name": ["b", "z"]})
+    blobs = [b"\x00x", b"y\xff"]
+    left = pd.DataFrame({"k": [1, 2], "blob": blobs})
+    with pytest.raises(TypeError, match="'blob'"):
+        full_outer_join(ray.data.from_pandas(left), small, on="k")
+
+    want = [(1, b"\x00x", None), (2, b"y\xff", "b"), (9, None, "z")]
+    ds = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, 2], pa.int64()),
+        "blob": pa.array(blobs, pa.binary()),
+    }))
+    got = full_outer_join(ds, small, on="k").to_pandas().sort_values("k")
+    assert [(int(k), b, n) for k, b, n in zip(got["k"], got["blob"], got["name"])] == want
+
+    # bytes payload on the broadcast side: Arrow types it binary
+    small_b = pd.DataFrame({"k": [2, 9], "blob": [b"\x00b", b"z\xff"]})
+    ds = ray.data.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
+    got = full_outer_join(ds, small_b, on="k").to_pandas().sort_values("k")
+    assert got["blob"].tolist() == [None, b"\x00b", b"z\xff"]
+
+    # first block all-null: the string type comes from a later block
+    parts = [pd.DataFrame({"k": [1], "s": [None]}),
+             pd.DataFrame({"k": [2], "s": ["two"]})]
+    got = full_outer_join(
+        ray.data.from_pandas(parts), small, on="k"
+    ).to_pandas().sort_values("k")
+    assert got["s"].tolist() == [None, "two", None]
+    assert got["name"].tolist() == [None, "b", "z"]
+
+
 def test_quantile_cont_interpolator_matches_duckdb_randomized():
     """quantiles_cont_from_counts vs DuckDB quantile_cont on randomized
     int and float multisets, bit-exact (same IEEE Interpolator

@@ -94,7 +94,7 @@ def test_scorer_batch_composition_invariance(texts):
     arr = pa.array(texts, pa.string())
     langs_a, confs_a = lm.predict_batch_arrow(arr)
     ppls_a = pm.score_batch_arrow(arr)
-    assert langs == langs_a
+    assert langs == langs_a.to_pylist()
     assert (confs == confs_a).all()
     assert (ppls == ppls_a).all()
     for i, t in enumerate(texts):
@@ -193,3 +193,40 @@ def test_segment_sums_edges():
     ).tolist() == [0, 0]
     assert segment_sums(v, np.array([0, 4]), dtype=np.int64).tolist() == [15]
     assert segment_sums(v, np.array([0]), dtype=np.int64).tolist() == []
+
+
+@given(
+    st.lists(
+        st.text(alphabet=st.characters(max_codepoint=0x2FFF), max_size=40),
+        max_size=12,
+    ),
+    st.integers(0, 48),
+    st.integers(0, 3),
+    st.booleans(),
+)
+@example(texts=["", "", ""], clip=4, pad=0, large=False)  # empty segments
+@example(texts=["ab", "c", ""], clip=8, pad=0, large=False)  # no cut
+@example(texts=["abcdef", "ghijkl"], clip=2, pad=0, large=False)  # all cut
+@example(texts=["abcd", "abcdef", "ab"], clip=4, pad=1, large=True)  # == len
+@example(texts=["aé", "中文"], clip=2, pad=2, large=False)  # mid-char
+@settings(max_examples=120, deadline=None)
+def test_clip_segments_matches_per_segment_slices(texts, clip, pad, large):
+    """clip_segments == slicing each segment to `clip` bytes and
+    concatenating, on offset-sliced string and large_string arrays; a
+    cut inside a multibyte char keeps exactly text.encode()[:clip]."""
+    import numpy as np
+    import pyarrow as pa
+
+    from pipeline._util import clip_segments, string_buffers
+
+    typ = pa.large_string() if large else pa.string()
+    arr = pa.array(["pad"] * pad + texts + ["pad"], typ).slice(pad, len(texts))
+    assert arr.offset == pad
+    off, data = string_buffers(arr)
+    got, got_off = clip_segments(data, off, clip)
+    ref = [data[off[i]: off[i + 1]][:clip].tobytes() for i in range(len(texts))]
+    assert got.dtype == np.uint8
+    assert got.tobytes() == b"".join(ref)
+    assert got_off.tolist() == np.cumsum([0] + [len(r) for r in ref]).tolist()
+    for i, t in enumerate(texts):
+        assert got[got_off[i]: got_off[i + 1]].tobytes() == t.encode()[:clip]

@@ -53,21 +53,90 @@ def test_heuristics_scalar_vs_batch_parity():
 
 
 def test_line_hash_no_64k_periodic_collision():
-    """Two >64 KiB lines with bytes swapped exactly 65536 apart collided
-    under the purely periodic weight table (weight(p) == weight(p+65536));
-    the block-index term must keep them distinct so repetition_score
-    matches the exact set-based scalar."""
+    """Two >64 KiB strings with bytes swapped exactly 65536 apart collide
+    under a purely periodic weight table (weight(p) == weight(p+65536));
+    hash_strings64's block-index term must keep them distinct. As lines
+    of one document they must also leave repetition_score at the exact
+    set-based scalar."""
     import pyarrow as pa
+
+    from pipeline._util import hash_strings64
 
     l1 = "a" + "x" * 65535 + "b"
     l2 = "b" + "x" * 65535 + "a"  # bytes at positions 0 and 65536 swapped
+    h = hash_strings64(pa.array([l1, l2]))
+    assert h[0] != h[1]
     text = l1 + "\n" + l2
     batch = heuristic_batch(pa.array([text]))
     scalar = heuristic_scores(text)
     assert scalar["repetition_score"] == 0.0
     assert abs(batch["repetition_score"][0] - 0.0) < 1e-12
-    # short lines (< 64 KiB) keep their historical hashes: parity holds
     assert abs(batch["alnum_ratio"][0] - scalar["alnum_ratio"]) < 1e-9
+
+
+def test_repetition_score_exact():
+    """The batch duplicate-line fraction equals the scalar's
+    len(set(lines)) form exactly (==, no tolerance): duplicates across
+    rows never count, only \\n splits (\\r stays in the line), empty
+    lines and a trailing newline are lines, and the result does not
+    depend on string vs large_string or on an offset slice."""
+    import pyarrow as pa
+
+    texts = [
+        "dup\ndup\nuniq",
+        "dup\nuniq\nother",     # same lines as row 0: no effect
+        "",
+        "\n",
+        "\n\n\n",
+        "a\n\nb\n\n",
+        "x\n",                   # trailing newline: "" is a line
+        "a\r\nb\r\na\r\nb\n",     # \r stays part of the line
+        "a\r\na\n",
+        "\n".join(["same"] * 300),
+        "\n".join(["same"] * 300) + "\n",
+        "\n".join(str(i % 7) for i in range(100)),
+        "é\nÉ\né\n中\n中",
+        "dup\ndup\nuniq",       # a repeat of row 0
+    ]
+    want = [heuristic_scores(t)["repetition_score"] for t in texts]
+    assert want[9] == 1.0 - 1 / 300 and want[6] == 0.0
+    for typ in (pa.string(), pa.large_string()):
+        arr = pa.array(["pad", "pad\npad"] + texts + ["pad"], typ)
+        for a in (arr.slice(2, len(texts)),
+                  pa.array(texts, typ)):
+            got = heuristic_batch(a)["repetition_score"]
+            for i, t in enumerate(texts):
+                assert got[i] == want[i], (typ, repr(t), got[i], want[i])
+        # row by row as well: nothing depends on the rest of the batch
+        for i, t in enumerate(texts):
+            assert heuristic_batch(pa.array([t], typ))["repetition_score"][0] == want[i]
+
+
+def test_langid_both_key_widths_bit_identical():
+    """Below 2^16 rows the (row, bucket) sort key is uint32, above it
+    int64. Scoring 2^16 + 1 short rows in ONE call (int64 key) must be
+    bit-identical to scoring them in 1024-row slices (uint32 key), and
+    so must the largest uint32 batch (2^16 - 1 rows: the top row id
+    fills the key's high half)."""
+    import pyarrow as pa
+
+    r = rng_for("t-langid-keys", 0)
+    alpha = "abcdefghij klmnop{}();=\n"
+    texts = [
+        "".join(r.choice(alpha) for _ in range(r.randint(3, 8)))
+        for _ in range((1 << 16) + 1)
+    ]
+    arr = pa.array(texts, pa.string())
+    model = LangIdModel.default()
+    langs, conf = model.predict_batch_arrow(arr)
+    parts = [model.predict_batch_arrow(arr.slice(i, 1024))
+             for i in range(0, len(arr), 1024)]
+    assert langs.to_pylist() == sum((p[0].to_pylist() for p in parts), [])
+    assert np.concatenate([p[1] for p in parts]).tobytes() == conf.tobytes()
+    top = (1 << 16) - 1
+    langs_u32, conf_u32 = model.predict_batch_arrow(arr.slice(0, top))
+    assert langs_u32.to_pylist() == langs.to_pylist()[:top]
+    assert conf_u32.tobytes() == conf[:top].tobytes()
 
 
 def test_decide_rule_order_and_reasons():
