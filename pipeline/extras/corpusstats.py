@@ -103,12 +103,6 @@ def term_freq(ds: "ray.data.Dataset", *, text_col: str = "text",
 # hashes, URLs) is effectively unbounded and must stay distributed.
 TFIDF_MAX_VOCAB = 2_000_000
 
-# Per-bucket row target for the distributed TF-IDF groupby-join: one
-# bucket materializes as a single pandas merge frame (id, term, cnt,
-# len, n_docs — term strings dominate), so ~1M rows keeps a bucket in
-# the low hundreds of MB on a worker heap regardless of corpus size.
-_TFIDF_BUCKET_TARGET_ROWS = 1_000_000
-
 
 def _tfidf_partial(batch: pa.Table, *, text_col: str,
                    doc_col: str) -> pa.Table:
@@ -133,8 +127,7 @@ def _tfidf_partial(batch: pa.Table, *, text_col: str,
 def tfidf_top_terms(
     ds: "ray.data.Dataset", *, text_col: str = "text",
     id_col: str = "doc_id", top_n: int = 1, variant: str = "log",
-    n_docs: int | None = None, max_vocab: int | None = None,
-    num_partitions: int | None = None,
+    n_docs: int | None = None,
 ) -> "ray.data.Dataset":
     """Per-document top-``top_n`` TF-IDF terms (keyword extraction /
     topic signal for curation).  Two passes:
@@ -145,15 +138,15 @@ def tfidf_top_terms(
     2. scoring.  Two regimes, switched on the MATERIALIZED vocabulary's
        row count (metadata, no extra execution):
 
-       - |vocab| <= max_vocab (default TFIDF_MAX_VOCAB): the vocabulary
+       - |vocab| <= TFIDF_MAX_VOCAB (read at call time): the vocabulary
          comes to the driver once and the IDF weights broadcast via
          ray.put as (sorted terms, df) arrays; a map-only pass scores
          each doc's terms (searchsorted lookup, no join shuffle).
-       - |vocab| > max_vocab (WARNs): nothing vocabulary-sized touches
+       - |vocab| > TFIDF_MAX_VOCAB (WARNs): nothing vocabulary-sized touches
          the driver.  Docs explode into per-doc distinct-term partials
-         (doc_id, term, cnt, len), hash-join with the vocabulary on
-         term, score vectorized, then a two-phase top-n per doc_id
-         (partition.topn_per_key).  Two all-to-all exchanges over the
+         (doc_id, term, cnt, len), join the vocabulary on term inside
+         a partition.bucket_shuffle, score vectorized, then a two-phase
+         top-n per doc_id (partition.topn_per_key).  Two all-to-all exchanges over the
          distinct-term stream — the honest cost of exact TF-IDF when
          the vocabulary itself is too large to broadcast.
 
@@ -174,8 +167,6 @@ def tfidf_top_terms(
     import ray as _ray
     from ray.data.aggregate import Sum
 
-    if max_vocab is None:
-        max_vocab = TFIDF_MAX_VOCAB
     partial = ds.map_batches(
         lambda t: _tfidf_partial(t, text_col=text_col, doc_col=id_col),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -185,11 +176,10 @@ def tfidf_top_terms(
     ).materialize()
     n_vocab = vocab_agg.count() - 1  # minus the "" sentinel row
 
-    if n_vocab > max_vocab:
+    if n_vocab > TFIDF_MAX_VOCAB:
         return _tfidf_distributed(
             ds, vocab_agg, n_vocab=n_vocab, text_col=text_col,
             id_col=id_col, top_n=top_n, variant=variant, n_docs=n_docs,
-            max_vocab=max_vocab, num_partitions=num_partitions,
         )
 
     vocab = vocab_agg.to_pandas()
@@ -241,34 +231,32 @@ def tfidf_top_terms(
 def _tfidf_distributed(
     ds: "ray.data.Dataset", vocab_agg: "ray.data.Dataset", *,
     n_vocab: int, text_col: str, id_col: str, top_n: int, variant: str,
-    n_docs: int | None, max_vocab: int, num_partitions: int | None = None,
+    n_docs: int | None,
 ) -> "ray.data.Dataset":
     """The above-winners-fit TF-IDF regime: vocabulary stays distributed
-    (bucketed groupby-join on term — hash the term into data-sized
-    buckets, pandas merge + score inside each group; Ray's native
-    Dataset.join builds zero-column tables for partitions that receive
-    no rows and crashes in pyarrow, a guaranteed failure mode whenever
-    distinct terms ~ partition count), then a two-phase top-n per doc.
-    Arithmetic is identical to the broadcast path — the two regimes
-    agree bit-for-bit.
+    (partition.bucket_shuffle on term, pandas merge + score inside each
+    bucket; Ray's native Dataset.join builds zero-column tables for
+    partitions that receive no rows and crashes in pyarrow, a guaranteed
+    failure mode whenever distinct terms ~ partition count), then a
+    two-phase top-n per doc.  Arithmetic is identical to the broadcast
+    path — the two regimes agree bit-for-bit.
 
-    Bucket count: callers can pass ``num_partitions``; otherwise it is
-    derived from the vocabulary's total occurrence count (sum of the
-    combiner's n_occ — an upper bound on the exploded per-doc
-    distinct-term stream this regime shuffles), targeting
-    ~``_TFIDF_BUCKET_TARGET_ROWS`` rows per bucket so one bucket's
-    pandas merge frame stays worker-heap-sized at ANY corpus scale — a
-    fixed 64 here would put ~1/64 of the whole stream in one frame
-    exactly at the scale this path exists for."""
+    Bucket count: partition.bucket_count of the vocabulary's total
+    occurrence count (sum of the combiner's n_occ — an upper bound on
+    the exploded per-doc distinct-term stream this regime shuffles), so
+    one bucket's pandas merge frame (id, term, cnt, len, n_docs) stays
+    worker-heap-sized at ANY corpus scale — a fixed 64 here would put
+    ~1/64 of the whole stream in one frame exactly at the scale this
+    path exists for."""
     import warnings
 
     from ray.data.aggregate import Sum
 
-    from pipeline.partition import topn_per_key
+    from pipeline.partition import bucket_count, bucket_shuffle, topn_per_key
 
     warnings.warn(
-        f"tfidf_top_terms: vocabulary has {n_vocab} terms > max_vocab="
-        f"{max_vocab}; switching to the distributed join path "
+        f"tfidf_top_terms: vocabulary has {n_vocab} terms > TFIDF_MAX_VOCAB="
+        f"{TFIDF_MAX_VOCAB}; switching to the distributed join path "
         "(two shuffles, nothing vocabulary-sized on the driver)",
         stacklevel=3,
     )
@@ -280,17 +268,11 @@ def _tfidf_distributed(
         n_docs = int(sent["n_docs"].sum())
     n = int(n_docs)
 
-    if num_partitions is None:
-        # total token occurrences (sentinel rows add corpus row count —
-        # harmless slack in an upper bound); one tiny distributed
-        # aggregate over the already-materialized vocabulary
-        tot_occ = int(
-            vocab_agg.aggregate(Sum("n_occ", alias_name="tot"))["tot"]
-        )
-        num_partitions = max(
-            64,
-            min(4096, -(-(tot_occ + n_vocab) // _TFIDF_BUCKET_TARGET_ROWS)),
-        )
+    # total token occurrences (sentinel rows add corpus row count —
+    # harmless slack in an upper bound); one tiny distributed aggregate
+    # over the already-materialized vocabulary
+    tot_occ = int(vocab_agg.aggregate(Sum("n_occ", alias_name="tot"))["tot"])
+    n_buckets = bucket_count(tot_occ + n_vocab)
 
     def explode(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch[text_col], " ")
@@ -322,7 +304,6 @@ def _tfidf_distributed(
         id_t = getattr(sch, "base_schema", sch).field(id_col).type
     except Exception:
         id_t = ds.take_batch(1, batch_format="pyarrow").schema             .field(id_col).type
-    n_buckets = num_partitions
     var = variant
     int_id = pa.types.is_integer(id_t)
 
@@ -332,11 +313,7 @@ def _tfidf_distributed(
     # silently corrupted.  The padding rows are filtered out by tag
     # before any value is read, so the fill value is never observed.
     def tag_terms(t: pa.Table) -> pa.Table:
-        b = (pd.util.hash_array(
-            t["term"].to_pandas().to_numpy(dtype=object)
-        ) % n_buckets).astype(np.int32)
         return pa.table({
-            "_b": pa.array(b),
             "tag": pa.array(np.zeros(t.num_rows, np.int8)),
             id_col: t[id_col],
             "term": t["term"],
@@ -347,13 +324,9 @@ def _tfidf_distributed(
 
     def tag_vocab(t: pa.Table) -> pa.Table:
         t = t.filter(pc.not_equal(t["term"], ""))
-        b = (pd.util.hash_array(
-            t["term"].to_pandas().to_numpy(dtype=object)
-        ) % n_buckets).astype(np.int32)
         id_pad = (pa.array(np.zeros(t.num_rows, np.int64)).cast(id_t)
                   if int_id else pa.nulls(t.num_rows, id_t))
         return pa.table({
-            "_b": pa.array(b),
             "tag": pa.array(np.ones(t.num_rows, np.int8)),
             id_col: id_pad,
             "term": t["term"],
@@ -395,9 +368,8 @@ def _tfidf_distributed(
             "score": pa.array(score, pa.float64()),
         })
 
-    scored = doc_terms.union(vocab_tagged).groupby("_b").map_groups(
-        merge_score, batch_format="pandas",
-    )
+    scored = bucket_shuffle([doc_terms, vocab_tagged], "term", merge_score,
+                            n_buckets)
     out = topn_per_key(
         scored, key=id_col, order_by=["score", "term"],
         ascending=[False, True], n=top_n,

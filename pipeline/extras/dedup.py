@@ -412,7 +412,6 @@ def dup_groups(pairs, *, a_col: str = "a", b_col: str = "b") -> pd.DataFrame:
 
 def dup_groups_distributed(
     pairs, *, a_col: str = "a", b_col: str = "b", max_iter: int = 64,
-    num_partitions: int | None = None,
     finish_local_max_edges: int = 2_000_000,
 ) -> "ray.data.Dataset":
     """Distributed connected components over a near-dup pair stream —
@@ -439,13 +438,12 @@ def dup_groups_distributed(
     Raises RuntimeError if max_iter rounds don't converge (loud, not
     silent — 64 doubling rounds cover any graph that fits in 2^64).
 
-    The label lookups are bucketed groupby-joins (hash the key into
-    ``num_partitions`` buckets, pandas merge inside each group) — the
-    same pattern as partition.asof_join — rather than Ray's native
-    Dataset.join, whose hash-shuffle aggregator builds zero-column
-    tables for partitions that receive no rows (sparse partitions are
-    GUARANTEED here once labels converge onto few roots) and crashes in
-    pyarrow.  num_partitions bounds per-bucket memory to ~|edges|/P.
+    The label lookups are pandas merges inside partition.bucket_shuffle
+    (bucket_count(|edges|) buckets, so per-bucket memory stays bounded)
+    rather than Ray's native Dataset.join, whose hash-shuffle aggregator
+    builds zero-column tables for partitions that receive no rows
+    (sparse partitions are GUARANTEED here once labels converge onto few
+    roots) and crashes in pyarrow.
 
     Early exit: after the init round the ACTIVE FRONTIER — condensed
     label-graph edges ``(lbl(src), lbl(dst))`` that still cross two
@@ -464,6 +462,8 @@ def dup_groups_distributed(
     import ray.data as rd
     from ray.data.aggregate import Min
 
+    from pipeline.partition import bucket_count, bucket_shuffle
+
     pairs_id_t = None
     if isinstance(pairs, pd.DataFrame):
         # capture the id type BEFORE the Dataset round-trip: an empty
@@ -474,7 +474,6 @@ def dup_groups_distributed(
                 pairs[[a_col]], preserve_index=False
             ).field(a_col).type
         pairs = rd.from_pandas(pairs)
-    n_buckets = num_partitions or 64
 
     def _snap(ds):
         """Materialize AND cut lineage.  Feeding a MaterializedDataset
@@ -495,7 +494,8 @@ def dup_groups_distributed(
     ).materialize()
     edges = rd.from_arrow_refs(edges.to_arrow_refs())
     sch = edges.schema()
-    if sch is None or edges.count() == 0:
+    n_edges = edges.count()
+    if sch is None or n_edges == 0:
         # no pairs -> no components; empty frame with the output
         # contract, typed from the (empty) pairs schema when it is
         # known so string-id callers keep a consistent id dtype —
@@ -514,6 +514,7 @@ def dup_groups_distributed(
             "keep": pa.array([], pa.bool_()),
         }))
     id_t = getattr(sch, "base_schema", sch).field("src").type
+    n_buckets = bucket_count(n_edges)
 
     # Ray's hash aggregate can emit EMPTY blocks with a stripped schema;
     # projections guard by emitting a correctly-typed empty table.
@@ -542,24 +543,19 @@ def dup_groups_distributed(
         .repartition(n_label_blocks)
     )
 
-    def _tagged(k_col: str, x_col: str, tag: int):
-        """(key, payload-or-value, tag, bucket) rows for the bucketed
-        lookup; pd.util.hash_array is deterministic cross-process."""
+    def _tagged(ds, k_col: str, x_col: str, tag: int):
+        """``ds`` as (key, payload-or-value, tag) rows for a lookup."""
         def f(t: pa.Table) -> pa.Table:
             if not all(c in t.column_names for c in (k_col, x_col)):
                 return pa.table({
                     "k": pa.array([], id_t), "x": pa.array([], id_t),
                     "tag": pa.array([], pa.int8()),
-                    "_b": pa.array([], pa.int32()),
                 })
-            k = t[k_col].to_pandas()
-            b = (pd.util.hash_array(k.to_numpy()) % n_buckets).astype(np.int32)
             return pa.table({
                 "k": t[k_col], "x": t[x_col],
                 "tag": pa.array(np.full(t.num_rows, tag, np.int8)),
-                "_b": pa.array(b),
             })
-        return f
+        return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
     def _merge_group(g: pd.DataFrame) -> pd.DataFrame:
         prov = g[g["tag"] == 1]
@@ -567,24 +563,14 @@ def dup_groups_distributed(
         m = reqs.merge(prov, on="k", how="inner", suffixes=("_p", "_v"))
         return m[["x_p", "x_v"]].rename(columns={"x_p": "a", "x_v": "b"})
 
-    def _lookup(requests, req_key, req_payload, *, providers,
-                pre_tagged: bool = False):
-        """For each request row, (payload, lbl(key)) — a many-to-one
-        join against the providers label table expressed as union +
-        bucket groupby.  With pre_tagged=True the requests dataset is
-        already in (k, x, tag=0, _b) form (lets two request kinds share
-        one shuffle)."""
-        req = requests if pre_tagged else requests.map_batches(
-            _tagged(req_key, req_payload, 0),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        tagged = req.union(providers.map_batches(
-            _tagged("node", "lbl", 1),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ))
-        return tagged.groupby("_b").map_groups(
-            _merge_group, batch_format="pandas",
-        )
+    def _lookup(*requests, providers):
+        """For each row of each (dataset, key col, payload col) request,
+        (payload, lbl(key)) — a many-to-one join against the providers
+        label table in ONE bucket_shuffle (several request kinds share
+        it)."""
+        sides = [_tagged(ds, k, x, 0) for ds, k, x in requests]
+        sides.append(_tagged(providers, "node", "lbl", 1))
+        return bucket_shuffle(sides, "k", _merge_group, n_buckets)
 
     def _checksum(lbl_ds) -> int:
         """Wrapping uint64 sum of splitmix-style hashes of the label
@@ -610,7 +596,7 @@ def dup_groups_distributed(
     def _exact_changed(new_ds, old_labels) -> int:
         """Exact count of nodes whose label changed (bucketed diff join
         against old_labels) — runs once, to confirm convergence."""
-        diff = _lookup(new_ds, "node", "lbl", providers=old_labels)
+        diff = _lookup((new_ds, "node", "lbl"), providers=old_labels)
         counts = diff.map_batches(
             lambda t: pa.table({"n": pa.array(
                 [int(pc.sum(pc.cast(pc.not_equal(t["a"], t["b"]),
@@ -631,8 +617,8 @@ def dup_groups_distributed(
         # condensed edges (lbl(src), lbl(dst)) that still cross two
         # label classes.  Snap BEFORE counting so the local finish
         # reads stored blocks instead of replaying the lookups.
-        half = _lookup(edges, "src", "dst", providers=labels)
-        cond = _lookup(half, "a", "b", providers=labels)
+        half = _lookup((edges, "src", "dst"), providers=labels)
+        cond = _lookup((half, "a", "b"), providers=labels)
 
         def _crossing(t: pa.Table) -> pa.Table:
             if not all(c in t.column_names for c in ("a", "b")):
@@ -660,13 +646,8 @@ def dup_groups_distributed(
                         res["canonical_id"], type=id_t),
                 })
 
-            mapping = cond.map_batches(
-                lambda t: t.append_column(
-                    "_g", pa.array(np.zeros(t.num_rows, np.int32))),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ).groupby("_g").map_groups(
-                _local_finish, batch_format="pandas",
-            )
+            # one bucket: the whole condensed graph in one task
+            mapping = bucket_shuffle([cond], "a", _local_finish, n_buckets=1)
 
             # relabel every node: lbl -> R(lbl) from the mapping, labels
             # absent from the condensed graph keep themselves (their
@@ -693,15 +674,10 @@ def dup_groups_distributed(
                     "lbl": pa.Array.from_pandas(lbl, type=id_t),
                 })
 
-            tagged = labels.map_batches(
-                _tagged("lbl", "node", 0),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ).union(mapping.map_batches(
-                _tagged("node", "lbl", 1),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ))
-            labels = tagged.groupby("_b").map_groups(
-                _relabel_group, batch_format="pandas",
+            labels = bucket_shuffle(
+                [_tagged(labels, "lbl", "node", 0),
+                 _tagged(mapping, "node", "lbl", 1)],
+                "k", _relabel_group, n_buckets,
             )
             converged = True
             if _dbg:
@@ -716,15 +692,8 @@ def dup_groups_distributed(
         # ONE bucketed lookup serves both message kinds: edge (src, dst)
         # proposes lbl(src) to dst (flooding), and each node proposes
         # itself lbl(lbl(node)) (pointer doubling).
-        requests = edges.map_batches(
-            _tagged("src", "dst", 0),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ).union(labels.map_batches(
-            _tagged("lbl", "node", 0),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ))
         msgs = _lookup(
-            requests, None, None, providers=labels, pre_tagged=True,
+            (edges, "src", "dst"), (labels, "lbl", "node"), providers=labels,
         ).map_batches(
             lambda t: (pa.table({"node": t["a"], "lbl": t["b"]})
                        if all(c in t.column_names for c in ("a", "b"))

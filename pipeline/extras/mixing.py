@@ -177,7 +177,7 @@ def pack_greedy(tokens: np.ndarray, budget: int) -> np.ndarray:
 
 def pack_bins(
     ds: "ray.data.Dataset", *, key: str, order_by: list[str],
-    token_col: str, budget: int, n_buckets: int = 64,
+    token_col: str, budget: int,
 ) -> "ray.data.Dataset":
     """Per-key greedy sequence packing: rows arrive at the packer
     bucketed and sorted by (key, *order_by); each key's docs pack
@@ -193,9 +193,7 @@ def pack_bins(
             out.append(grp)
         return pd.concat(out, ignore_index=True)
 
-    return per_key_ordered(
-        ds, key=key, order_by=order_by, fn=pack_frame, n_buckets=n_buckets
-    )
+    return per_key_ordered(ds, key=key, order_by=order_by, fn=pack_frame)
 
 
 def pack_summary(packed: pd.DataFrame, *, key: str, token_col: str,

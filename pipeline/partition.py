@@ -125,9 +125,7 @@ def _distributed_dup_counts(partials_ds: "ray.data.Dataset") -> dict[int, int]:
     return out
 
 
-def repo_stats(
-    scrubbed: "ray.data.Dataset", use_ray_groupby: bool | None = None,
-) -> "ray.data.Dataset":
+def repo_stats(scrubbed: "ray.data.Dataset") -> "ray.data.Dataset":
     """A6: per-repo files/bytes/keep-rate/dup-content stats.
 
     Two-level aggregation with an automatic size switch:
@@ -139,15 +137,13 @@ def repo_stats(
       counts through a distributed groupby(key64) (see
       _distributed_dup_counts) — nothing proportional to the corpus ever
       lands on the driver.
-    use_ray_groupby forces a path (tests exercise both).
+    The threshold is read at call time (tests patch it to force a path).
     """
     partials_ds = scrubbed.map_batches(
         _repo_partials, batch_format="pyarrow", batch_size=8192,
         zero_copy_batch=True,
     ).materialize()
-    if use_ray_groupby is None:
-        use_ray_groupby = (partials_ds.size_bytes() or 0) > DRIVER_REDUCE_MAX_BYTES
-    if use_ray_groupby:
+    if (partials_ds.size_bytes() or 0) > DRIVER_REDUCE_MAX_BYTES:
         import pyarrow.compute as pc
 
         final = (
@@ -276,8 +272,8 @@ def hash_join(
     for key field") — only safe when distinct keys >> num_partitions on
     BOTH sides (true for the above-broadcast-max semi-joins here, whose
     key sets exceed 2M by contract).  For joins whose key cardinality
-    can be small, use the bucketed groupby-join pattern instead
-    (corpusstats._tfidf_distributed, dedup.dup_groups_distributed)."""
+    can be small, join inside a bucket_shuffle instead (its groupby
+    never builds a partition that received no rows)."""
     import ray as _ray
 
     if num_partitions is None:
@@ -296,16 +292,102 @@ def hash_join(
     )
 
 
-# Above this many distinct contents the winner set no longer broadcasts;
-# the join-back switches to a hash semi-join on the row key.
+def bucket_count(n_rows: int) -> int:
+    """Buckets for a bucket_shuffle over ``n_rows`` measured rows: one per
+    ~1M rows, clamped to [64, 4096]. A bucket reaches its fn as ONE
+    pandas frame, so ~1M rows keeps it in the low hundreds of MB on a
+    worker heap at any corpus scale."""
+    return max(64, min(4096, -(-n_rows // 1_000_000)))
+
+
+def bucket_shuffle(
+    sides: "list[ray.data.Dataset]", key: str, fn, n_buckets: int = 64,
+) -> "ray.data.Dataset":
+    """The one keyed exchange: every row of every side whose ``key`` hashes
+    to the same coarse bucket reaches ``fn`` in ONE pandas frame (the
+    bucket's rows from all sides, unordered, without the bucket column);
+    ``fn`` returns that bucket's output frame or Arrow table.
+
+    The bucket is ``pd.util.hash_array(key) % n_buckets`` — a keyed
+    siphash with a fixed key, so equal values land together across
+    processes and sides (the key's type must match across sides). The
+    sides are unioned as they are: callers tag them and align their
+    schemas. One frame per bucket, not per key, means a vectorized
+    ``fn`` handles every key in a single pass ("1/n_buckets of the
+    keyspace fits a worker"), and the groupby never builds a partition
+    that received no rows — the failure mode of Ray 2.49's native join
+    on sparse keys (see hash_join)."""
+    def tag(t: pa.Table) -> pa.Table:
+        bkt = pd.util.hash_array(
+            t[key].to_numpy(zero_copy_only=False)
+        ) % np.uint64(n_buckets)
+        return t.append_column("_bkt", pa.array(bkt.astype(np.int64)))
+
+    tagged = [s.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+              for s in sides]
+    ds = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return ds.groupby("_bkt").map_groups(
+        lambda g: fn(g.drop(columns="_bkt")), batch_format="pandas")
+
+
+# Above this many distinct keys a membership set no longer broadcasts;
+# the filter switches to a hash semi-join on the key. Read at call time
+# (tests patch it to force the hash branch).
 EXACT_DEDUP_BROADCAST_MAX = 2_000_000
+
+
+def _is_in_batch(batch: pa.Table, *, ref, on: str) -> pa.Table:
+    """Task-pool body for _keep_members' broadcast branch (see _fetch_once)."""
+    import pyarrow.compute as pc
+
+    return batch.filter(pc.is_in(batch[on], value_set=_fetch_once(ref)))
+
+
+def _keep_members(
+    left: "ray.data.Dataset", keys: "ray.data.Dataset", on: str,
+    key_col: str, n_rows_hint: int | None,
+) -> "ray.data.Dataset":
+    """Rows of ``left`` whose ``on`` value is in ``keys[key_col]`` — the
+    one broadcast/hash membership switch (semi_join, keep_first_by,
+    exact_dedup).  ``keys`` holds non-null keys, distinct unless
+    ``n_rows_hint`` fits the broadcast (the driver folds the rest).
+
+    ``n_rows_hint`` upper-bounds the distinct key count: when it fits
+    EXACT_DEDUP_BROADCAST_MAX the keys are fetched once, with no
+    materialize+count sizing round.  Otherwise ``keys`` is materialized
+    and counted; up to the threshold the set broadcasts (``ray.put``) and
+    ``left`` filters map-only with ``pc.is_in`` — the big side never
+    shuffles.  Above it the test becomes a hash (inner) join of ``left``
+    against the distinct keys, which keeps left multiplicity exactly
+    because the keys are unique.  That branch inherits hash_join's
+    sparse-partition contract on BOTH sides: the key set exceeds the
+    threshold >> partition count by construction, but ``left``'s
+    distinct-key count is the caller's obligation."""
+    import ray as _ray
+    import pyarrow.compute as pc
+
+    if n_rows_hint is None or n_rows_hint > EXACT_DEDUP_BROADCAST_MAX:
+        keys = keys.materialize()
+        if keys.count() > EXACT_DEDUP_BROADCAST_MAX:
+            cols = left.schema().names
+            joined = hash_join(
+                left, keys.select_columns([key_col]), on=on, right_on=key_col,
+            )
+            return joined.select_columns(cols)
+    kdf = keys.select_columns([key_col]).to_pandas()
+    # Arrow's unique, not pd.unique: pandas hashes object strings as C
+    # strings, so keys that differ only after a NUL (exact_dedup's row
+    # keys) would collapse into one
+    vals = pc.unique(pa.array(kdf[key_col])) if len(kdf) else pa.array([])
+    return left.map_batches(
+        _is_in_batch, batch_format="pyarrow", zero_copy_batch=True,
+        fn_kwargs={"ref": _ray.put(vals), "on": on},
+    )
 
 
 def semi_join(
     left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
-    right_on: str | None = None, *,
-    broadcast_max: int = EXACT_DEDUP_BROADCAST_MAX,
-    n_rows_hint: int | None = None,
+    right_on: str | None = None, *, n_rows_hint: int | None = None,
 ) -> "ray.data.Dataset":
     """Semi-join: rows of ``left`` whose ``on`` key appears at least once
     in ``right`` (SQL ``WHERE on IN (SELECT right_on FROM right)``) —
@@ -313,28 +395,19 @@ def semi_join(
 
     The right side reduces to its DISTINCT key set first (per-batch
     ``pc.unique`` combiner — only batch-distinct keys leave each task,
-    nulls dropped to match SQL IN semantics).  Below ``broadcast_max``
-    distinct keys the set broadcasts once (``ray.put``) and the left side
-    filters map-only with a vectorized ``pc.is_in`` — the big side never
-    shuffles.  Above it, the membership test becomes a hash (inner) join
-    of ``left`` against the deduplicated key set, which preserves left
-    multiplicity exactly because the right keys are unique.  That branch
-    inherits hash_join's sparse-partition contract on BOTH sides: the
-    key set exceeds broadcast_max >> partition count by construction,
-    but the LEFT side's distinct-key count is the caller's obligation —
-    a left side keyed by a small enum cannot take the hash branch (its
-    empty partitions crash the Ray 2.49 native join; see hash_join's
-    CAVEAT).  Such a left side matches at most |left keys| <<
-    broadcast_max right keys anyway, so raise broadcast_max instead.
-
-    keep_first_by's winner-filter phase and exact_dedup's join-back
-    predate this helper and hand-roll the same broadcast/hash switch on
-    their own key contracts.
+    nulls dropped to match SQL IN semantics), then _keep_members filters
+    ``left`` by broadcast ``pc.is_in`` or, above
+    EXACT_DEDUP_BROADCAST_MAX distinct keys, a hash join.  A left side
+    keyed by a small enum cannot take the hash branch (its empty
+    partitions crash the Ray 2.49 native join; see hash_join's CAVEAT);
+    it matches at most |left keys| right keys anyway, so reduce the
+    right side to those first (a semi_join the other way round, which
+    broadcasts).
 
     ``n_rows_hint``: upper bound on the right side's distinct key count
-    (e.g. its parquet-metadata row count); when it fits broadcast_max
-    the materialize+count sizing round is skipped entirely."""
-    import ray as _ray
+    (e.g. its parquet-metadata row count); when it fits the broadcast
+    the keys-only groupby and the sizing round are skipped — the
+    batch-distinct keys are unioned on the driver."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
@@ -345,35 +418,9 @@ def semi_join(
         ),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    if n_rows_hint is None or n_rows_hint > broadcast_max:
-        distinct = keys.groupby(right_on).aggregate(
-            Count(alias_name="_n")
-        ).materialize()
-        if distinct.count() > broadcast_max:
-            cols = left.schema().names
-            joined = hash_join(
-                left, distinct.select_columns([right_on]),
-                on=on, right_on=right_on,
-            )
-            return joined.select_columns(cols)
-        kdf = distinct.select_columns([right_on]).to_pandas()
-        vals = pa.array(kdf[right_on]) if len(kdf) else pa.array([])
-    else:
-        # hint says the key set is small: skip the keys-only groupby and
-        # union the batch-distinct keys on the driver (it IS the
-        # broadcast side, so it must fit there anyway)
-        import pandas as _pd
-
-        kdf = keys.to_pandas()
-        vals = (pa.array(_pd.unique(kdf[right_on]))
-                if len(kdf) else pa.array([]))
-    ref = _ray.put(vals)
-
-    def keep(batch: pa.Table, _c=on) -> pa.Table:
-        want = _ray.get(ref)
-        return batch.filter(pc.is_in(batch[_c], value_set=want))
-
-    return left.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
+    if n_rows_hint is None or n_rows_hint > EXACT_DEDUP_BROADCAST_MAX:
+        keys = keys.groupby(right_on).aggregate(Count(alias_name="_n"))
+    return _keep_members(left, keys, on, right_on, n_rows_hint)
 
 
 def _column_types(ds: "ray.data.Dataset") -> dict[str, pa.DataType]:
@@ -533,45 +580,35 @@ def _row_key_col(t: pa.Table) -> pa.Array:
 def asof_join(
     left: "ray.data.Dataset", right: "ray.data.Dataset", *,
     on: str, by: str, right_cols: list[str], right_suffix: str = "_r",
-    n_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """As-of join (backward, inclusive): for each left row, the latest
     right row with right.on <= left.on within the same `by` group —
     an operator Ray Data lacks, composed per the charter's recipe:
-    tag sides -> schema-aligned union -> ONE hash shuffle that
-    co-partitions both sides, then a vectorized per-partition
+    tag sides -> schema-aligned union -> ONE bucket_shuffle on `by` that
+    co-partitions both sides, then a vectorized per-bucket
     `pd.merge_asof(..., by=by)`.
 
-    The shuffle key is a coarse BUCKET (`hash(by) % n_buckets`), not the
-    raw key: thousands of per-key pandas groups each pay Python dispatch
-    overhead, while one merge_asof per bucket handles every key in the
-    bucket in a single cython pass (both sides sorted by `on`; `by=`
-    keeps groups separate). Partitioning assumption therefore RELAXES
-    from "one key group fits a worker" to "1/n_buckets of the keyspace
-    fits a worker" — hot single keys no longer pin a task, only hash
-    collisions of many hot keys could.
+    One merge_asof per coarse bucket handles every key in the bucket in
+    a single cython pass (both sides sorted by `on`; `by=` keeps groups
+    separate), where thousands of per-key pandas groups would each pay
+    Python dispatch. Partitioning assumption therefore RELAXES from "one
+    key group fits a worker" to "1/64 of the keyspace fits a worker" —
+    hot single keys no longer pin a task, only hash collisions of many
+    hot keys could.
 
     Exact-tie right rows on `on` resolve to the last in (on, original
     order) — only relevant when two right rows share an identical
     timestamp."""
-    import pyarrow.compute as pc  # noqa: F401  (schema alignment below)
-
     l_cols = left.schema().names
     all_cols = list(l_cols) + [c for c in right.schema().names if c not in l_cols]
 
     def tag(side: int, schema_cols, other_types):
         def fn(t: pa.Table) -> pa.Table:
             t = t.append_column("_side", pa.array(np.full(len(t), side, np.int8)))
-            # coarse shuffle bucket: keyed siphash (pd.util.hash_array,
-            # fixed key — deterministic across processes) of the group key
-            bkt = pd.util.hash_array(
-                t[by].to_numpy(zero_copy_only=False)
-            ) % np.uint64(n_buckets)
-            t = t.append_column("_bkt", pa.array(bkt.astype(np.int64)))
             for c, typ in other_types.items():
                 if c not in t.column_names:
                     t = t.append_column(c, pa.nulls(len(t), typ))
-            return t.select(schema_cols + ["_side", "_bkt"])
+            return t.select(schema_cols + ["_side"])
         return fn
 
     l_types = _column_types(left)
@@ -634,8 +671,7 @@ def asof_join(
             out[c] = out[c].astype(dt)
         return out
 
-    return lt.union(rt).groupby("_bkt").map_groups(
-        join_bucket, batch_format="pandas")
+    return bucket_shuffle([lt, rt], by, join_bucket)
 
 
 def broadcast_range_join(
@@ -658,7 +694,7 @@ def broadcast_range_join(
     ref = _ray.put(iv)
 
     def match(batch: pa.Table) -> pa.Table:
-        table = _ray.get(ref)
+        table = _fetch_once(ref)
         lo = table[lo_col].to_numpy()
         hi = table[hi_col].to_numpy()
         v = batch[value_col].to_numpy(zero_copy_only=False)
@@ -678,19 +714,18 @@ def broadcast_range_join(
 
 def keep_first_by(
     ds: "ray.data.Dataset", *, group_col: str, order_col: str,
-    broadcast_max: int = EXACT_DEDUP_BROADCAST_MAX,
     n_rows_hint: int | None = None,
     filter_ds: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
     """Generic keep-first: retain the row with the minimum order_col per
     group_col. The wide op moves only (group, order) key pairs through a
-    groupby().Min aggregate; the winner order values come back as a
-    broadcast pc.is_in filter (map-only) or, above broadcast_max winners,
-    a hash semi-join. Requires order_col values to be globally unique
-    (winner membership tests order_col alone).
+    groupby().Min aggregate; the winner order values then filter the
+    rows through _keep_members (broadcast pc.is_in, or a hash semi-join
+    above EXACT_DEDUP_BROADCAST_MAX winners). Requires order_col values
+    to be globally unique (winner membership tests order_col alone).
 
     `n_rows_hint` (e.g. parquet metadata row count) is an UPPER BOUND on
-    the winner count (winners <= input rows): when it fits broadcast_max
+    the winner count (winners <= input rows): when it fits the broadcast
     the materialize+count sizing round is skipped and the winner fetch is
     a single execution.
 
@@ -700,8 +735,6 @@ def keep_first_by(
     UPSTREAM dataset here so that stage's lineage is not re-executed on
     the filter pass. Must hold the same rows as `ds` keyed by order_col;
     defaults to `ds`."""
-    import ray as _ray
-    import pyarrow.compute as pc
     from ray.data.aggregate import Min
 
     winners = (
@@ -709,48 +742,25 @@ def keep_first_by(
         .groupby(group_col)
         .aggregate(Min(order_col, alias_name="_win"))
     )
-    if filter_ds is None:
-        filter_ds = ds
-    if n_rows_hint is None or n_rows_hint > broadcast_max:
-        winners = winners.materialize()
-        small = winners.count() <= broadcast_max
-    else:
-        small = True
-    if small:
-        vals = pa.array(winners.select_columns(["_win"]).to_pandas()["_win"])
-        ref = _ray.put(vals)
-
-        def keep(batch: pa.Table) -> pa.Table:
-            want = _ray.get(ref)
-            return batch.filter(pc.is_in(batch[order_col], value_set=want))
-
-        return filter_ds.map_batches(
-            keep, batch_format="pyarrow", zero_copy_batch=True
-        )
-    cols = filter_ds.schema().names
-    joined = hash_join(
-        filter_ds, winners.select_columns(["_win"]), on=order_col, right_on="_win"
+    return _keep_members(
+        ds if filter_ds is None else filter_ds, winners, order_col, "_win",
+        n_rows_hint,
     )
-    return joined.select_columns(cols)
 
 
 def exact_dedup(
-    scrubbed: "ray.data.Dataset", *,
-    broadcast_max: int = EXACT_DEDUP_BROADCAST_MAX,
-    n_rows_hint: int | None = None,
+    scrubbed: "ray.data.Dataset", *, n_rows_hint: int | None = None,
 ) -> "ray.data.Dataset":
-    """§2.7: keep the first (repo, path, commit) per content_sha256.
+    """§2.7: keep the first (repo, path, commit) per content_sha256 —
+    keep_first_by over the row key ``repo \\x00 path \\x00 commit``.
     `n_rows_hint` upper-bounds the winner count and skips the
-    materialize+count sizing round when it fits broadcast_max (see
-    keep_first_by).
+    materialize+count sizing round when it fits the broadcast.
 
-    The wide op moves only KEYS, never content: (sha, row_key) rows go
-    through a groupby(sha).Min(row_key) aggregate — ~100 B/row — and the
-    winner row-keys come back as either a broadcast pc.is_in filter
-    (map-only over the corpus; default below broadcast_max winners) or a
-    hash semi-join on the unique row key above it. Either way the content
-    column crosses the wire at most once, in the semi-join case, instead
-    of the old groupby(sha).map_groups which shuffled every full row.
+    The wide op moves only KEYS, never content: the aggregate reads a
+    (sha, row_key) projection — ~100 B/row — and the winner row-keys
+    filter the corpus map-only (broadcast pc.is_in) or, above
+    EXACT_DEDUP_BROADCAST_MAX winners, through a hash semi-join on the
+    row key, where the content column crosses the wire once.
     Assumes (repo, path, commit) identifies a row (exact full-duplicate
     rows would all be kept).
 
@@ -758,10 +768,6 @@ def exact_dedup(
     flagship output (a parquet read), not the live scrub pipeline, or
     the scrub stage executes twice — the checkpointed flow in
     checkpoint.run_partitioned already has this shape."""
-    import ray as _ray
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Min
-
     keys = scrubbed.select_columns(
         ["content_sha256", "repo", "path", "commit"]
     ).map_batches(
@@ -770,32 +776,14 @@ def exact_dedup(
         ),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    winners = keys.groupby("content_sha256").aggregate(
-        Min("rk", alias_name="rk")
-    )
-    if n_rows_hint is None or n_rows_hint > broadcast_max:
-        winners = winners.materialize()
-        small = winners.count() <= broadcast_max
-    else:
-        small = True
-    if small:
-        rks = pa.array(winners.select_columns(["rk"]).to_pandas()["rk"])
-        ref = _ray.put(rks)
-
-        def keep_winners(batch: pa.Table) -> pa.Table:
-            want = _ray.get(ref)
-            return batch.filter(pc.is_in(_row_key_col(batch), value_set=want))
-
-        return scrubbed.map_batches(
-            keep_winners, batch_format="pyarrow", zero_copy_batch=True
-        )
-    cols = scrubbed.schema().names
     with_rk = scrubbed.map_batches(
         lambda t: t.append_column("rk", _row_key_col(t)),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    joined = hash_join(with_rk, winners.select_columns(["rk"]), on="rk")
-    return joined.select_columns(cols)
+    return keep_first_by(
+        keys, group_col="content_sha256", order_col="rk",
+        n_rows_hint=n_rows_hint, filter_ds=with_rk,
+    ).drop_columns(["rk"])
 
 
 TOPN_DRIVER_MAX_ROWS = 2_000_000
@@ -843,33 +831,22 @@ def topn_per_key(
 
 
 def per_key_ordered(
-    ds: "ray.data.Dataset", *, key: str, order_by: list[str],
-    fn, n_buckets: int = 64,
+    ds: "ray.data.Dataset", *, key: str, order_by: list[str], fn,
 ) -> "ray.data.Dataset":
     """Distributed per-key ordered-log op (lag / sessionize / sliding
-    window / rank) with COARSE key buckets: `hash(key) % n_buckets` is
-    the ONE shuffle key, and `fn` receives a single pandas frame holding
-    every row of a bucket's keys sorted by (key, *order_by).
+    window / rank) over ONE bucket_shuffle on `key`: `fn` receives a
+    single pandas frame holding every row of a bucket's keys sorted by
+    (key, *order_by).
 
     `fn` must be a vectorized frame-level function — typically a pandas
     `groupby(key)` shift/rolling/cumsum, which runs in one cython pass
     over the whole bucket — NOT a per-key callback. Compared to
     `ds.groupby(key).map_groups(per_key_fn)` this trades millions of
-    tiny per-key pandas frames (each paying Python dispatch) for
-    n_buckets large ones, the same relaxation as `asof_join`:
-    "1/n_buckets of the keyspace fits a worker" instead of "every key
-    group is dispatched separately"."""
-
-    def add_bkt(t: pa.Table) -> pa.Table:
-        bkt = pd.util.hash_array(
-            t[key].to_numpy(zero_copy_only=False)
-        ) % np.uint64(n_buckets)
-        return t.append_column("_bkt", pa.array(bkt.astype(np.int64)))
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_bkt"]).sort_values(
-            [key, *order_by], kind="mergesort")
-        return fn(g)
-
-    tagged = ds.map_batches(add_bkt, batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby("_bkt").map_groups(run, batch_format="pandas")
+    tiny per-key pandas frames (each paying Python dispatch) for 64
+    large ones, the same relaxation as `asof_join`: "1/64 of the
+    keyspace fits a worker" instead of "every key group is dispatched
+    separately"."""
+    return bucket_shuffle(
+        [ds], key,
+        lambda g: fn(g.sort_values([key, *order_by], kind="mergesort")),
+    )

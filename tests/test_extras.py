@@ -968,12 +968,13 @@ def test_tfidf_top_terms_recip_and_log():
     assert out.loc[0, "score"] == 10.0 / 6.0
 
 
-def test_tfidf_distributed_path_matches_driver():
-    """max_vocab below the vocabulary size forces the distributed
+def test_tfidf_distributed_path_matches_driver(monkeypatch):
+    """TFIDF_MAX_VOCAB below the vocabulary size forces the distributed
     join+topn regime; it must agree BIT-FOR-BIT with the broadcast
     regime (same arithmetic on same values) and WARN about the switch."""
     import ray.data as rd
 
+    from pipeline.extras import corpusstats
     from pipeline.extras.corpusstats import tfidf_top_terms
 
     rng = np.random.default_rng(7)
@@ -987,15 +988,17 @@ def test_tfidf_distributed_path_matches_driver():
         ref = tfidf_top_terms(
             rd.from_pandas(docs).repartition(3), top_n=2, variant=variant,
         ).to_pandas().sort_values(["doc_id", "rnk"]).reset_index(drop=True)
-        with pytest.warns(UserWarning, match="distributed join path"):
+        with monkeypatch.context() as m, \
+                pytest.warns(UserWarning, match="distributed join path"):
+            m.setattr(corpusstats, "TFIDF_MAX_VOCAB", 4)
             out = tfidf_top_terms(
                 rd.from_pandas(docs).repartition(3), top_n=2,
-                variant=variant, max_vocab=4,
+                variant=variant,
             ).to_pandas().sort_values(["doc_id", "rnk"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(out[ref.columns], ref)
 
 
-def test_tfidf_planted_million_distinct_tokens():
+def test_tfidf_planted_million_distinct_tokens(monkeypatch):
     """VERDICT r3 item 1 'done' criterion: a near-unique-identifier
     corpus (>=1M distinct tokens) runs through the distributed regime
     with nothing vocabulary-sized on the driver, and the answer is
@@ -1007,6 +1010,7 @@ def test_tfidf_planted_million_distinct_tokens():
 
     import ray.data as rd
 
+    from pipeline.extras import corpusstats
     from pipeline.extras.corpusstats import tfidf_top_terms
 
     n_docs, per_doc = 1200, 900
@@ -1018,11 +1022,11 @@ def test_tfidf_planted_million_distinct_tokens():
         "doc_id": np.arange(n_docs, dtype=np.int64), "text": texts,
     })
     assert n_docs * per_doc >= 1_000_000
+    monkeypatch.setattr(corpusstats, "TFIDF_MAX_VOCAB", 10_000)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the intended max_vocab WARN
+        warnings.simplefilter("ignore")  # the intended TFIDF_MAX_VOCAB WARN
         out = tfidf_top_terms(
             rd.from_pandas(docs).repartition(8), top_n=1, variant="recip",
-            max_vocab=10_000,
         ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert len(out) == n_docs
     assert out["term"].tolist() == [f"u{i:04d}_000" for i in range(n_docs)]
@@ -1389,8 +1393,9 @@ def test_hash_split_disjoint_complete_and_invariant():
 
 
 def test_dup_groups_distributed_empty_and_partitions():
-    """No pairs -> empty keep-list (typed frame, no crash); explicit
-    num_partitions produces the same components."""
+    """No pairs -> empty keep-list (typed frame, no crash); a 4-node
+    chain over 64 buckets (most of them empty) produces the same
+    components as the driver union-find."""
     from pipeline.extras.dedup import dup_groups, dup_groups_distributed
 
     empty = pd.DataFrame({"a": pd.Series([], dtype="int64"),
@@ -1411,12 +1416,12 @@ def test_dup_groups_distributed_empty_and_partitions():
 
     pairs = pd.DataFrame({"a": [1, 2, 3], "b": [2, 3, 10]})
     ref = dup_groups(pairs).sort_values("id").reset_index(drop=True)
-    got = dup_groups_distributed(pairs, num_partitions=4).to_pandas() \
+    got = dup_groups_distributed(pairs).to_pandas() \
         .sort_values("id").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, ref, check_dtype=False)
 
 
-def test_tfidf_distributed_tiny_vocab_sparse_partitions():
+def test_tfidf_distributed_tiny_vocab_sparse_partitions(monkeypatch):
     """Regression: the distributed regime must survive a vocabulary far
     smaller than the partition count (Ray's native join crashed on the
     zero-column empty partitions this produces; the bucketed groupby-join
@@ -1425,6 +1430,7 @@ def test_tfidf_distributed_tiny_vocab_sparse_partitions():
 
     import ray.data as rd
 
+    from pipeline.extras import corpusstats
     from pipeline.extras.corpusstats import tfidf_top_terms
 
     docs = pd.DataFrame({
@@ -1434,16 +1440,17 @@ def test_tfidf_distributed_tiny_vocab_sparse_partitions():
     ref = tfidf_top_terms(
         rd.from_pandas(docs).repartition(3), top_n=1, variant="recip",
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
+    monkeypatch.setattr(corpusstats, "TFIDF_MAX_VOCAB", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = tfidf_top_terms(
             rd.from_pandas(docs).repartition(3), top_n=1,
-            variant="recip", max_vocab=1,
+            variant="recip",
         ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(out[ref.columns], ref)
 
 
-def test_tfidf_distributed_huge_int_ids_exact():
+def test_tfidf_distributed_huge_int_ids_exact(monkeypatch):
     """64-bit hash doc ids (> 2^53) through the distributed regime must
     come back bit-exact: the union's int columns are zero-padded, not
     null-padded, so pandas never promotes them to float64 (which is
@@ -1452,6 +1459,7 @@ def test_tfidf_distributed_huge_int_ids_exact():
 
     import ray.data as rd
 
+    from pipeline.extras import corpusstats
     from pipeline.extras.corpusstats import tfidf_top_terms
 
     base = np.int64(2**62)
@@ -1462,16 +1470,17 @@ def test_tfidf_distributed_huge_int_ids_exact():
         "text": ["aa bb cc", "bb cc", "aa", "cc cc dd", "dd aa",
                  "bb bb", "aa cc", "dd"],
     })
+    monkeypatch.setattr(corpusstats, "TFIDF_MAX_VOCAB", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = tfidf_top_terms(
             rd.from_pandas(docs).repartition(3), top_n=1,
-            variant="recip", max_vocab=1,
+            variant="recip",
         ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert set(out["doc_id"].to_numpy()) == set(ids)
 
 
-def test_tfidf_distributed_string_ids():
+def test_tfidf_distributed_string_ids(monkeypatch):
     """String doc ids through the distributed regime: the null-padded
     union and the merge must preserve the id's Arrow type (a silent
     int64 fallback in the type sniff crashed schema unification)."""
@@ -1479,6 +1488,7 @@ def test_tfidf_distributed_string_ids():
 
     import ray.data as rd
 
+    from pipeline.extras import corpusstats
     from pipeline.extras.corpusstats import tfidf_top_terms
 
     rng = np.random.default_rng(11)
@@ -1491,10 +1501,11 @@ def test_tfidf_distributed_string_ids():
     ref = tfidf_top_terms(
         rd.from_pandas(docs).repartition(3), top_n=2, variant="recip",
     ).to_pandas().sort_values(["doc_id", "rnk"]).reset_index(drop=True)
+    monkeypatch.setattr(corpusstats, "TFIDF_MAX_VOCAB", 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = tfidf_top_terms(
             rd.from_pandas(docs).repartition(3), top_n=2,
-            variant="recip", max_vocab=2,
+            variant="recip",
         ).to_pandas().sort_values(["doc_id", "rnk"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(out[ref.columns], ref)

@@ -71,14 +71,14 @@ def test_exact_dedup_keeps_first(scrubbed_ds):
     assert got == exp
 
 
-def test_repo_stats_dup_counts_planted():
+def test_repo_stats_dup_counts_planted(monkeypatch):
     """Planted same-repo duplicate content: both reduce paths must report
     the same nonzero n_dup_content (the fixture corpus has none, so this
     is the only coverage of the dup-count logic)."""
     import pandas as pd
     import ray.data as rd
 
-    from pipeline.partition import repo_stats
+    from pipeline import partition
 
     import hashlib
 
@@ -91,24 +91,49 @@ def test_repo_stats_dup_counts_planted():
                          "content": f"text {repo} {tag}",
                          "content_sha256": sha, "keep": i % 2 == 0})
     ds = rd.from_pandas(pd.DataFrame(rows))
-    a = repo_stats(ds, use_ray_groupby=False).to_pandas().sort_values("repo")
-    b = repo_stats(ds, use_ray_groupby=True).to_pandas().sort_values("repo")
+    a = partition.repo_stats(ds).to_pandas().sort_values("repo")  # driver
+    monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", -1)
+    b = partition.repo_stats(ds).to_pandas().sort_values("repo")
     assert a["n_dup_content"].tolist() == [2, 0, 3]
     assert b["n_dup_content"].tolist() == [2, 0, 3]
 
 
-def test_exact_dedup_join_path_matches(scrubbed_ds):
-    """broadcast_max=0 forces the hash semi-join back-path; identical
-    kept rows as the broadcast filter."""
-    from pipeline.partition import exact_dedup
+def test_exact_dedup_join_path_matches(scrubbed_ds, monkeypatch):
+    """EXACT_DEDUP_BROADCAST_MAX=0 forces the hash semi-join back-path;
+    identical kept rows as the broadcast filter — for exact_dedup and for
+    keep_first_by called directly with a filter_ds whose columns differ
+    from the keyed dataset's."""
+    from pipeline import partition
 
-    a = exact_dedup(scrubbed_ds).to_pandas().sort_values(
-        ["repo", "path", "commit"]).reset_index(drop=True)
-    b = exact_dedup(scrubbed_ds, broadcast_max=0).to_pandas().sort_values(
-        ["repo", "path", "commit"]).reset_index(drop=True)
-    assert list(a.columns) == list(b.columns)
-    assert (a["content_sha256"].values == b["content_sha256"].values).all()
-    assert len(a) == len(b)
+    with_rk = scrubbed_ds.map_batches(
+        lambda t: t.append_column("rk", partition._row_key_col(t)),
+        batch_format="pyarrow",
+    ).materialize()
+    runs = {  # name: (run, output columns, sort key)
+        "exact_dedup": (
+            lambda: partition.exact_dedup(scrubbed_ds),
+            list(scrubbed_ds.schema().names), ["repo", "path", "commit"],
+        ),
+        "keep_first_by": (
+            lambda: partition.keep_first_by(
+                with_rk.select_columns(["content_sha256", "rk"]),
+                group_col="content_sha256", order_col="rk",
+                filter_ds=with_rk.select_columns(["rk", "repo", "keep"]),
+            ),
+            ["rk", "repo", "keep"], ["rk"],
+        ),
+    }
+    n_distinct = scrubbed_ds.to_pandas()["content_sha256"].nunique()
+    for name, (run, cols, key) in runs.items():
+        a = run().to_pandas()
+        with monkeypatch.context() as m:
+            m.setattr(partition, "EXACT_DEDUP_BROADCAST_MAX", 0)
+            b = run().to_pandas()
+        assert list(a.columns) == list(b.columns) == cols, name
+        a = a.sort_values(key).reset_index(drop=True)
+        b = b.sort_values(key).reset_index(drop=True)
+        assert len(a) == n_distinct, name
+        assert a.equals(b), name
 
 
 def test_salted_group_counts(scrubbed_ds):
@@ -158,11 +183,12 @@ def test_checkpoint_resume(code_fixture, tmp_path):
     assert json.loads((out2 / "_manifests" / "part-00000.json").read_text())["partition_id"] == 0
 
 
-def test_repo_stats_groupby_variant_matches(scrubbed_ds):
-    from pipeline.partition import repo_stats
+def test_repo_stats_groupby_variant_matches(scrubbed_ds, monkeypatch):
+    from pipeline import partition
 
-    a = repo_stats(scrubbed_ds).to_pandas().sort_values("repo").reset_index(drop=True)
-    b = repo_stats(scrubbed_ds, use_ray_groupby=True).to_pandas().sort_values("repo").reset_index(drop=True)
+    a = partition.repo_stats(scrubbed_ds).to_pandas().sort_values("repo").reset_index(drop=True)
+    monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", -1)
+    b = partition.repo_stats(scrubbed_ds).to_pandas().sort_values("repo").reset_index(drop=True)
     for col in ["repo", "n_files", "n_bytes", "n_kept", "n_dup_content"]:
         assert (a[col].values == b[col].values).all(), col
 
@@ -350,7 +376,7 @@ def test_asof_join_bucketed_matches_pandas_oracle():
     out = asof_join(
         rd.from_pandas([left.iloc[i:i + 500] for i in range(0, 3000, 500)]),
         rd.from_pandas([right.iloc[i:i + 500] for i in range(0, 1500, 500)]),
-        on="t", by="k", right_cols=["qty"], n_buckets=8,
+        on="t", by="k", right_cols=["qty"],
     ).to_pandas().sort_values("lid").reset_index(drop=True)
 
     assert out["lid"].dtype == "int64"
@@ -360,17 +386,55 @@ def test_asof_join_bucketed_matches_pandas_oracle():
     )
 
 
-def test_semi_join_broadcast_and_hash_paths_match_pandas_oracle():
-    """semi_join returns left rows whose key appears in right, preserving
-    left multiplicity and never adding right columns — on BOTH regimes
-    (broadcast is_in below broadcast_max, hash join against the distinct
-    key set above it), including null keys (SQL IN semantics: never match)
-    and a key-name mismatch between the sides."""
+def test_bucket_shuffle_one_call_per_key_matches_pandas():
+    """bucket_shuffle hands every key's rows, from every side, to fn in
+    exactly ONE call: fn emits one row per key it sees, so a key split
+    over two calls would appear twice. Two sides with different block
+    counts, string and int64 keys, and 5 keys in 64 buckets (most
+    buckets empty)."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
-    from pipeline.partition import semi_join
+    from pipeline.partition import bucket_shuffle
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        assert list(g.columns) == ["key", "side", "v"]  # no bucket column
+        return g.groupby("key").agg(
+            n=("v", "size"), n_right=("side", "sum"), v=("v", "sum"),
+        ).reset_index()
+
+    rng = np.random.default_rng(5)
+    for keys in ([f"key-{i}" for i in range(5)],
+                 np.arange(1, 6, dtype=np.int64) * 10**15):
+        left = pd.DataFrame({"key": rng.choice(keys, 300), "side": 0,
+                             "v": np.arange(300)})
+        right = pd.DataFrame({"key": rng.choice(keys, 120), "side": 1,
+                              "v": np.arange(120)})
+        sides = [rd.from_pandas([left.iloc[i::6] for i in range(6)]),
+                 rd.from_pandas([right.iloc[i::2] for i in range(2)])]
+        assert [s.num_blocks() for s in sides] == [6, 2]
+        got = bucket_shuffle(sides, "key", fn).to_pandas()
+        assert got["key"].is_unique
+        want = fn(pd.concat([left, right]))
+        pd.testing.assert_frame_equal(
+            got.sort_values("key").reset_index(drop=True), want,
+            check_dtype=False,
+        )
+
+
+def test_semi_join_broadcast_and_hash_paths_match_pandas_oracle(monkeypatch):
+    """semi_join returns left rows whose key appears in right, preserving
+    left multiplicity and never adding right columns — on BOTH regimes
+    (broadcast is_in up to EXACT_DEDUP_BROADCAST_MAX distinct keys, hash
+    join against the distinct key set above it), including null keys
+    (SQL IN semantics: never match) and a key-name mismatch between the
+    sides."""
+    import numpy as np
+    import pandas as pd
+    import ray.data as rd
+
+    from pipeline import partition
 
     rng = np.random.default_rng(7)
     left_df = pd.DataFrame({
@@ -387,20 +451,23 @@ def test_semi_join_broadcast_and_hash_paths_match_pandas_oracle():
         & left_df["k"].notna()
     ].sort_values("v").reset_index(drop=True)
 
-    for kwargs in (
-        {},                                       # sized via groupby count
-        {"n_rows_hint": len(right_df)},           # hint: driver union path
-        {"broadcast_max": 10},                    # force the hash-join path
+    for kwargs, broadcast_max in (
+        ({}, None),                               # sized via groupby count
+        ({"n_rows_hint": len(right_df)}, None),   # hint: driver union path
+        ({}, 10),                                 # force the hash-join path
     ):
-        got = (
-            semi_join(
-                rd.from_pandas(left_df), rd.from_pandas(right_df),
-                on="k", right_on="rk", **kwargs,
+        with monkeypatch.context() as m:
+            if broadcast_max is not None:
+                m.setattr(partition, "EXACT_DEDUP_BROADCAST_MAX", broadcast_max)
+            got = (
+                partition.semi_join(
+                    rd.from_pandas(left_df), rd.from_pandas(right_df),
+                    on="k", right_on="rk", **kwargs,
+                )
+                .to_pandas().sort_values("v").reset_index(drop=True)
             )
-            .to_pandas().sort_values("v").reset_index(drop=True)
-        )
-        assert got["v"].tolist() == want["v"].tolist(), kwargs
-        assert list(got.columns) == ["k", "v"], kwargs
+        assert got["v"].tolist() == want["v"].tolist(), (kwargs, broadcast_max)
+        assert list(got.columns) == ["k", "v"], (kwargs, broadcast_max)
 
 
 def test_semi_join_empty_right_side():
