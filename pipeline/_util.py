@@ -54,6 +54,47 @@ def clean_batch(t):
     return t.replace_schema_metadata(None) if t.schema.metadata else t
 
 
+def _parquet_files(path) -> list[str]:
+    """The parquet files behind a file, a directory or a list of them."""
+    from pathlib import Path
+
+    out = []
+    for p in path if isinstance(path, (list, tuple)) else [path]:
+        if Path(p).is_dir():
+            out += [str(f) for f in sorted(Path(p).glob("*.parquet"))]
+        else:
+            out.append(p)
+    return out
+
+
+def parquet_schema(path):
+    """The first file's Arrow schema with its metadata stripped, or None
+    when it can't be read (remote FS, odd layout). Passing it to
+    read_parquet strips pandas metadata AT THE SOURCE, inside the read
+    operator where a downstream clean_batch map can't reach, so every
+    block schema stays hashable (see clean_batch)."""
+    import pyarrow.parquet as pq
+
+    try:
+        return pq.ParquetFile(_parquet_files(path)[0]).schema_arrow.remove_metadata()
+    except Exception:
+        return None
+
+
+def parquet_rows(path) -> int | None:
+    """Exact row count from the parquet footers (metadata only, no scan)
+    of a file, a directory or a list of them; None when there is no file
+    or one can't be read. Feeds the size-switch hints, which are pure
+    optimizations: None just means 'no hint'."""
+    import pyarrow.parquet as pq
+
+    try:
+        files = _parquet_files(path)
+        return sum(pq.ParquetFile(f).metadata.num_rows for f in files) if files else None
+    except Exception:
+        return None
+
+
 def string_buffers(arr):
     """(absolute int64 offsets, uint8 data) of a (Large)StringArray —
     the single implementation of Arrow string-buffer access (offset-

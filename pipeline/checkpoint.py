@@ -135,19 +135,14 @@ def run_partitioned(
             total_rows += m["n_rows"]
             continue
         t0 = time.monotonic()
+        from pipeline._util import parquet_rows
         from pipeline.ray_pipeline import read_code_table
 
         # row-count hint from parquet footers (metadata-only, no scan):
         # picks the scoring regime per partition — a resumability-unit
         # partition is typically well under the task-pool cap, where the
         # fused task stage avoids per-partition actor-pool spin-up
-        n_hint = None
-        try:
-            import pyarrow.parquet as pq
-
-            n_hint = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-        except Exception:
-            pass
+        n_hint = parquet_rows(files)
         ds = read_code_table(files)
         result = flagship_pipeline(ds, profile=profile, n_rows_hint=n_hint)
         if keep_only:

@@ -113,9 +113,5 @@ CARRIER_WORDS: list[str] = [
 ORG_WORDS: list[str] = [ln.capitalize() for ln in LAST_NAMES[:30]]
 
 
-def _norm(s: str) -> str:
-    return s.lower()
-
-
 # Sets used by guard tests and the detector builder.
 ALL_SHORT_UPPER = set(STATE_ABBRS) | set(COUNTRY_CODES) | set(INITIALS)

@@ -66,6 +66,52 @@ def _topk_indices(s: np.ndarray, ids: np.ndarray, kk: int) -> np.ndarray:
     return idx[order][:kk]
 
 
+def _scan_topk(
+    ds: "ray.data.Dataset", qn: np.ndarray, query_ids: list[int], k: int,
+    id_col: str, vec_col: str, candidates,
+) -> pd.DataFrame:
+    """The one top-k scan behind every search: each batch scores all
+    queries in one matmul and emits only its per-query partial top-k;
+    the driver merges the tiny partials (score desc, id asc) and ranks.
+    `candidates(m)` maps a batch's normalized (n_batch, d) matrix to the
+    (n_q, n_batch) bool mask of the rows each query may see."""
+    q_ref = ray.put(qn)
+
+    def partial(batch: pa.Table) -> pa.Table:
+        q = ray.get(q_ref)
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        m = _norm_rows(_to_matrix(batch[vec_col]))
+        scores = q @ m.T  # n_q x n_batch
+        seen = candidates(m)
+        out_q, out_id, out_s = [], [], []
+        for qi in range(q.shape[0]):
+            s, sub_ids = scores[qi][seen[qi]], ids[seen[qi]]
+            if not len(s):
+                continue
+            sel = _topk_indices(s, sub_ids, min(k, len(s)))
+            out_q.extend([query_ids[qi]] * len(sel))
+            out_id.extend(sub_ids[sel].tolist())
+            out_s.extend(s[sel].tolist())
+        return pa.table(
+            {"query_id": pa.array(out_q, pa.int64()),
+             "vec_id": pa.array(out_id, pa.int64()),
+             "score": pa.array(out_s, pa.float64())}
+        )
+
+    partials = ds.map_batches(
+        partial, batch_format="pyarrow", batch_size=4096, zero_copy_batch=True,
+    ).to_pandas()
+    if partials.empty:
+        return pd.DataFrame(columns=["query_id", "vec_id", "score", "rank"])
+    out = []
+    for qid, g in partials.groupby("query_id"):
+        g = g.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
+        g = g.assign(rank=np.arange(1, len(g) + 1))
+        out.append(g)
+    res = pd.concat(out).reset_index(drop=True)
+    return res[["query_id", "vec_id", "score", "rank"]]
+
+
 def brute_force_topk(
     ds: "ray.data.Dataset", queries: np.ndarray, query_ids: list[int], k: int = 10,
     *, id_col: str = "vec_id", vec_col: str = "embedding",
@@ -74,33 +120,10 @@ def brute_force_topk(
     Returns (query_id, vec_id, score, rank), rank 1..k, ties broken by
     vec_id ascending (deterministic)."""
     qn = _norm_rows(np.asarray(queries, dtype=np.float64))
-    q_ref = ray.put(qn)
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        q = ray.get(q_ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        m = _norm_rows(_to_matrix(batch[vec_col]))
-        scores = q @ m.T  # n_q x n_batch
-        out_q, out_id, out_s = [], [], []
-        kk = min(k, scores.shape[1])
-        for qi in range(scores.shape[0]):
-            s = scores[qi]
-            sel = _topk_indices(s, ids, kk)
-            out_q.extend([query_ids[qi]] * len(sel))
-            out_id.extend(ids[sel].tolist())
-            out_s.extend(s[sel].tolist())
-        return pa.table({"query_id": out_q, "vec_id": out_id, "score": out_s})
-
-    partials = ds.map_batches(
-        partial_topk, batch_format="pyarrow", batch_size=4096, zero_copy_batch=True,
-    ).to_pandas()
-    out = []
-    for qid, g in partials.groupby("query_id"):
-        g = g.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-        g = g.assign(rank=np.arange(1, len(g) + 1))
-        out.append(g)
-    res = pd.concat(out).reset_index(drop=True)
-    return res[["query_id", "vec_id", "score", "rank"]]
+    return _scan_topk(
+        ds, qn, query_ids, k, id_col, vec_col,
+        lambda m: np.ones((len(qn), len(m)), dtype=bool),
+    )
 
 
 # ----------------------------------------------------------- IVF variant
@@ -168,47 +191,14 @@ def ivf_topk(
     brute_force_topk."""
     sample = _sample_matrix(ds, vec_col, id_col, sample_limit)
     cent = kmeans_lite(sample, n_clusters)
-    cent_ref = ray.put(cent)
     qn = _norm_rows(np.asarray(queries, dtype=np.float64))
     probe = np.argsort(-(qn @ cent.T), axis=1)[:, :nprobe]  # n_q x nprobe
-    probe_sets = [set(p.tolist()) for p in probe]
-    q_ref = ray.put((qn, probe_sets))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        q, probes = ray.get(q_ref)
-        c = ray.get(cent_ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        m = _norm_rows(_to_matrix(batch[vec_col]))
-        assign = (m @ c.T).argmax(axis=1)
-        out_q, out_id, out_s = [], [], []
-        for qi in range(q.shape[0]):
-            mask = np.isin(assign, list(probes[qi]))
-            if not mask.any():
-                continue
-            s = q[qi] @ m[mask].T
-            sub_ids = ids[mask]
-            sel = _topk_indices(s, sub_ids, min(k, len(s)))
-            out_q.extend([query_ids[qi]] * len(sel))
-            out_id.extend(sub_ids[sel].tolist())
-            out_s.extend(s[sel].tolist())
-        return pa.table(
-            {"query_id": pa.array(out_q, pa.int64()),
-             "vec_id": pa.array(out_id, pa.int64()),
-             "score": pa.array(out_s, pa.float64())}
-        )
+    def probed(m: np.ndarray) -> np.ndarray:
+        assign = (m @ cent.T).argmax(axis=1)
+        return np.stack([np.isin(assign, p) for p in probe])
 
-    partials = ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=4096, zero_copy_batch=True,
-    ).to_pandas()
-    out = []
-    for qid, g in partials.groupby("query_id"):
-        g = g.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-        g = g.assign(rank=np.arange(1, len(g) + 1))
-        out.append(g)
-    if not out:
-        return pd.DataFrame(columns=["query_id", "vec_id", "score", "rank"])
-    res = pd.concat(out).reset_index(drop=True)
-    return res[["query_id", "vec_id", "score", "rank"]]
+    return _scan_topk(ds, qn, query_ids, k, id_col, vec_col, probed)
 
 
 def exact_cosine_pairs(
@@ -321,8 +311,8 @@ def lsh_topk(
     own bucket plus the buckets reached by flipping its lowest-|margin|
     bits (the classic multi-probe LSH sequence, ordered by summed flipped
     margin), ``nprobe`` buckets total — recall tunes with nprobe at zero
-    index-build cost.  Planes + probe sets broadcast once via ray.put;
-    each batch emits per-query partial top-k rows only.  Output schema
+    index-build cost.  The planes and probe sets ride in the scan's
+    candidate mask; each batch emits per-query partial top-k rows only.  Output schema
     matches brute_force_topk."""
     rng = np.random.RandomState(seed)
     d = np.asarray(queries).shape[1]
@@ -335,7 +325,7 @@ def lsh_topk(
     # multi-probe: enumerate flip-subsets of the m lowest-|margin| bits,
     # ranked by summed |margin| of the flipped bits (cheapest flips first)
     m = min(nbits, max(1, int(np.ceil(np.log2(max(nprobe, 2)))) + 1))
-    probe_sets: list[set[int]] = []
+    probes: list[np.ndarray] = []
     for qi in range(qn.shape[0]):
         order = np.argsort(np.abs(margins[qi]))[:m]
         cands = []
@@ -346,41 +336,10 @@ def lsh_topk(
             sig[flip] ^= 1
             cands.append((cost, int((sig * weights).sum())))
         cands.sort()
-        probe_sets.append({s for _, s in cands[:nprobe]})
-    ref = ray.put((planes, qn, probe_sets))
+        probes.append(np.unique([s for _, s in cands[:nprobe]]))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        pl, q, probes = ray.get(ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        mtx = _norm_rows(_to_matrix(batch[vec_col]))
-        bits = (mtx @ pl.T > 0).astype(np.uint32)
-        sigs = (bits * weights).sum(axis=1)
-        out_q, out_id, out_s = [], [], []
-        for qi in range(q.shape[0]):
-            mask = np.isin(sigs, list(probes[qi]))
-            if not mask.any():
-                continue
-            s = q[qi] @ mtx[mask].T
-            sub_ids = ids[mask]
-            sel = _topk_indices(s, sub_ids, min(k, len(s)))
-            out_q.extend([query_ids[qi]] * len(sel))
-            out_id.extend(sub_ids[sel].tolist())
-            out_s.extend(s[sel].tolist())
-        return pa.table(
-            {"query_id": pa.array(out_q, pa.int64()),
-             "vec_id": pa.array(out_id, pa.int64()),
-             "score": pa.array(out_s, pa.float64())}
-        )
+    def probed(m: np.ndarray) -> np.ndarray:
+        sigs = ((m @ planes.T > 0).astype(np.uint32) * weights).sum(axis=1)
+        return np.stack([np.isin(sigs, p) for p in probes])
 
-    partials = ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=4096, zero_copy_batch=True,
-    ).to_pandas()
-    out = []
-    for qid, g in partials.groupby("query_id"):
-        g = g.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-        g = g.assign(rank=np.arange(1, len(g) + 1))
-        out.append(g)
-    if not out:
-        return pd.DataFrame(columns=["query_id", "vec_id", "score", "rank"])
-    res = pd.concat(out).reset_index(drop=True)
-    return res[["query_id", "vec_id", "score", "rank"]]
+    return _scan_topk(ds, qn, query_ids, k, id_col, vec_col, probed)

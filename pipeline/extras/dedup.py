@@ -220,48 +220,21 @@ def _sorted_membership(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarra
 
 def _members_driver(bands: "ray.data.Dataset", keys: list[str]) -> pd.DataFrame:
     """Hot-bucket member rows (bucket key appears >= 2 times), computed in
-    ONE streaming pass: each batch ships its rows as compact int64-packed
-    column blobs (~8 B/row/col, never Python row objects), the driver
-    concatenates, counts bucket keys with np.unique and slices the hot
-    rows. No materialize, no groupby barrier, no second corpus pass —
-    the old shape (materialize + key-count pass + filter pass) cost ~3
-    fixed execution rounds per sketch query at bench scale. Only used
-    below DRIVER_REDUCE_MAX_ROWS band rows.
-
-    The 8 B/row blob packing requires every column to be integer (band
-    keys always are — they're hashes); a non-integer id column (string
-    doc ids) falls back to a plain single-pass to_pandas pull — same
-    one-round shape, Arrow-backed columns, no Python row objects."""
-    schema = bands.schema()
-    cols = schema.names
-    if not all(pa.types.is_integer(t) for t in schema.types):
-        df = bands.to_pandas()
-        if not len(df):
-            return pd.DataFrame(columns=cols)
-        acc = np.zeros(len(df), dtype=np.int64)
-        for k in keys:
-            acc = (acc * _MIX) + df[k].to_numpy().astype(np.int64)
-        _, inv, counts = np.unique(acc, return_inverse=True, return_counts=True)
-        return df[counts[inv] > 1].reset_index(drop=True)
-    blobs = bands.map_batches(
-        lambda t: pa.table({
-            c: [t[c].to_numpy(zero_copy_only=False).astype(np.int64).tobytes()]
-            for c in cols
-        }),
-        batch_format="pyarrow", batch_size=8192, zero_copy_batch=True,
-    ).take_all()
-    if not blobs:
+    ONE streaming pass: a single to_pandas pull (Arrow-backed columns, no
+    Python row objects, any id type), then the driver counts bucket keys
+    with np.unique and slices the hot rows. No materialize, no groupby
+    barrier, no second corpus pass: a materialize + key-count pass +
+    filter pass costs ~3 fixed execution rounds per sketch query at
+    bench scale. Only used below DRIVER_REDUCE_MAX_ROWS band rows."""
+    cols = bands.schema().names
+    df = bands.to_pandas()
+    if not len(df):
         return pd.DataFrame(columns=cols)
-    data = {
-        c: np.concatenate([np.frombuffer(r[c], dtype=np.int64) for r in blobs])
-        for c in cols
-    }
-    acc = np.zeros(len(data[cols[0]]), dtype=np.int64)
+    acc = np.zeros(len(df), dtype=np.int64)
     for k in keys:
-        acc = (acc * _MIX) + data[k]  # same combine as _combine_keys
+        acc = (acc * _MIX) + df[k].to_numpy().astype(np.int64)  # as _combine_keys
     _, inv, counts = np.unique(acc, return_inverse=True, return_counts=True)
-    hot = counts[inv] > 1
-    return pd.DataFrame({c: data[c][hot] for c in cols})
+    return df[counts[inv] > 1].reset_index(drop=True)
 
 
 def _hot_keys_distributed(bands: "ray.data.Dataset", keys: list[str]) -> np.ndarray:

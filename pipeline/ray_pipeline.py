@@ -25,7 +25,7 @@ import pyarrow as pa
 
 import ray.data
 
-from pipeline._util import _fetch_once, clean_batch, sha256_hex
+from pipeline._util import _fetch_once, clean_batch, parquet_schema, sha256_hex
 from pipeline.quality.decide import decide_batch
 from pipeline.quality.heuristics import heuristic_batch
 from pipeline.quality.langid import LangIdModel
@@ -43,23 +43,8 @@ def read_code_table(path: str | list[str], **kwargs) -> "ray.data.Dataset":
     if "override_num_blocks" not in kwargs:
         n_cpus = int(_ray.cluster_resources().get("CPU", 8))
         kwargs["override_num_blocks"] = max(16, 2 * n_cpus)
-    if "schema" not in kwargs:
-        # strip pandas schema metadata AT THE SOURCE: unhashable metadata
-        # defeats Ray's block-schema dedup even inside the read operator,
-        # where a downstream clean_batch map can't reach
-        import pyarrow.parquet as pq
-        from pathlib import Path
-
-        first = path[0] if isinstance(path, (list, tuple)) else path
-        p = Path(first)
-        if p.is_dir():
-            cands = sorted(p.glob("*.parquet"))
-            first = str(cands[0]) if cands else None
-        if first is not None:
-            try:
-                kwargs["schema"] = pq.ParquetFile(first).schema_arrow.remove_metadata()
-            except Exception:
-                pass
+    if "schema" not in kwargs and (schema := parquet_schema(path)) is not None:
+        kwargs["schema"] = schema
     if "schema" in kwargs:
         return ray.data.read_parquet(path, **kwargs)
     return ray.data.read_parquet(path, **kwargs).map_batches(

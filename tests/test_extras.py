@@ -1265,8 +1265,8 @@ def test_temperature_sample_deterministic_and_bounded(ray_session):
 
 
 def test_minhash_string_doc_ids_driver_path(ray_session):
-    """The driver regime's blob packing is int64-only; string doc ids
-    must take the to_pandas fallback and still find planted dups."""
+    """The driver regime's single to_pandas pull takes any id type:
+    string doc ids must still find planted dups."""
     import pyarrow as pa
     import ray.data as rd
 

@@ -48,18 +48,27 @@ def _value_hash(df: pd.DataFrame) -> str:
     return h.hexdigest()
 
 
-def _pairs():
-    import __ray_entry__ as entrymod
-
-    qs = entrymod.queries()
-    sqls = entrymod.oracle_sql()
-    return sorted(sqls), qs, sqls
-
-
 def oracle_checked_names():
     import __ray_entry__ as entrymod
 
     return sorted(entrymod.oracle_sql())
+
+
+def test_registry_order_oracled_first():
+    """The driver grades the first 50 registry entries, so every oracled
+    entry must come before every rows-only one."""
+    import __ray_entry__ as entrymod
+
+    names = list(entrymod.queries())
+    sqls = entrymod.oracle_sql()
+    assert set(sqls) <= set(names)
+    oracled = [n in sqls for n in names]
+    n_oracled = sum(oracled)
+    assert oracled == [True] * n_oracled + [False] * (len(names) - n_oracled), (
+        f"rows-only entries before oracled ones: "
+        f"{[n for n in names[:n_oracled] if n not in sqls]}"
+    )
+    assert n_oracled >= 50
 
 
 @pytest.fixture(scope="module")
