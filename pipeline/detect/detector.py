@@ -9,21 +9,31 @@ path is pure C-regex scanning (SURVEY.md §7.4: stateless map_batches stage).
 
 from __future__ import annotations
 
+from pipeline.detect.gates import _walk
 from pipeline.detect.patterns import get_specs
 from pipeline.detect.spans import Span, resolve_overlaps
 
 
-def detect_spans(text: str, profile: str = "conformance", specs=None) -> list[Span]:
+def detect_spans(text: str, profile: str = "conformance", runs=None) -> list[Span]:
     """All PII spans in `text`, non-overlapping, sorted by start.
 
-    `specs` restricts the scan to a subset, kept in get_specs order: the
-    batch stage (ray_pipeline._fired_spans) passes only the specs whose
-    derived RE2 trigger fired on the row. The output equals a full run
-    because on any text each trigger is a necessary condition for its
-    spec (patterns.derive_trigger)."""
+    With no `runs` every spec of the profile runs a full finditer scan:
+    this is the oracle the batch stage is tested against. `runs`
+    restricts the scan to (spec, starts) pairs, kept in get_specs order:
+    the batch stage (ray_pipeline._fired_spans) passes the specs whose
+    derived RE2 trigger fired on the row (starts None: a full finditer
+    scan) and the anchored specs with the ascending starts their anchor
+    words give (finditer's walk over those starts alone, gates._walk).
+    The output equals a full run: on any text each trigger is a
+    necessary condition for its spec (patterns.derive_trigger), and on
+    ASCII text a match starts only where its anchor allows
+    (patterns.derive_anchor)."""
+    if runs is None:
+        runs = [(spec, None) for spec in get_specs(profile)]
     cands: list[Span] = []
-    for spec in (get_specs(profile) if specs is None else specs):
-        for m in spec.compiled.finditer(text):
+    for spec, starts in runs:
+        found = spec.compiled.finditer(text) if starts is None else _walk(spec.compiled, text, starts)
+        for m in found:
             if spec.gate is not None:
                 label = spec.gate(text, m)
                 if label is None:
@@ -34,4 +44,3 @@ def detect_spans(text: str, profile: str = "conformance", specs=None) -> list[Sp
             if s < e:
                 cands.append(Span(s, e, label))
     return resolve_overlaps(cands)
-

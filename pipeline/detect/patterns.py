@@ -118,13 +118,17 @@ class PatternSpec:
     flags: int = re.IGNORECASE
     group: int = 0
     compiled: re.Pattern = field(init=False)
-    # RE2 prescreen derived from ``pattern``: on ASCII text a row with no
+    # RE2 prescreen derived from ``pattern``: on any text a row with no
     # trigger hit has no finditer hit either (see derive_trigger)
     trigger: str = field(init=False)
+    # (words, offset): on ASCII text every match holds one of the words at
+    # that offset from its start, or None (see derive_anchor)
+    anchor: tuple[frozenset[str], int] | None = field(init=False)
 
     def __post_init__(self):
         self.compiled = re.compile(self.pattern, self.flags)
         self.trigger = derive_trigger(self.pattern, self.flags)
+        self.anchor = derive_anchor(self.pattern, self.flags)
 
 
 # ---------------------------------------------------------------- gates
@@ -575,10 +579,11 @@ def get_specs(profile: str = "conformance") -> list[PatternSpec]:
 #
 # Every PatternSpec derives its own RE2 trigger from its pattern, so the
 # batch stage (ray_pipeline._fired_spans) can skip a spec for any row the
-# Arrow scan finds no trigger hit in. On any text, ASCII or not, each
-# trigger is a NECESSARY condition for its pattern by construction: every
-# node of the translation accepts at least what the sre node it comes
-# from accepts at the same position.
+# Arrow scan finds no trigger hit in (an anchored spec, see derive_anchor
+# below, uses its trigger on non-ASCII rows only). On any text, ASCII or
+# not, each trigger is a NECESSARY condition for its pattern by
+# construction: every node of the translation accepts at least what the
+# sre node it comes from accepts at the same position.
 # - Lookarounds, \B and the anchors ^ $ \A \Z are dropped, which can
 #   only widen what matches.
 # - Every one-character node (class, escape, '.', literal) is emitted as
@@ -846,3 +851,99 @@ def union_trigger(profile: str = "conformance") -> str:
         if not any(d != c and dci == ci and _contains(c, d) for dci, d in cores)
     ]
     return "|".join(_wrap(ci, "".join(c)) for ci, c in keep)
+
+
+# -------------------------------------------- derived anchors (detect)
+#
+# A spec's anchor is a set of literal words and an offset such that, on
+# ASCII text, every match starting at p holds one of the words at
+# p + offset, compared ASCII-case-insensitively. The batch stage
+# (ray_pipeline._fired_spans) finds every word of every anchored spec in
+# one multi-literal pass and tries the spec's regex only at those starts
+# (gates._walk), exactly as gates.cue_matches does for cue words.
+# - The walk runs over the top-level sequence of the parse tree. A
+#   zero-width node (lookaround, \b, ^, $) is skipped: dropping it can
+#   only widen what matches. Each fixed-width node adds its width to the
+#   offset; after the first variable-width node no anchor can start.
+# - A node is a candidate when it matches only a finite set of strings:
+#   a literal, a class of literals, or a branch or capturing group of
+#   those. A single string concatenates with the finite node after it,
+#   which undoes the parser's factoring of a common prefix out of a
+#   branch ("j(?:an|une)").
+# - The candidate whose shortest word is longest wins, if that word has
+#   at least 3 characters.
+# On ASCII text IGNORECASE folds a literal ASCII letter to its two cases
+# and nothing else (and a literal fold letter, gates.ASCII_FOLDS, to the
+# ASCII letter it folds to), and a case-sensitive literal matches a
+# subset of those, so a case-insensitive search for the folded words
+# finds a superset of the starts; match() rejects the rest. Non-ASCII
+# rows are left to the triggers: there a fold letter in the text matches
+# an ASCII literal under IGNORECASE, and the multi-literal pass reports
+# byte offsets.
+
+_ZERO_WIDTH = (_sre.ASSERT, _sre.ASSERT_NOT, _sre.AT)
+
+
+def _strings(seq) -> set[str] | None:
+    """The finite set of strings an sre sequence matches, or None."""
+    out = {""}
+    for op, av in seq:
+        if op in _ZERO_WIDTH:
+            continue
+        words = _node_strings(op, av)
+        if words is None or (len(out) > 1 and len(words) > 1):
+            return None
+        out = {a + b for a in out for b in words}
+    return out
+
+
+def _node_strings(op, av) -> set[str] | None:
+    if op is _sre.LITERAL:
+        return {chr(av)}
+    if op is _sre.IN and all(o is _sre.LITERAL for o, _ in av):
+        return {chr(a) for _, a in av}
+    if op is _sre.BRANCH:
+        alts = [_strings(alt) for alt in av[1]]
+        return None if None in alts else set().union(*alts)
+    if op is _sre.SUBPATTERN and not (av[1] or av[2]):
+        return _strings(av[3])
+    return None
+
+
+def derive_anchor(pattern: str, flags: int) -> tuple[frozenset[str], int] | None:
+    """(words, offset) such that every match of ``pattern`` on ASCII text
+    holds one of the words at ``offset`` from its start, compared
+    ASCII-case-insensitively (see the section comment above); None when
+    no word set of at least 3 characters exists. Under IGNORECASE the
+    words are folded as gates._cue_lower folds text: a literal İ ı ſ K
+    matches an ASCII letter there."""
+    tree = _sre_parse.parse(pattern, flags)
+    best, run, run_at, offset = None, None, 0, 0
+
+    def close():
+        nonlocal best
+        if run and min(map(len, run)) >= 3 and (
+                best is None or min(map(len, run)) > min(map(len, best[0]))):
+            best = (run, run_at)
+
+    for op, av in tree.data:
+        if op in _ZERO_WIDTH:
+            continue
+        words = _node_strings(op, av)
+        if words is not None and run is not None and len(run) == 1:
+            (head,) = run
+            run = {head + w for w in words}
+        else:
+            close()
+            run, run_at = (words, offset) if offset is not None else (None, 0)
+        lo, hi = _sre_parse.SubPattern(tree.state, [(op, av)]).getwidth()
+        offset = offset + lo if offset is not None and lo == hi else None
+        if run is None and offset is None:
+            break
+    close()
+    if best is None:
+        return None
+    words, at = best
+    if tree.state.flags & re.IGNORECASE:
+        words = {_cue_lower(w) for w in words}
+    return frozenset(words), at

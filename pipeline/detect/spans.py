@@ -7,6 +7,7 @@ Span semantics mirror the reference exactly: character offsets, half-open
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass
 
@@ -19,9 +20,6 @@ class Span:
 
     def as_dict(self) -> dict:
         return {"start": self.start, "end": self.end, "label": self.label}
-
-    def overlaps(self, other: "Span") -> bool:
-        return self.start < other.end and other.start < self.end
 
 
 # Detector resolution priority (SURVEY.md §7.5.1): higher-confidence /
@@ -47,13 +45,21 @@ def resolve_overlaps(cands: list[Span]) -> list[Span]:
     (longer first, class priority, earlier first); skip any overlapping an
     accepted span. Longest-first so a composite match (full street address,
     obfuscated email) beats the short numerics it contains. Returns spans
-    sorted by start."""
+    sorted by start.
+
+    Accepted spans never overlap, so in (start, end) order their ends are
+    sorted too: of the accepted spans starting before a candidate's end,
+    the last one has the largest end, and the candidate overlaps one of
+    them iff it overlaps that one. A bisect finds it."""
     ordered = sorted(
         cands, key=lambda s: (s.start - s.end, PRIORITY.get(s.label, 99), s.start)
     )
     accepted: list[Span] = []
+    bounds: list[tuple[int, int]] = []   # accepted (start, end), sorted
     for c in ordered:
-        if not any(c.overlaps(a) for a in accepted):
+        i = bisect.bisect_left(bounds, (c.end,))
+        if not (i and bounds[i - 1][1] > c.start):
+            bisect.insort(bounds, (c.start, c.end))
             accepted.append(c)
     accepted.sort()
     return accepted

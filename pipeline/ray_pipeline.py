@@ -20,6 +20,8 @@ with backpressure); the only wide ops live in pipeline.partition.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -114,17 +116,80 @@ def quality_task_stage(batch: pa.Table, *, column: str = "content",
                          with_heuristics=with_heuristics)(batch)
 
 
+@functools.lru_cache(maxsize=None)
+def _anchor_table(profile: str) -> tuple[list[str], list[int], np.ndarray]:
+    """(the lower-cased anchor words, each spec's index into the
+    profile's distinct anchors or -1, offsets[word, anchor]: the offset
+    at which the word anchors that anchor's specs, or -1)."""
+    from pipeline.detect.patterns import get_specs
+
+    specs = get_specs(profile)
+    anchors = list(dict.fromkeys(s.anchor for s in specs if s.anchor is not None))
+    words = sorted({w.lower() for ws, _ in anchors for w in ws})
+    word_id = {w: i for i, w in enumerate(words)}
+    offsets = np.full((len(words), len(anchors)), -1, dtype=np.int64)
+    for a, (ws, off) in enumerate(anchors):
+        offsets[[word_id[w.lower()] for w in ws], a] = off
+    of_spec = [anchors.index(s.anchor) if s.anchor is not None else -1 for s in specs]
+    return words, of_spec, offsets
+
+
+def _anchor_starts(texts, rows: np.ndarray, profile: str) -> dict[tuple[int, int], list[int]]:
+    """{(rows[i], anchor id): ascending candidate starts} for the ASCII
+    texts[i]. One ASCII-case-insensitive Aho-Corasick pass (polars
+    ``find_many``/``extract_many``, overlapping) finds every occurrence of
+    every anchor word; an occurrence at p of a word of an anchor with
+    offset o gives that anchor's specs the start p - o
+    (patterns.derive_anchor). The texts are ASCII, so polars' byte
+    offsets are character offsets."""
+    import polars as pl
+
+    words, _, offsets = _anchor_table(profile)
+    found = {"ascii_case_insensitive": True, "overlapping": True}
+    t = pl.col("t")
+    hits = (
+        pl.LazyFrame({"t": pl.from_arrow(texts)})
+        .select(pos=t.str.find_many(words, **found), word=t.str.extract_many(words, **found))
+        .with_row_index("row")
+        .explode("pos", "word", empty_as_null=False)
+        .select("row", "pos", word=pl.col("word").str.to_lowercase().cast(pl.Enum(words)).to_physical())
+        .collect()
+    )
+    row, pos, word = (hits[c].to_numpy().astype(np.int64) for c in ("row", "pos", "word"))
+    h, a = np.nonzero(offsets[word] >= 0)
+    start = pos[h] - offsets[word[h], a]
+    keep = start >= 0
+    # sorted, distinct (row, anchor, start) keys; starts fit in 32 bits
+    n = offsets.shape[1]
+    key = np.unique((rows[row[h[keep]]] * n + a[keep]) << 32 | start[keep])
+    group = key >> 32
+    cut = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+    starts = (key & 0xFFFFFFFF).tolist()
+    return {
+        divmod(g, n): starts[i:j]
+        for g, i, j in zip(group[cut].tolist(), cut, cut[1:] + [len(starts)])
+    }
+
+
 def _fired_spans(col, profile: str):
     """The one prescreen -> detect loop: yields (row index, text, spans)
-    for each row of ``col`` on which some spec's derived trigger fired.
+    for each row of ``col`` on which some spec may match.
 
-    Two Arrow RE2 stages (patterns.derive_trigger): one pass of the
-    union of every spec trigger over the batch, then one pass per spec
-    trigger over the rows the union fired on. Each fired row runs only
-    its fired specs, in get_specs order. On any text a trigger is a
-    NECESSARY condition for its spec, so the spans equal a full-spec
-    detect_spans run. Rows no stage fires on never materialize a Python
-    string."""
+    One Arrow RE2 pass of the union of every spec trigger
+    (patterns.union_trigger) picks the rows any spec can match. On those
+    rows each spec runs only where it can match:
+    - a spec with no anchor, on the rows its own trigger fires on (one
+      RE2 pass per trigger);
+    - an anchored spec, on ASCII rows, only at the starts the anchor pass
+      gives it (_anchor_starts, gates._walk);
+    - an anchored spec, on non-ASCII rows, on the rows its trigger fires
+      on: polars gives byte offsets, and the fold letters match ASCII
+      ones under IGNORECASE.
+    Each fired row runs its specs in get_specs order. On any text a
+    trigger is a NECESSARY condition for its spec, and on ASCII text a
+    match can start only at an anchor start, so the spans equal a
+    full-spec detect_spans run. Rows no stage fires on never
+    materialize a Python string."""
     import pyarrow.compute as pc
 
     from pipeline.detect.detector import detect_spans
@@ -142,15 +207,36 @@ def _fired_spans(col, profile: str):
     if not len(idx):
         return
     sub = col.take(pa.array(idx))
-    by_trigger: dict[str, np.ndarray] = {}
-    for s in specs:
-        if s.trigger not in by_trigger:
-            by_trigger[s.trigger] = matches(sub, s.trigger)
-    masks = np.stack([by_trigger[s.trigger] for s in specs], axis=1)
+    _, anchor_of, offsets = _anchor_table(profile)
+    is_ascii = pc.string_is_ascii(sub).to_numpy(zero_copy_only=False)
+    asc, wide = np.flatnonzero(is_ascii), np.flatnonzero(~is_ascii)
+    wide_sub = sub.take(pa.array(wide)) if len(wide) else None
+    masks = np.zeros((len(idx), len(specs)), dtype=bool)
+    by_trigger: dict[tuple[str, bool], np.ndarray] = {}
+    for k, s in enumerate(specs):
+        anchored = anchor_of[k] >= 0
+        if not anchored:
+            rows, arr = slice(None), sub
+        elif len(wide):
+            rows, arr = wide, wide_sub
+        else:
+            continue
+        if (s.trigger, anchored) not in by_trigger:
+            by_trigger[s.trigger, anchored] = matches(arr, s.trigger)
+        masks[rows, k] = by_trigger[s.trigger, anchored]
+    starts: dict[tuple[int, int], list[int]] = {}
+    if len(asc) and offsets.size:
+        starts = _anchor_starts(sub.take(pa.array(asc)), asc, profile)
+    if starts:
+        # has[j, a]: ASCII row j has starts for anchor a; the last column,
+        # which anchor_of's -1 (no anchor) picks, stays False
+        has = np.zeros((len(idx), offsets.shape[1] + 1), dtype=bool)
+        has[tuple(np.array(list(starts)).T)] = True
+        masks |= has[:, anchor_of]
     texts = sub.to_pylist()
     for j, i in enumerate(idx):
-        run = [specs[k] for k in np.flatnonzero(masks[j])]
-        yield int(i), texts[j], detect_spans(texts[j], profile, specs=run)
+        run = [(specs[k], starts.get((j, anchor_of[k]))) for k in np.flatnonzero(masks[j]).tolist()]
+        yield int(i), texts[j], detect_spans(texts[j], profile, runs=run)
 
 
 def scrub_stage(batch: pa.Table, *, column: str = "content", profile: str = "code") -> pa.Table:
