@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
 import random
 import struct
 
@@ -207,6 +208,17 @@ def segment_sums(vals, rel, dtype=None):
     if nz.any():
         out[nz] = np.add.reduceat(vals, rel[:-1][nz], dtype=out.dtype)
     return out
+
+
+def _cluster_cpus() -> int:
+    """The CPUs work is sized to (read blocks, scorer actor pool, join
+    partitions): the Ray cluster's, or before ray.init this host's, as a
+    lazy pipeline auto-initialises a local cluster when it executes."""
+    import ray as _ray
+
+    if not _ray.is_initialized():
+        return os.cpu_count() or 1
+    return max(1, int(_ray.cluster_resources().get("CPU", 1)))
 
 
 _BCAST_CACHE: dict = {}

@@ -22,7 +22,7 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Count, Sum
 
-from pipeline._util import _fetch_once
+from pipeline._util import _cluster_cpus, _fetch_once
 
 
 def _repo_partials(batch: pa.Table) -> pa.Table:
@@ -274,14 +274,8 @@ def hash_join(
     key sets exceed 2M by contract).  For joins whose key cardinality
     can be small, join inside a bucket_shuffle instead (its groupby
     never builds a partition that received no rows)."""
-    import ray as _ray
-
     if num_partitions is None:
-        try:
-            cpus = int(_ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            # not yet initialised (lazy pipelines auto-init at execution)
-            cpus = 8
+        cpus = _cluster_cpus()
         if n_rows_hint is not None:
             num_partitions = max(8, min(2 * cpus, n_rows_hint // 100_000))
         else:

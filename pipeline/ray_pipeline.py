@@ -27,7 +27,7 @@ import pyarrow as pa
 
 import ray.data
 
-from pipeline._util import _fetch_once, clean_batch, parquet_schema, sha256_hex
+from pipeline._util import _cluster_cpus, _fetch_once, clean_batch, parquet_schema, sha256_hex
 from pipeline.quality.decide import decide_batch
 from pipeline.quality.heuristics import heuristic_batch
 from pipeline.quality.langid import LangIdModel
@@ -37,14 +37,12 @@ DEFAULT_BATCH_SIZE = 1024  # moderate: wide `content` strings (SURVEY.md §4.2)
 
 
 def read_code_table(path: str | list[str], **kwargs) -> "ray.data.Dataset":
-    """read_parquet with a block count sized to the cluster (~2 blocks per
+    """read_parquet with a block count sized to the cluster (2 blocks per
     CPU): the default splitting follows the file count, which serializes
-    the pipeline head when files are few and large. [S9]"""
-    import ray as _ray
-
+    the pipeline head when files are few and large, and every read block
+    is one more Ray task on small clusters. [S9]"""
     if "override_num_blocks" not in kwargs:
-        n_cpus = int(_ray.cluster_resources().get("CPU", 8))
-        kwargs["override_num_blocks"] = max(16, 2 * n_cpus)
+        kwargs["override_num_blocks"] = 2 * _cluster_cpus()
     if "schema" not in kwargs and (schema := parquet_schema(path)) is not None:
         kwargs["schema"] = schema
     if "schema" in kwargs:
@@ -87,21 +85,32 @@ class QualityScorer:
 # Below this many input rows the flagship scores with PLAIN TASKS
 # instead of the actor pool: a half-cluster pool costs ~2-3 s to spin up
 # while total scoring compute is under a second, so at bench scale the
-# pool is pure overhead — and task stages let Ray fuse read->score->
-# scrub->decide->write into one pipeline with no object-store boundary.
+# pool is pure overhead — and task stages let Ray fuse score->scrub->
+# decide->write into one operator with no object-store boundary inside.
 # Above the threshold the actor pool amortizes and stays the default
 # (the 2M-row bench shape). [VERDICT r3 item 5]
 #
 # Mid-size band [VERDICT r4 item 4]: the cap was raised 200k -> 1M on
 # measurement — at 400k rows the task stage beats the fixed pool
-# 103-108k vs 78-96k files/s (no spin-up, full read->score->scrub->
-# decide->write fusion) and still matches it at 1M (108-127k vs
-# 98-117k) and 2M. An AUTOSCALING pool concurrency=(1, k) was tried
-# first and measured WORSE than both (48-52k files/s at 400k): Ray's
+# 103-108k vs 78-96k files/s (no spin-up) and still matches it at 1M
+# (108-127k vs 98-117k) and 2M. An AUTOSCALING pool concurrency=(1, k)
+# was tried first and measured WORSE than both (48-52k files/s at 400k): Ray's
 # actor-pool upscaler ramps on backlog and never reaches full width
 # within a few-second run. Above the cap the fixed pool keeps the
 # explicit-actor shape (heavy-model archetype; equal within noise at
 # 2M on this host).
+#
+# The read does NOT fuse (Ray 2.49): the task-stage plan is
+# TaskPoolMapOperator[ReadParquet] -> TaskPoolMapOperator[MapBatches(
+# quality_task_stage)->MapBatches(scrub_stage)->MapBatches(decide_stage)
+# ->...->Write], because operator_fusion refuses to fuse a map that sets
+# batch_size into a Read (Read.can_modify_num_rows()). Fusing it by
+# passing batch_size=None was measured and rejected: no faster on
+# code_flagship at 1 vCPU, and it loses the batcher's bundling of small
+# blocks, so the scrub's per-call fixed cost (RE2 compiles, the anchor
+# pass) is paid per block — partitioned_resume job_s 1.34/1.20 s ->
+# 1.57/1.38 s, pii_dense_scrub scrub time 292 -> 398 ms a job. The read
+# instead stays cheap by running 2 blocks per CPU (read_code_table).
 FLAGSHIP_TASK_POOL_MAX_ROWS = 1_000_000
 
 
@@ -357,7 +366,8 @@ def flagship_pipeline(
     ``n_rows_hint`` (e.g. parquet metadata row count) picks the scoring
     regime without a count() round: at or below
     FLAGSHIP_TASK_POOL_MAX_ROWS the fused scorer runs as plain tasks
-    (no actor-pool spin-up, full stage fusion); above it — or with no
+    (no actor-pool spin-up; the scoring, scrub and decide stages fuse
+    into one operator, the read stays its own); above it — or with no
     hint — the actor pool is used."""
     import ray as _ray
 
@@ -373,10 +383,7 @@ def flagship_pipeline(
             zero_copy_batch=True,
         )
     else:
-        try:
-            n_cpus = int(_ray.cluster_resources().get("CPU", 4))
-        except Exception:
-            n_cpus = 4
+        n_cpus = _cluster_cpus()
         # half the cluster (a 3n/8 variant was within noise at 32 CPUs
         # and measurably WORSE at 8: 34k -> 22k files/s), but never every
         # CPU: the task stages (read/scrub/decide/write) starve and the

@@ -183,6 +183,40 @@ def test_checkpoint_resume(code_fixture, tmp_path):
     assert json.loads((out2 / "_manifests" / "part-00000.json").read_text())["partition_id"] == 0
 
 
+def test_read_code_table_two_blocks_per_cpu(tmp_path):
+    """The read is sized to the cluster, 2 blocks per CPU with no floor:
+    16 input files come back as 8 blocks in the 4-CPU test session."""
+    import ray
+
+    from pipeline.ray_pipeline import read_code_table
+    from pipeline.synth.codegen import write_code_table
+
+    d = write_code_table(tmp_path / "code", 320, n_files=16)
+    assert ray.cluster_resources()["CPU"] == 4
+    assert read_code_table(d).materialize().num_blocks() == 8
+
+
+def test_flagship_output_independent_of_block_count(code_fixture):
+    """Scoring, scrub and decide see different batch splits when the read
+    makes 1 block or 2 per CPU; every output column must be the same."""
+    import pandas as pd
+
+    from pipeline.ray_pipeline import flagship_pipeline, read_code_table
+
+    key = ["repo", "path", "commit"]
+
+    def frame(**read_kwargs):
+        ds = read_code_table(code_fixture, **read_kwargs)
+        return (
+            flagship_pipeline(ds, n_rows_hint=1200).to_pandas()
+            .sort_values(key).reset_index(drop=True)
+        )
+
+    pd.testing.assert_frame_equal(
+        frame(), frame(override_num_blocks=1), check_exact=True,
+    )
+
+
 def test_repo_stats_groupby_variant_matches(scrubbed_ds, monkeypatch):
     from pipeline import partition
 
