@@ -580,10 +580,6 @@ def dup_groups_distributed(
         )
         return counts.sum("n")
 
-    import os as _os
-    import time as _time
-    _dbg = bool(_os.environ.get("GRAFT_CC_DEBUG"))
-
     converged = False
     if finish_local_max_edges:
         # ---- frontier measurement (one bucketed lookup chain): the
@@ -603,8 +599,6 @@ def dup_groups_distributed(
             _crossing, batch_format="pyarrow", zero_copy_batch=True,
         ))
         ncond = cond.count()
-        if _dbg:
-            print(f"[cc] frontier after init: {ncond} rows", flush=True)
         if ncond == 0:
             # lbl is constant along every edge => constant per component
             # => it is the component minimum (labels are component
@@ -653,15 +647,11 @@ def dup_groups_distributed(
                 "k", _relabel_group, n_buckets,
             )
             converged = True
-            if _dbg:
-                print("[cc] finished locally (one union-find task)",
-                      flush=True)
 
     chk = None if converged else _checksum(labels)
-    for _round in range(max_iter):
+    for _ in range(max_iter):
         if converged:
             break
-        _t0 = _time.time()
         # ONE bucketed lookup serves both message kinds: edge (src, dst)
         # proposes lbl(src) to dst (flooding), and each node proposes
         # itself lbl(lbl(node)) (pointer doubling).
@@ -693,9 +683,6 @@ def dup_groups_distributed(
             # confirm with the exact diff join (hash-sum collision guard)
             changed = bool(_exact_changed(new, labels))
         labels, chk = new, new_chk
-        if _dbg:
-            print(f"[cc] round {_round}: changed={changed} "
-                  f"{_time.time() - _t0:.2f}s", flush=True)
         if not changed:
             break
     else:

@@ -3,12 +3,13 @@ stats, joins (SURVEY.md O7/A6/§2.4/§2.7).
 
 Scale design:
 - The scrub path never shuffles; only these stats forks do.
-- Per-repo stats use a TWO-LEVEL aggregation: batch-local pandas groupby
-  emits partial rows keyed (repo, content_sha256) — the implicit salt: a
-  hot repo's rows spread over many (repo, sha) keys, so no single reducer
-  sees a whole hot repo — then groupby("repo") over the already-small
-  partials. This is the pre-aggregate-then-shuffle pattern the Ray guide
-  prescribes for skewed keys.
+- Per-repo stats use a TWO-LEVEL aggregation over one partial shape: a
+  batch-local Arrow group-by emits exact sums keyed (repo,
+  content_sha256) — the implicit salt: a hot repo's rows spread over
+  many (repo, sha) keys, so no single reducer sees a whole hot repo —
+  then those partials reduce to exact pairs and per repo (in one task,
+  or bucketed by sha and then by repo). A repo's dup-content count is
+  exact: its files minus its distinct pairs.
 - Exact dedup keys on content_sha256 (uniform by construction — hash
   partitioning cannot skew).
 """
@@ -23,181 +24,122 @@ import ray.data
 from ray.data.aggregate import Count, Sum
 
 from pipeline._util import _cluster_cpus, _fetch_once
+from pipeline.schema import REPO_STATS
+
+def _sum_by(t: pa.Table, keys: list[str], count: str | None = None) -> pa.Table:
+    """Per distinct ``keys`` value — null and "" are values like any
+    other, as in SQL GROUP BY — the sum of every other column of ``t``
+    and, given ``count``, the number of rows summed, under that name.
+    Keys come out as strings (an all-null pandas column arrives as Arrow
+    null)."""
+    import pyarrow.compute as pc
+
+    vals = [c for c in t.column_names if c not in keys]
+    t = pa.table([pc.cast(t[k], pa.string()) for k in keys] + [t[c] for c in vals],
+                 names=keys + vals)
+    aggs = [(c, "sum") for c in vals]
+    if count:
+        aggs.append((keys[0], "count", pc.CountOptions(mode="all")))
+    g = t.group_by(keys, use_threads=False).aggregate(aggs)
+    return pa.table([g[k] for k in keys] + [g[f"{a[0]}_{a[1]}"] for a in aggs],
+                    names=keys + vals + ([count] if count else []))
 
 
 def _repo_partials(batch: pa.Table) -> pa.Table:
-    """Batch-local combiner: per-repo sum rows PLUS one compact binary row
-    of ((repo,sha) key64, repo hash64) arrays for exact dup counting.
-    Accepts either the full scrub output (raw `content` present) or the
-    drop_raw_content projection (precomputed `n_bytes`)."""
+    """Batch-local combiner: n_files, n_bytes and n_kept per (repo,
+    content_sha256). Accepts either the full scrub output (raw `content`
+    present) or the drop_raw_content projection (precomputed `n_bytes`)."""
     import pyarrow.compute as pc
 
-    repo = batch["repo"].to_pandas()
-    sha = batch["content_sha256"].to_pylist()
     if "n_bytes" in batch.column_names:
-        n_bytes = batch["n_bytes"].to_pandas()
+        n_bytes = batch["n_bytes"]
     else:
-        n_bytes = pc.binary_length(
-            pc.cast(batch["content"], pa.binary())
-        ).to_pandas()
-    df = pd.DataFrame(
-        {
-            "repo": repo,
-            "n_bytes": n_bytes,
-            "kept": batch["keep"].to_pandas().astype("int64"),
-        }
-    )
-    sums = (
-        df.groupby("repo", sort=False)
-        .agg(n_files=("kept", "size"), n_bytes=("n_bytes", "sum"), n_kept=("kept", "sum"))
-        .reset_index()
-        .astype({"n_files": "int64", "n_bytes": "int64", "n_kept": "int64"})
-    )
-    # (repo, sha) -> 60-bit key; repo -> 60-bit hash (names recovered from
-    # the sums rows). Collision odds ~ n^2 / 2^60 — negligible, and a
-    # collision only perturbs a dup COUNT, never the scrub output.
-    repo_codes = pd.util.hash_array(repo.to_numpy(dtype=object)).astype(np.int64) & ((1 << 60) - 1)
-    sha_codes = np.fromiter(
-        (int(s[:15], 16) for s in sha), dtype=np.int64, count=len(sha)
-    )
-    key64 = (repo_codes * np.int64(1000003) + sha_codes) & ((1 << 60) - 1)
-    # from_pandas attaches pandas schema metadata whose dict values make
-    # the schema unhashable (defeats Ray's block-schema dedup) — strip it
-    sums_tbl = pa.Table.from_pandas(
-        sums, preserve_index=False
-    ).replace_schema_metadata(None)
-    sums_tbl = sums_tbl.append_column(
-        "key_blob", pa.array([None] * len(sums_tbl), pa.binary())
-    )
-    sums_tbl = sums_tbl.append_column(
-        "repo_blob", pa.array([None] * len(sums_tbl), pa.binary())
-    )
-    blob_row = pa.table(
-        {
-            "repo": [""],
-            "n_files": [0],
-            "n_bytes": [0],
-            "n_kept": [0],
-            "key_blob": [key64.tobytes()],
-            "repo_blob": [repo_codes.tobytes()],
-        },
-        schema=sums_tbl.schema,
-    )
-    return pa.concat_tables([sums_tbl, blob_row])
+        n_bytes = pc.binary_length(pc.cast(batch["content"], pa.binary()))
+    return _sum_by(pa.table({
+        "repo": batch["repo"],
+        "content_sha256": batch["content_sha256"],
+        "n_files": np.ones(len(batch), np.int64),
+        "n_bytes": pc.cast(n_bytes, pa.int64()),
+        "n_kept": pc.cast(batch["keep"], pa.int64()),
+    }), ["repo", "content_sha256"])
 
 
-# Above this combiner-output size the driver-side reduce (take_all of the
-# per-batch partial rows + key blobs) switches to the distributed groupby
-# form. The blob bytes are 8 B per INPUT row, so the threshold bounds what
-# the driver ever materializes (~64 MB -> ~8M input rows).
+def _per_repo(partials: pa.Table) -> pa.Table:
+    """Partials -> exact (repo, content_sha256) pairs -> per repo: the
+    sums plus ``n_pairs``, the repo's distinct contents."""
+    pairs = _sum_by(partials, ["repo", "content_sha256"])
+    pairs = pairs.drop_columns(["content_sha256"])
+    return _sum_by(pairs, ["repo"], count="n_pairs")
+
+
+@ray.remote
+def _stats_task(*blocks: pa.Table, fold: bool) -> pa.Table:
+    """The REPO_STATS table, sorted by repo with null last, from per-repo
+    rows — or, with ``fold``, from raw partials that _per_repo reduces
+    first. A task, so the driver never maps the partials."""
+    import pyarrow.compute as pc
+
+    t = pa.concat_tables(blocks)
+    t = (_per_repo(t) if fold else t).sort_by("repo")
+    return pa.table([
+        t["repo"], t["n_files"], t["n_bytes"], t["n_kept"],
+        pc.subtract(t["n_files"], t["n_pairs"]),
+        pc.divide(pc.cast(t["n_kept"], pa.float64()),
+                  pc.cast(t["n_files"], pa.float64())),
+    ], schema=REPO_STATS)
+
+
+# Above this many bytes of combiner partials the reduce leaves its single
+# task for two bucket shuffles. A partial row is one (repo, sha) pair of a
+# batch: 110 B measured on the 1200- and 16000-row code fixtures, where
+# nearly every row is its own pair, so the switch flips near 610k input
+# rows and the one reducing task never holds more than ~64 MB of partials.
 DRIVER_REDUCE_MAX_BYTES = 64 * 1024 * 1024
 
 
-def _explode_blob_rows(t: pa.Table) -> pa.Table:
-    """Blob rows -> one (key64, repo_code) row per input row, emitted
-    inside map_batches so the dup-count shuffle never touches the driver."""
-    ks = [np.frombuffer(b, np.int64) for b in t["key_blob"].to_pylist() if b is not None]
-    rs = [np.frombuffer(b, np.int64) for b in t["repo_blob"].to_pylist() if b is not None]
-    if not ks:
-        return pa.table({"k": pa.array([], pa.int64()),
-                         "repo_code": pa.array([], pa.int64())})
-    return pa.table({"k": pa.array(np.concatenate(ks)),
-                     "repo_code": pa.array(np.concatenate(rs))})
-
-
-def _distributed_dup_counts(partials_ds: "ray.data.Dataset") -> dict[int, int]:
-    """Scale path for per-repo dup-content counts: groupby(key64) count —
-    only the duplicate keys (small by premise) reach the driver."""
-    from ray.data.aggregate import Max
-
-    dups = (
-        partials_ds.map_batches(_explode_blob_rows, batch_format="pyarrow")
-        .groupby("k")
-        .aggregate(Count(alias_name="n"), Max("repo_code", alias_name="repo_code"))
-        .filter(expr="n > 1")
-        .to_pandas()
-    )
-    if dups.empty:  # empty to_pandas loses column names
-        return {}
-    out: dict[int, int] = {}
-    for rc, n in zip(dups["repo_code"], dups["n"]):
-        out[int(rc)] = out.get(int(rc), 0) + int(n) - 1
-    return out
-
-
 def repo_stats(scrubbed: "ray.data.Dataset") -> "ray.data.Dataset":
-    """A6: per-repo files/bytes/keep-rate/dup-content stats.
+    """A6: per-repo files/bytes/keep-rate/dup-content stats, one row per
+    distinct repo (null and "" included, as SQL GROUP BY), sorted by repo
+    with null last, typed as schema.REPO_STATS (empty input: no rows).
 
-    Two-level aggregation with an automatic size switch:
-    - below DRIVER_REDUCE_MAX_BYTES of combiner output (default at bench
-      scale), the <= n_repos-rows-per-batch partials and the compact
-      8 B/row key blobs are reduced on the driver — identical result,
-      skips a shuffle whose ~5 s fixed cost dominates locally;
-    - above it, sums go through a Ray groupby(repo) aggregate and dup
-      counts through a distributed groupby(key64) (see
-      _distributed_dup_counts) — nothing proportional to the corpus ever
-      lands on the driver.
-    The threshold is read at call time (tests patch it to force a path).
+    Two-level aggregation with an automatic size switch over the same
+    per-batch (repo, content_sha256) partials:
+    - up to DRIVER_REDUCE_MAX_BYTES of them (bench scale) one task
+      reduces them all with _per_repo — skips a shuffle whose fixed cost
+      dominates locally;
+    - above it, a bucket_shuffle on content_sha256 runs _per_repo per
+      bucket (a pair never spans buckets, and a hot repo's shas spread
+      over all of them), then a bucket_shuffle on repo sums the at most
+      n_buckets rows each repo left, and the task only sorts and finishes
+      them.
+    No partial reaches the driver. The threshold is read at call time
+    (tests patch it to force a path).
     """
     partials_ds = scrubbed.map_batches(
         _repo_partials, batch_format="pyarrow", batch_size=8192,
         zero_copy_batch=True,
     ).materialize()
-    if (partials_ds.size_bytes() or 0) > DRIVER_REDUCE_MAX_BYTES:
-        import pyarrow.compute as pc
+    n_partials = partials_ds.count()
+    if n_partials == 0:  # no row reached the combiner
+        return ray.data.from_arrow(REPO_STATS.empty_table())
+    if (partials_ds.size_bytes() or 0) <= DRIVER_REDUCE_MAX_BYTES:
+        return ray.data.from_arrow_refs(
+            _stats_task.remote(*partials_ds.to_arrow_refs(), fold=True))
 
-        final = (
-            partials_ds.map_batches(
-                lambda t: t.drop_columns(["key_blob", "repo_blob"]).filter(
-                    pc.not_equal(t["repo"], "")
-                ),
-                batch_format="pyarrow",
-            )
-            .groupby("repo")
-            .aggregate(
-                Sum("n_files", alias_name="n_files"),
-                Sum("n_bytes", alias_name="n_bytes"),
-                Sum("n_kept", alias_name="n_kept"),
-            )
-            .to_pandas()
-            .sort_values("repo")
-            .reset_index(drop=True)
-        )
-        dup_by_repocode = _distributed_dup_counts(partials_ds)
-    else:
-        rows = partials_ds.take_all()
-        sums = pd.DataFrame(
-            [
-                {k: r[k] for k in ("repo", "n_files", "n_bytes", "n_kept")}
-                for r in rows
-                if r["repo"] != ""
-            ]
-        )
-        final = (
-            sums.groupby("repo", sort=True)
-            .agg(n_files=("n_files", "sum"), n_bytes=("n_bytes", "sum"), n_kept=("n_kept", "sum"))
-            .reset_index()
-        )
-        blob_rows = [r for r in rows if r["repo"] == ""]
-        keys = np.concatenate(
-            [np.frombuffer(r["key_blob"], dtype=np.int64) for r in blob_rows]
-        ) if blob_rows else np.empty(0, dtype=np.int64)
-        repos = np.concatenate(
-            [np.frombuffer(r["repo_blob"], dtype=np.int64) for r in blob_rows]
-        ) if blob_rows else np.empty(0, dtype=np.int64)
-        uniq, first_idx, counts = np.unique(keys, return_index=True, return_counts=True)
-        dup_mask = counts > 1
-        dup_by_repocode = {}
-        for idx, c in zip(first_idx[dup_mask], counts[dup_mask]):
-            rc = int(repos[idx])
-            dup_by_repocode[rc] = dup_by_repocode.get(rc, 0) + int(c - 1)
+    def arrow(g: pd.DataFrame) -> pa.Table:
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    codes = pd.util.hash_array(
-        final["repo"].to_numpy(dtype=object)
-    ).astype(np.int64) & ((1 << 60) - 1)
-    final["n_dup_content"] = [dup_by_repocode.get(int(c), 0) for c in codes]
-    final["keep_rate"] = final["n_kept"] / final["n_files"].clip(lower=1)
-    return ray.data.from_pandas(final)
+    n_buckets = bucket_count(n_partials)
+    per_bucket = bucket_shuffle(
+        [partials_ds], "content_sha256", lambda g: _per_repo(arrow(g)),
+        n_buckets,
+    )
+    per_repo = bucket_shuffle(
+        [per_bucket], "repo", lambda g: _sum_by(arrow(g), ["repo"]),
+        n_buckets,
+    )
+    return ray.data.from_arrow_refs(
+        _stats_task.remote(*per_repo.to_arrow_refs(), fold=False))
 
 
 def salted_group_counts(

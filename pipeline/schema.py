@@ -70,10 +70,3 @@ REPO_STATS = pa.schema(
         ("keep_rate", pa.float64()),
     ]
 )
-
-
-def validate(table: pa.Table, schema: pa.Schema, where: str = "") -> pa.Table:
-    missing = set(schema.names) - set(table.column_names)
-    if missing:
-        raise ValueError(f"{where}: missing columns {sorted(missing)}")
-    return table

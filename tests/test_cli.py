@@ -74,6 +74,21 @@ def test_cli_run_resume_stats_metrics(cli_dirs):
     assert report["token_accuracy"] > 0.9
 
 
+def test_cli_stats_zero_rows(tmp_path):
+    """`run` leaves a scrubbed dir whose parquet has zero rows when every
+    row is dropped; `stats` over it reports no repos instead of failing."""
+    import pyarrow.parquet as pq
+
+    from pipeline.schema import SCRUB_OUT
+
+    scrubbed = tmp_path / "scrubbed"
+    scrubbed.mkdir()
+    pq.write_table(SCRUB_OUT.empty_table(), scrubbed / "part-0.parquet")
+    stats = _cli("stats", "--scrubbed", str(scrubbed),
+                 "--output", str(tmp_path / "stats"))
+    assert stats == {"repos": 0}
+
+
 def test_cli_standalone_without_ray_address(cli_dirs):
     """With RAY_ADDRESS unset and no cluster running, the CLI must fall
     back to a private local Ray instance (address='auto' alone raises

@@ -98,6 +98,49 @@ def test_repo_stats_dup_counts_planted(monkeypatch):
     assert b["n_dup_content"].tolist() == [2, 0, 3]
 
 
+@pytest.mark.parametrize("max_bytes", [None, -1], ids=["one_task", "bucketed"])
+def test_repo_stats_edge_repos_both_regimes(monkeypatch, max_bytes):
+    """SQL GROUP BY semantics in both reduce regimes: the repo "" and the
+    null repo (each with an in-repo duplicate) get their own exact rows,
+    sorted with null last, and a sha shared ACROSS repos is no duplicate;
+    zero input rows give an empty dataset typed as schema.REPO_STATS."""
+    import hashlib
+
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pipeline import partition
+    from pipeline.schema import REPO_STATS
+
+    if max_bytes is not None:
+        monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", max_bytes)
+    sha = {i: hashlib.sha256(str(i).encode()).hexdigest() for i in range(4)}
+    rows = pa.table({
+        "repo": ["", "a", None, "", None, "a", ""],
+        "content_sha256": [sha[i] for i in (0, 0, 1, 0, 1, 2, 3)],
+        "keep": [True, False, True, False, True, True, True],
+        "n_bytes": [10, 20, 30, 40, 50, 60, 70],
+    })
+    # three blocks, so null keys also cross a multi-block shuffle
+    ds = rd.from_arrow([rows.slice(0, 3), rows.slice(3, 2), rows.slice(5)])
+    got = partition.repo_stats(ds).to_pandas()
+    exp = pd.DataFrame({
+        "repo": ["", "a", None],
+        "n_files": [3, 2, 2],
+        "n_bytes": [120, 80, 80],
+        "n_kept": [2, 1, 2],
+        "n_dup_content": [1, 0, 1],
+        "keep_rate": [2 / 3, 0.5, 1.0],
+    })
+    pd.testing.assert_frame_equal(got, exp)
+
+    empty = partition.repo_stats(rd.from_arrow(rows.slice(0, 0)))
+    assert empty.count() == 0
+    assert empty.schema().names == REPO_STATS.names
+    assert empty.schema().types == REPO_STATS.types
+
+
 def test_exact_dedup_join_path_matches(scrubbed_ds, monkeypatch):
     """EXACT_DEDUP_BROADCAST_MAX=0 forces the hash semi-join back-path;
     identical kept rows as the broadcast filter — for exact_dedup and for
