@@ -63,9 +63,20 @@ def cmd_stats(args) -> None:
 
     from pipeline.partition import repo_stats
 
-    stats = repo_stats(rd.read_parquet(args.scrubbed))
-    stats.write_parquet(args.output)
-    print(json.dumps({"repos": stats.count()}))
+    stats = repo_stats(rd.read_parquet(args.scrubbed)).materialize()
+    n_repos = stats.count()
+    if n_repos:
+        stats.write_parquet(args.output)
+    else:
+        # Ray writes no file for a zero-row dataset; leave one typed empty
+        # file so --output reads back as an empty REPO_STATS table
+        import pyarrow.parquet as pq
+
+        from pipeline.schema import REPO_STATS
+
+        Path(args.output).mkdir(parents=True, exist_ok=True)
+        pq.write_table(REPO_STATS.empty_table(), Path(args.output) / "part-00000.parquet")
+    print(json.dumps({"repos": n_repos}))
 
 
 def cmd_metrics(args) -> None:

@@ -9,6 +9,8 @@ path is pure C-regex scanning (SURVEY.md §7.4: stateless map_batches stage).
 
 from __future__ import annotations
 
+import functools
+
 from pipeline.detect.gates import _walk
 from pipeline.detect.patterns import get_specs
 from pipeline.detect.spans import Span, resolve_overlaps
@@ -27,20 +29,20 @@ def detect_spans(text: str, profile: str = "conformance", runs=None) -> list[Spa
     The output equals a full run: on any text each trigger is a
     necessary condition for its spec (patterns.derive_trigger), and on
     ASCII text a match starts only where its anchor allows
-    (patterns.derive_anchor)."""
+    (patterns.derive_anchor).
+
+    Each match's gate is not called here: the candidate carries it as a
+    pending label, and resolve_overlaps calls it only if no strictly
+    longer accepted span covers the candidate (the gate's label could
+    not win there). Empty matches are dropped before any gate."""
     if runs is None:
         runs = [(spec, None) for spec in get_specs(profile)]
-    cands: list[Span] = []
+    cands: list[tuple] = []
     for spec, starts in runs:
         found = spec.compiled.finditer(text) if starts is None else _walk(spec.compiled, text, starts)
+        gate, label, group = spec.gate, spec.label, spec.group
         for m in found:
-            if spec.gate is not None:
-                label = spec.gate(text, m)
-                if label is None:
-                    continue
-            else:
-                label = spec.label
-            s, e = m.span(spec.group)
+            s, e = m.span(group)
             if s < e:
-                cands.append(Span(s, e, label))
+                cands.append((s, e, label if gate is None else functools.partial(gate, text, m)))
     return resolve_overlaps(cands)

@@ -8,6 +8,8 @@ Span semantics mirror the reference exactly: character offsets, half-open
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -20,6 +22,9 @@ class Span:
 
     def as_dict(self) -> dict:
         return {"start": self.start, "end": self.end, "label": self.label}
+
+    def __iter__(self):
+        return iter((self.start, self.end, self.label))
 
 
 # Detector resolution priority (SURVEY.md §7.5.1): higher-confidence /
@@ -40,29 +45,59 @@ PRIORITY: dict[str, int] = {
 }
 
 
-def resolve_overlaps(cands: list[Span]) -> list[Span]:
+def resolve_overlaps(cands: list[tuple] | list[Span]) -> list[Span]:
     """Deterministic non-overlap resolution: accept candidates in order of
     (longer first, class priority, earlier first); skip any overlapping an
     accepted span. Longest-first so a composite match (full street address,
     obfuscated email) beats the short numerics it contains. Returns spans
     sorted by start.
 
+    Each candidate is a (start, end, label) triple (a Span unpacks as
+    one) whose label may be a pending gate: a callable with no arguments
+    that returns the label, or None for no span. Gates run lazily, one
+    length tier at a time, longest first: a candidate that overlaps a
+    span accepted in an earlier tier is dropped before its gate runs,
+    since that span is strictly longer and wins whatever the gate would
+    return. The tier's other gates then run, the labelled survivors are
+    sorted by (priority, start), stably, and accepted greedily. Gates are
+    pure functions of the text and their match, so skipping one changes
+    no span, and on labelled candidates this is exactly the
+    (start - end, priority, start) order.
+
     Accepted spans never overlap, so in (start, end) order their ends are
     sorted too: of the accepted spans starting before a candidate's end,
     the last one has the largest end, and the candidate overlaps one of
     them iff it overlaps that one. A bisect finds it."""
-    ordered = sorted(
-        cands, key=lambda s: (s.start - s.end, PRIORITY.get(s.label, 99), s.start)
-    )
-    accepted: list[Span] = []
+    accepted: list[tuple[int, int, str]] = []
     bounds: list[tuple[int, int]] = []   # accepted (start, end), sorted
-    for c in ordered:
-        i = bisect.bisect_left(bounds, (c.end,))
-        if not (i and bounds[i - 1][1] > c.start):
-            bisect.insort(bounds, (c.start, c.end))
-            accepted.append(c)
+
+    def covered(s: int, e: int) -> bool:
+        i = bisect.bisect_left(bounds, (e,))
+        return bool(i) and bounds[i - 1][1] > s
+
+    ordered = sorted(cands, key=_neg_len)
+    for _, tier in itertools.groupby(ordered, key=_neg_len):
+        live = []
+        for s, e, label in tier:
+            if covered(s, e):
+                continue
+            if callable(label):
+                label = label()
+                if label is None:
+                    continue
+            live.append((PRIORITY.get(label, 99), s, e, label))
+        live.sort(key=operator.itemgetter(0, 1))
+        for _, s, e, label in live:
+            if not covered(s, e):
+                bisect.insort(bounds, (s, e))
+                accepted.append((s, e, label))
     accepted.sort()
-    return accepted
+    return [Span(s, e, label) for s, e, label in accepted]
+
+
+def _neg_len(c: tuple | Span) -> int:
+    s, e, _ = c
+    return s - e
 
 
 _WORD_RE = re.compile(r"\S+")

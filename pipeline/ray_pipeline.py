@@ -368,7 +368,9 @@ def flagship_pipeline(
     FLAGSHIP_TASK_POOL_MAX_ROWS the fused scorer runs as plain tasks
     (no actor-pool spin-up; the scoring, scrub and decide stages fuse
     into one operator, the read stays its own); above it — or with no
-    hint — the actor pool is used."""
+    hint — the actor pool is used. A cluster with fewer than 2 CPUs
+    always takes the task regime: the pool leaves n_cpus - 1 CPUs to the
+    read and scrub tasks, and its one actor would hold the only CPU."""
     import ray as _ray
 
     scorer_kwargs = {
@@ -376,7 +378,8 @@ def flagship_pipeline(
         "ppl_ref": _ray.put(PerplexityModel.default()),
         "with_heuristics": True,
     }
-    if n_rows_hint is not None and n_rows_hint <= FLAGSHIP_TASK_POOL_MAX_ROWS:
+    small = n_rows_hint is not None and n_rows_hint <= FLAGSHIP_TASK_POOL_MAX_ROWS
+    if small or _cluster_cpus() < 2:
         ds = ds.map_batches(
             quality_task_stage, batch_format="pyarrow",
             batch_size=batch_size, fn_kwargs=scorer_kwargs,
@@ -387,8 +390,8 @@ def flagship_pipeline(
         # half the cluster (a 3n/8 variant was within noise at 32 CPUs
         # and measurably WORSE at 8: 34k -> 22k files/s), but never every
         # CPU: the task stages (read/scrub/decide/write) starve and the
-        # streaming executor deadlocks on tiny clusters
-        pool_size = max(1, min(2 * max(1, n_cpus // 4), n_cpus - 1))
+        # streaming executor deadlocks (hence the task regime below 2 CPUs)
+        pool_size = min(2 * max(1, n_cpus // 4), n_cpus - 1)
         # heuristics run INSIDE the scorer actors (with_heuristics=True):
         # one actor-pool boundary for heuristics+langid+ppl
         ds = ds.map_batches(

@@ -89,6 +89,22 @@ def test_cli_stats_zero_rows(tmp_path):
     assert stats == {"repos": 0}
 
 
+def test_cli_stats_zero_rows_writes_typed_empty_output(tmp_path):
+    """With no repos, `stats` still writes --output: one Parquet file that
+    reads back as an empty table with the REPO_STATS schema."""
+    import pyarrow.parquet as pq
+
+    from pipeline.schema import REPO_STATS, SCRUB_OUT
+
+    scrubbed = tmp_path / "scrubbed"
+    scrubbed.mkdir()
+    pq.write_table(SCRUB_OUT.empty_table(), scrubbed / "part-0.parquet")
+    _cli("stats", "--scrubbed", str(scrubbed), "--output", str(tmp_path / "stats"))
+    got = pq.read_table(tmp_path / "stats")
+    assert got.num_rows == 0
+    assert got.schema.equals(REPO_STATS)
+
+
 def test_cli_standalone_without_ray_address(cli_dirs):
     """With RAY_ADDRESS unset and no cluster running, the CLI must fall
     back to a private local Ray instance (address='auto' alone raises

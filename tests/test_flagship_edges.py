@@ -97,3 +97,55 @@ def test_flagship_task_pool_matches_actor_pool(ray_session, edge_frame):
         n_rows_hint=len(edge_frame),
     ).to_pandas().sort_values("path").reset_index(drop=True)
     pd.testing.assert_frame_equal(task, actor)
+
+
+_ONE_CPU_SCRIPT = """
+import sys
+
+import pandas as pd
+import ray
+import ray.data as rd
+from ray.data import DataContext
+
+from pipeline.ray_pipeline import flagship_pipeline
+from pipeline.synth.codegen import write_code_table
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+d = write_code_table(sys.argv[1], 120, n_files=3)
+key = ["repo", "path", "commit"]
+no_hint = flagship_pipeline(rd.read_parquet(d)).to_pandas()
+hinted = flagship_pipeline(rd.read_parquet(d), n_rows_hint=120).to_pandas()
+pd.testing.assert_frame_equal(
+    no_hint.sort_values(key).reset_index(drop=True),
+    hinted.sort_values(key).reset_index(drop=True), check_exact=True,
+)
+ray.shutdown()
+print("rows", len(no_hint))
+"""
+
+
+def test_flagship_without_hint_finishes_on_one_cpu(tmp_path):
+    """On a 1-CPU cluster the flagship takes the task regime even with no
+    n_rows_hint: a one-actor scorer pool would hold the only CPU and the
+    read and scrub tasks would never run. Fresh process, own Ray session."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_SCRIPT, str(tmp_path / "code")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=repo,
+        env=dict(os.environ, PYTHONPATH=str(repo)), start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)   # the script and the Ray processes it started
+        proc.communicate()
+        pytest.fail("flagship_pipeline made no progress in 120 s at num_cpus=1")
+    assert proc.returncode == 0, stderr[-2000:]
+    assert stdout.strip().splitlines()[-1] == "rows 120"

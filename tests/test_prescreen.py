@@ -5,8 +5,9 @@ anchored batch path (one Aho-Corasick pass, then each anchored spec
 tried only at its anchor starts) yields exactly the full detect_spans
 scan, the positional cue walk finds exactly the matches a full finditer
 scan finds, the bisect overlap resolution accepts exactly what the
-quadratic loop accepted, and the fresh-token numeric patterns match
-exactly what the lookbehind-first form matched."""
+quadratic loop accepted (running a gate only for a candidate no strictly
+longer accepted span covers), and the fresh-token numeric patterns
+match exactly what the lookbehind-first form matched."""
 
 from __future__ import annotations
 
@@ -435,6 +436,75 @@ def test_resolve_overlaps_matches_quadratic_loop(raw):
     spans in the same order."""
     cands = [Span(s, s + n, label) for s, n, label in raw]
     assert resolve_overlaps(cands) == _resolve_reference(cands)
+
+
+def _counted(calls: list[int], k: int, label: str | None):
+    def gate() -> str | None:
+        calls[k] += 1
+        return label
+    return gate
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 12), st.sampled_from(sorted(PRIORITY) + ["OTHER"]),
+              st.sampled_from(("fixed", "gate", "gate_none"))),
+    max_size=30,
+))
+@settings(max_examples=400, deadline=None)
+@example([(0, 8, "ADDRESS", "fixed"), (2, 3, "PHONE", "gate"), (9, 3, "DATE", "gate_none"),
+          (9, 3, "AGE", "gate"), (3, 0, "SSN", "gate"), (12, 0, "AGE", "gate")])
+def test_resolve_overlaps_lazy_gates_match_eager_reference(raw):
+    """Candidates whose labels are pending gates (callables returning a
+    label or None): the lazy resolution returns what the eager reference
+    returns (call every gate, drop the Nones, run the quadratic loop),
+    and a gate is called exactly once when its candidate overlaps no
+    strictly longer accepted span, and never otherwise."""
+    calls = [0] * len(raw)
+    cands, eager = [], []
+    for k, (s, n, label, kind) in enumerate(raw):
+        out = None if kind == "gate_none" else label
+        cands.append((s, s + n, label if kind == "fixed" else _counted(calls, k, out)))
+        if out is not None:
+            eager.append(Span(s, s + n, out))
+    got = resolve_overlaps(cands)
+    assert got == _resolve_reference(eager)
+    for k, (s, n, _, kind) in enumerate(raw):
+        dominated = any(a.end - a.start > n and s < a.end and a.start < s + n for a in got)
+        assert calls[k] == (0 if kind == "fixed" or dominated else 1), (raw[k], got)
+
+
+def test_detect_spans_lazy_gates_on_corpus_rows(monkeypatch):
+    """On 1200 seed-1 conformance rows, detect_spans equals the eager
+    per-row reference (every gate called on every match, then the
+    quadratic loop) and calls at most half as many gates."""
+    texts = [make_conformance_row(i, seed=1)["text"] for i in range(1200)]
+    calls = [0]
+
+    def counting(gate):
+        def wrapped(text, m):
+            calls[0] += 1
+            return gate(text, m)
+        return wrapped
+
+    specs = get_specs("conformance")
+    for spec in specs:
+        if spec.gate is not None:
+            monkeypatch.setattr(spec, "gate", counting(spec.gate))
+
+    def eager(text: str) -> list[Span]:
+        cands = []
+        for spec in specs:
+            for m in spec.compiled.finditer(text):
+                label = spec.label if spec.gate is None else spec.gate(text, m)
+                s, e = m.span(spec.group)
+                if label is not None and s < e:
+                    cands.append(Span(s, e, label))
+        return _resolve_reference(cands)
+
+    want = [eager(t) for t in texts]
+    n_eager, calls[0] = calls[0], 0
+    assert [detect_spans(t) for t in texts] == want
+    assert 0 < 2 * calls[0] <= n_eager, (calls[0], n_eager)
 
 
 def test_polars_not_loaded_by_import_or_spec_build():
