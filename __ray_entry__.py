@@ -967,7 +967,6 @@ def _orders_topn_per_cust(sf_dir: str) -> pd.DataFrame:
         ds, key="o_custkey",
         order_by=["o_totalprice", "o_orderkey"], ascending=[False, True],
         n=3, rank_col="rnk",
-        n_rows_hint=parquet_rows(f),
     )
     df = out.to_pandas()
     df["o_totalprice"] = _round_ha(df["o_totalprice"], 2)
@@ -1282,13 +1281,9 @@ def _doc_mode_lang_by_source(sf_dir: str) -> pd.DataFrame:
         .groupby(["source", "lang"])
         .aggregate(Sum("count_all", alias_name="n_docs"))
     )
-    # honest upper bound on the aggregate's rows (distinct (source,
-    # lang) <= n_docs): picks driver finalize here, the distributed
-    # map_groups path beyond TOPN_DRIVER_MAX_ROWS inputs
     top = topn_per_key(
         counts, key="source", order_by=["n_docs", "lang"],
         ascending=[False, True], n=1,
-        n_rows_hint=parquet_rows(f"{sf_dir}/documents.parquet"),
     )
     df = top.to_pandas()[["source", "lang", "n_docs"]]
     df["n_docs"] = df["n_docs"].astype("int64")
@@ -1887,7 +1882,6 @@ def _docs_cap_per_source(sf_dir: str) -> pd.DataFrame:
     ds = _read(path, columns=["doc_id", "source"])
     out = topn_per_key(
         ds, key="source", order_by=["doc_id"], ascending=[True], n=25,
-        n_rows_hint=parquet_rows(path),
     ).to_pandas()
     return (
         out[["doc_id", "source"]]

@@ -42,24 +42,6 @@ def ensure_fixture() -> None:
     marker.write_text("ok")
 
 
-def _stage_summary(stats_str: str, n_rows: int) -> list[dict]:
-    """Parse ds.stats() into per-stage {name, wall_sec, files_per_sec}."""
-    import re
-
-    out = []
-    for m in re.finditer(
-        r"Operator \d+ (?P<name>.+?): .*?executed, \d+ blocks produced in (?P<sec>[\d.]+)s",
-        stats_str,
-    ):
-        sec = float(m.group("sec"))
-        out.append({
-            "stage": m.group("name")[:80],
-            "wall_sec": sec,
-            "files_per_sec": round(n_rows / sec, 1) if sec > 0 else None,
-        })
-    return out
-
-
 def run_headline() -> dict:
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -106,7 +88,6 @@ def run_headline() -> dict:
         _keep_with_nbytes, batch_format="pyarrow", zero_copy_batch=True,
     )
     kept.write_parquet(str(out_dir))
-    t_write = time.monotonic() - t0
     stats_df = repo_stats(rd.read_parquet(
         str(out_dir),
         columns=["repo", "content_sha256", "keep", "n_bytes"],
@@ -114,18 +95,11 @@ def run_headline() -> dict:
     wall = time.monotonic() - t0
 
     n_bytes = sum(f.stat().st_size for f in FIXTURE_DIR.glob("*.parquet"))
-    stages = _stage_summary(kept.stats(), BENCH_ROWS)
-    stages.append({
-        "stage": "repo_stats (groupby fork)",
-        "wall_sec": round(wall - t_write, 3),
-        "files_per_sec": round(BENCH_ROWS / max(wall - t_write, 1e-9), 1),
-    })
     return {
         "headline_sec": wall,
         "files_per_sec": BENCH_ROWS / wall,
         "mb_per_sec": n_bytes / 1e6 / wall,
         "n_repos": int(len(stats_df)),
-        "stages": stages,
     }
 
 
@@ -211,7 +185,6 @@ def main() -> None:
         "bench_rows": BENCH_ROWS,
         "files_per_sec": round(headline["files_per_sec"], 1),
         "mb_per_sec": round(headline["mb_per_sec"], 2),
-        "stages": headline["stages"],
         **host,
     }))
 

@@ -1,15 +1,18 @@
-"""Wide operations: per-repo stats with salted pre-aggregation, exact-dup
-stats, joins (SURVEY.md O7/A6/§2.4/§2.7).
+"""Wide operations: keyed reduces (per-repo stats, counts, keep-first,
+top-n, distinct keys), exact dedup, joins (SURVEY.md O7/A6/§2.4/§2.7).
 
 Scale design:
 - The scrub path never shuffles; only these stats forks do.
-- Per-repo stats use a TWO-LEVEL aggregation over one partial shape: a
-  batch-local Arrow group-by emits exact sums keyed (repo,
-  content_sha256) — the implicit salt: a hot repo's rows spread over
-  many (repo, sha) keys, so no single reducer sees a whole hot repo —
-  then those partials reduce to exact pairs and per repo (in one task,
-  or bucketed by sha and then by repo). A repo's dup-content count is
-  exact: its files minus its distinct pairs.
+- Every keyed reduce is a per-batch Arrow combiner feeding ONE helper,
+  _keyed_reduce, with one size switch: up to DRIVER_REDUCE_MAX_BYTES of
+  measured combiner partials one task folds them all; above it each
+  fold runs per bucket of its key through bucket_shuffle. The combiner
+  is the salt: a hot key leaves each batch as at most one row, so no
+  reducer sees a hot key's rows, only its per-batch partials.
+- Per-repo stats combine to exact sums keyed (repo, content_sha256) and
+  fold to exact pairs, then per repo (bucketed: by sha, then by repo).
+  A repo's dup-content count is exact: its files minus its distinct
+  pairs.
 - Exact dedup keys on content_sha256 (uniform by construction — hash
   partitioning cannot skew).
 """
@@ -21,7 +24,6 @@ import pandas as pd
 import pyarrow as pa
 
 import ray.data
-from ray.data.aggregate import Count, Sum
 
 from pipeline._util import _cluster_cpus, _fetch_once
 from pipeline.schema import REPO_STATS
@@ -43,6 +45,64 @@ def _sum_by(t: pa.Table, keys: list[str], count: str | None = None) -> pa.Table:
     g = t.group_by(keys, use_threads=False).aggregate(aggs)
     return pa.table([g[k] for k in keys] + [g[f"{a[0]}_{a[1]}"] for a in aggs],
                     names=keys + vals + ([count] if count else []))
+
+
+# Above this many bytes of combiner partials a keyed reduce leaves its
+# single task for bucket shuffles. A repo_stats partial row is one (repo,
+# sha) pair of a batch: 110 B measured on the 1200- and 16000-row code
+# fixtures, where nearly every row is its own pair, so there the switch
+# flips near 610k input rows and the one reducing task never holds more
+# than ~64 MB of partials.
+DRIVER_REDUCE_MAX_BYTES = 64 * 1024 * 1024
+
+
+@ray.remote
+def _reduce_task(*blocks: pa.Table, fold, finish) -> pa.Table:
+    """``fold`` (if given), then ``finish`` (if given), over the blocks
+    concatenated (a block whose column holds only nulls may be typed
+    null). A task, so the driver never maps the partials."""
+    t = pa.concat_tables(blocks, promote_options="default")
+    t = fold(t) if fold else t
+    return finish(t) if finish else t
+
+
+def _keyed_reduce(
+    ds: "ray.data.Dataset", combine, stages: list, finish=None,
+) -> "ray.data.Dataset | None":
+    """The one keyed reduce. ``combine`` maps each batch to partial rows
+    (Arrow in, Arrow out); the partials are materialized (None if there
+    are none). ``stages`` lists (key, fold): a fold is exact on any rows
+    that hold all of its keys' rows. On the measured partial bytes:
+    - up to DRIVER_REDUCE_MAX_BYTES, one task runs the first fold over
+      all partials (every key is whole there, so later stages, which
+      re-fold what earlier buckets left split, have nothing to do);
+    - above it, each stage is a bucket_shuffle on its key that runs the
+      fold per bucket, on the frame typed back as the stage's input (an
+      all-null bucket would infer Arrow null, ints with nulls float64).
+    ``finish``, if given, then runs in one task; otherwise the bucketed
+    output stays distributed. Null and "" are keys like any other. The
+    threshold is read at call time (tests patch it to force a regime)."""
+    partials = ds.map_batches(
+        combine, batch_format="pyarrow", batch_size=8192,
+        zero_copy_batch=True,
+    ).materialize()
+    n_partials = partials.count()
+    if n_partials == 0:
+        return None
+    if (partials.size_bytes() or 0) <= DRIVER_REDUCE_MAX_BYTES:
+        return ray.data.from_arrow_refs(_reduce_task.remote(
+            *partials.to_arrow_refs(), fold=stages[0][1], finish=finish))
+
+    out, schema = partials, partials.schema().base_schema
+    for key, fold in stages:
+        out = bucket_shuffle([out], key, lambda g, f=fold, s=schema: f(
+            pa.Table.from_pandas(g, schema=s, preserve_index=False),
+        ), bucket_count(n_partials))
+        schema = fold(schema.empty_table()).schema
+    if finish is None:
+        return out
+    return ray.data.from_arrow_refs(
+        _reduce_task.remote(*out.to_arrow_refs(), fold=None, finish=finish))
 
 
 def _repo_partials(batch: pa.Table) -> pa.Table:
@@ -72,15 +132,12 @@ def _per_repo(partials: pa.Table) -> pa.Table:
     return _sum_by(pairs, ["repo"], count="n_pairs")
 
 
-@ray.remote
-def _stats_task(*blocks: pa.Table, fold: bool) -> pa.Table:
+def _repo_stats_table(t: pa.Table) -> pa.Table:
     """The REPO_STATS table, sorted by repo with null last, from per-repo
-    rows — or, with ``fold``, from raw partials that _per_repo reduces
-    first. A task, so the driver never maps the partials."""
+    rows."""
     import pyarrow.compute as pc
 
-    t = pa.concat_tables(blocks)
-    t = (_per_repo(t) if fold else t).sort_by("repo")
+    t = t.sort_by("repo")
     return pa.table([
         t["repo"], t["n_files"], t["n_bytes"], t["n_kept"],
         pc.subtract(t["n_files"], t["n_pairs"]),
@@ -89,79 +146,39 @@ def _stats_task(*blocks: pa.Table, fold: bool) -> pa.Table:
     ], schema=REPO_STATS)
 
 
-# Above this many bytes of combiner partials the reduce leaves its single
-# task for two bucket shuffles. A partial row is one (repo, sha) pair of a
-# batch: 110 B measured on the 1200- and 16000-row code fixtures, where
-# nearly every row is its own pair, so the switch flips near 610k input
-# rows and the one reducing task never holds more than ~64 MB of partials.
-DRIVER_REDUCE_MAX_BYTES = 64 * 1024 * 1024
-
-
 def repo_stats(scrubbed: "ray.data.Dataset") -> "ray.data.Dataset":
     """A6: per-repo files/bytes/keep-rate/dup-content stats, one row per
     distinct repo (null and "" included, as SQL GROUP BY), sorted by repo
     with null last, typed as schema.REPO_STATS (empty input: no rows).
 
-    Two-level aggregation with an automatic size switch over the same
-    per-batch (repo, content_sha256) partials:
-    - up to DRIVER_REDUCE_MAX_BYTES of them (bench scale) one task
-      reduces them all with _per_repo — skips a shuffle whose fixed cost
-      dominates locally;
-    - above it, a bucket_shuffle on content_sha256 runs _per_repo per
-      bucket (a pair never spans buckets, and a hot repo's shas spread
-      over all of them), then a bucket_shuffle on repo sums the at most
-      n_buckets rows each repo left, and the task only sorts and finishes
-      them.
-    No partial reaches the driver. The threshold is read at call time
-    (tests patch it to force a path).
-    """
-    partials_ds = scrubbed.map_batches(
-        _repo_partials, batch_format="pyarrow", batch_size=8192,
-        zero_copy_batch=True,
-    ).materialize()
-    n_partials = partials_ds.count()
-    if n_partials == 0:  # no row reached the combiner
-        return ray.data.from_arrow(REPO_STATS.empty_table())
-    if (partials_ds.size_bytes() or 0) <= DRIVER_REDUCE_MAX_BYTES:
-        return ray.data.from_arrow_refs(
-            _stats_task.remote(*partials_ds.to_arrow_refs(), fold=True))
-
-    def arrow(g: pd.DataFrame) -> pa.Table:
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    n_buckets = bucket_count(n_partials)
-    per_bucket = bucket_shuffle(
-        [partials_ds], "content_sha256", lambda g: _per_repo(arrow(g)),
-        n_buckets,
+    A _keyed_reduce of the per-batch (repo, content_sha256) partials:
+    in one task _per_repo folds them all; bucketed, _per_repo runs per
+    content_sha256 bucket (a pair never spans buckets, and a hot repo's
+    shas spread over all of them), then a bucket_shuffle on repo sums
+    the at most n_buckets rows each repo left. Either way one task
+    sorts and finishes the per-repo rows; no partial reaches the
+    driver."""
+    out = _keyed_reduce(
+        scrubbed, _repo_partials,
+        [("content_sha256", _per_repo), ("repo", lambda t: _sum_by(t, ["repo"]))],
+        finish=_repo_stats_table,
     )
-    per_repo = bucket_shuffle(
-        [per_bucket], "repo", lambda g: _sum_by(arrow(g), ["repo"]),
-        n_buckets,
+    return out if out is not None else ray.data.from_arrow(REPO_STATS.empty_table())
+
+
+def salted_group_counts(ds: "ray.data.Dataset", key: str) -> "ray.data.Dataset":
+    """O7: rows per distinct value of the string column ``key`` (null and
+    "" included, as SQL GROUP BY), as columns (key, n). A _keyed_reduce
+    of per-batch counts: the combiner is the salt — a hot key reaches the
+    reduce as at most one row per batch, never as its rows."""
+    def count(t: pa.Table) -> pa.Table:
+        return _sum_by(pa.table({key: t[key], "n": np.ones(len(t), np.int64)}), [key])
+
+    out = _keyed_reduce(
+        ds.select_columns([key]), count, [(key, lambda t: _sum_by(t, [key]))],
     )
-    return ray.data.from_arrow_refs(
-        _stats_task.remote(*per_repo.to_arrow_refs(), fold=False))
-
-
-def salted_group_counts(
-    ds: "ray.data.Dataset", key: str, n_salt: int = 16,
-) -> "ray.data.Dataset":
-    """O7: explicit salted aggregation for a hot grouping key: counts are
-    first reduced per (key, salt) — splitting any hot key across n_salt
-    reducers — then merged per key. Used where the grouped VALUES (not
-    mergeable partials) would otherwise concentrate on one reducer."""
-    def add_salt(batch: pa.Table) -> pa.Table:
-        import zlib
-
-        # crc32 is deterministic across processes (unlike str hash())
-        vals = [zlib.crc32(v.encode()) & (n_salt - 1) for v in batch[key].to_pylist()]
-        return batch.append_column("_salt", pa.array(vals, pa.int32()))
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True)
-    partial = salted.groupby([key, "_salt"]).aggregate(Count(alias_name="n"))
-    return (
-        partial.groupby(key)
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    return out if out is not None else ray.data.from_arrow(pa.table(
+        {key: pa.array([], pa.string()), "n": pa.array([], pa.int64())}))
 
 
 def _bcast_join_batch(batch: pd.DataFrame, *, small_ref, on: str,
@@ -329,10 +346,10 @@ def semi_join(
     in ``right`` (SQL ``WHERE on IN (SELECT right_on FROM right)``) —
     completes the §2.4 join family beside broadcast/hash/asof/range/anti.
 
-    The right side reduces to its DISTINCT key set first (per-batch
-    ``pc.unique`` combiner — only batch-distinct keys leave each task,
-    nulls dropped to match SQL IN semantics), then _keep_members filters
-    ``left`` by broadcast ``pc.is_in`` or, above
+    The right side reduces to its DISTINCT key set first — a
+    _keyed_reduce whose per-batch ``pc.unique`` combiner (nulls dropped,
+    as SQL IN never matches them) is also its fold — then _keep_members
+    filters ``left`` by broadcast ``pc.is_in`` or, above
     EXACT_DEDUP_BROADCAST_MAX distinct keys, a hash join.  A left side
     keyed by a small enum cannot take the hash branch (its empty
     partitions crash the Ray 2.49 native join; see hash_join's CAVEAT);
@@ -342,20 +359,19 @@ def semi_join(
 
     ``n_rows_hint``: upper bound on the right side's distinct key count
     (e.g. its parquet-metadata row count); when it fits the broadcast
-    the keys-only groupby and the sizing round are skipped — the
-    batch-distinct keys are unioned on the driver."""
+    _keep_members skips its materialize+count sizing round."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count
 
     right_on = right_on or on
-    keys = right.select_columns([right_on]).map_batches(
-        lambda t, _c=right_on: pa.table(
-            {_c: pc.unique(t[_c]).drop_null()}
-        ),
-        batch_format="pyarrow", zero_copy_batch=True,
+
+    def distinct(t: pa.Table) -> pa.Table:
+        return pa.table({right_on: pc.unique(t[right_on]).drop_null()})
+
+    keys = _keyed_reduce(
+        right.select_columns([right_on]), distinct, [(right_on, distinct)],
     )
-    if n_rows_hint is None or n_rows_hint > EXACT_DEDUP_BROADCAST_MAX:
-        keys = keys.groupby(right_on).aggregate(Count(alias_name="_n"))
+    if keys is None:
+        return left.limit(0)
     return _keep_members(left, keys, on, right_on, n_rows_hint)
 
 
@@ -654,11 +670,13 @@ def keep_first_by(
     filter_ds: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
     """Generic keep-first: retain the row with the minimum order_col per
-    group_col. The wide op moves only (group, order) key pairs through a
-    groupby().Min aggregate; the winner order values then filter the
-    rows through _keep_members (broadcast pc.is_in, or a hash semi-join
-    above EXACT_DEDUP_BROADCAST_MAX winners). Requires order_col values
-    to be globally unique (winner membership tests order_col alone).
+    group_col (a null group_col is a group, as in SQL GROUP BY). The wide
+    op moves only (group, order) key pairs: a _keyed_reduce whose
+    per-batch Arrow ``min`` per group (exact on strings, nulls ignored)
+    is also its fold; the winner order values then filter the rows
+    through _keep_members (broadcast pc.is_in, or a hash semi-join above
+    EXACT_DEDUP_BROADCAST_MAX winners). Requires order_col values to be
+    globally unique (winner membership tests order_col alone).
 
     `n_rows_hint` (e.g. parquet metadata row count) is an UPPER BOUND on
     the winner count (winners <= input rows): when it fits the broadcast
@@ -671,17 +689,19 @@ def keep_first_by(
     UPSTREAM dataset here so that stage's lineage is not re-executed on
     the filter pass. Must hold the same rows as `ds` keyed by order_col;
     defaults to `ds`."""
-    from ray.data.aggregate import Min
+    rows = ds if filter_ds is None else filter_ds
 
-    winners = (
-        ds.select_columns([group_col, order_col])
-        .groupby(group_col)
-        .aggregate(Min(order_col, alias_name="_win"))
+    def first(t: pa.Table, order: str) -> pa.Table:
+        g = t.group_by(group_col, use_threads=False).aggregate([(order, "min")])
+        return pa.table([g[group_col], g[f"{order}_min"]], names=[group_col, "_win"])
+
+    winners = _keyed_reduce(
+        ds.select_columns([group_col, order_col]),
+        lambda t: first(t, order_col), [(group_col, lambda t: first(t, "_win"))],
     )
-    return _keep_members(
-        ds if filter_ds is None else filter_ds, winners, order_col, "_win",
-        n_rows_hint,
-    )
+    if winners is None:
+        return rows.limit(0)
+    return _keep_members(rows, winners, order_col, "_win", n_rows_hint)
 
 
 def exact_dedup(
@@ -722,48 +742,36 @@ def exact_dedup(
     ).drop_columns(["rk"])
 
 
-TOPN_DRIVER_MAX_ROWS = 2_000_000
-
-
 def topn_per_key(
     ds: "ray.data.Dataset", *, key: str, order_by: list[str],
     ascending: list[bool], n: int, rank_col: str = "rnk",
-    n_rows_hint: int | None = None,
 ) -> "ray.data.Dataset":
-    """Top-n rows per key with a 1-based rank column (SQL:
-    row_number() OVER (PARTITION BY key ORDER BY ...) <= n) — two-phase:
+    """Top-n rows per key with a 1-based int64 rank column (SQL:
+    row_number() OVER (PARTITION BY key ORDER BY ...) <= n; a null key is
+    a partition) — a _keyed_reduce:
 
     1. per-batch vectorized TRIM (one mergesort + groupby.head — no
        per-group Python): at most n rows per (key, batch) survive, so the
-       exchange moves candidates, never the full table;
-    2. final reduce over the trimmed partials — driver-side vectorized
-       sort + head + cumcount below TOPN_DRIVER_MAX_ROWS total input rows
-       (the trim output is <= that), else a distributed
-       groupby(key).map_groups over the (already trimmed) partials.
+       reduce moves candidates, never the full table;
+    2. the same sort + head, plus the rank, over the trimmed candidates:
+       in one task, or per bucket of the key (the output then stays
+       distributed).
 
     `order_by` must be a TOTAL order (include a unique tiebreak column),
-    otherwise the two paths — and reruns — may disagree on rank ties.
-    `n_rows_hint` (e.g. parquet metadata row count) picks the regime
-    without a count() round, like the dedup size switches."""
-    import ray.data as rd
+    otherwise the two regimes — and reruns — may disagree on rank ties."""
+    def top(t: pa.Table, rank: bool) -> pa.Table:
+        df = t.to_pandas().sort_values(order_by, ascending=ascending, kind="mergesort")
+        df = df.groupby(key, sort=False, dropna=False).head(n)
+        schema = t.schema
+        if rank:
+            df[rank_col] = df.groupby(key, sort=False, dropna=False).cumcount().to_numpy() + 1
+            schema = schema.append(pa.field(rank_col, pa.int64()))
+        # no pandas metadata: Ray cannot hash it when it unifies block schemas
+        return pa.Table.from_pandas(
+            df, schema=schema, preserve_index=False).replace_schema_metadata()
 
-    def trim(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(order_by, ascending=ascending, kind="mergesort")
-        return df.groupby(key, sort=False).head(n)
-
-    partials = ds.map_batches(trim, batch_format="pandas", batch_size=8192)
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(order_by, ascending=ascending, kind="mergesort")
-        df = df.groupby(key, sort=False).head(n)
-        df[rank_col] = df.groupby(key, sort=False).cumcount().to_numpy() + 1
-        return df
-
-    if n_rows_hint is not None and n_rows_hint <= TOPN_DRIVER_MAX_ROWS:
-        return rd.from_pandas(
-            finalize(partials.to_pandas()).reset_index(drop=True)
-        )
-    return partials.groupby(key).map_groups(finalize, batch_format="pandas")
+    out = _keyed_reduce(ds, lambda t: top(t, False), [(key, lambda t: top(t, True))])
+    return out if out is not None else ds.limit(0)
 
 
 def per_key_ordered(

@@ -27,7 +27,7 @@ import pyarrow as pa
 
 import ray.data
 
-from pipeline._util import _cluster_cpus, _fetch_once, clean_batch, parquet_schema, sha256_hex
+from pipeline._util import _cluster_cpus, _fetch_once, clean_batch, parquet_schema
 from pipeline.quality.decide import decide_batch
 from pipeline.quality.heuristics import heuristic_batch
 from pipeline.quality.langid import LangIdModel
@@ -252,12 +252,13 @@ def scrub_stage(batch: pa.Table, *, column: str = "content", profile: str = "cod
     """Stateless scrub: the _fired_spans prescreen -> detect loop,
     [LABEL] redaction + sha256 (the per-row parity invariant).
     Untriggered rows never materialize a Python string: the scrubbed
-    column reuses the input array and the sha is computed straight from
-    the Arrow buffer slice."""
+    column reuses the input array, and every row's sha is computed
+    straight from that column's utf-8 buffer slice."""
     import hashlib
 
     import pyarrow.compute as pc
 
+    from pipeline._util import string_buffers
     from pipeline.detect.scrub import apply_spans
 
     batch = clean_batch(batch)
@@ -266,34 +267,24 @@ def scrub_stage(batch: pa.Table, *, column: str = "content", profile: str = "cod
         col = col.combine_chunks()
     n = len(col)
     n_spans = np.zeros(n, dtype=np.int64)
-    hashes: list[str | None] = [None] * n
     repl_idx: list[int] = []
     repl_txt: list[str] = []
     for i, text, spans in _fired_spans(col, profile):
         if spans:
-            scrubbed = apply_spans(text, spans)
             n_spans[i] = len(spans)
-            hashes[i] = sha256_hex(scrubbed)
             repl_idx.append(i)
-            repl_txt.append(scrubbed)
+            repl_txt.append(apply_spans(text, spans))
 
-    # untouched rows: sha over the utf-8 buffer slice (no str round-trip)
-    from pipeline._util import string_buffers
-
-    off, data = string_buffers(col)
-    mv = memoryview(data)
-    for i in range(n):
-        if hashes[i] is None:
-            hashes[i] = hashlib.sha256(mv[off[i]: off[i + 1]]).hexdigest()
-
+    scrubbed_col = col
     if repl_idx:
         repl_mask = np.zeros(n, dtype=bool)
         repl_mask[repl_idx] = True
         scrubbed_col = pc.replace_with_mask(
             col, pa.array(repl_mask), pa.array(repl_txt, col.type)
         )
-    else:
-        scrubbed_col = col
+    off, data = string_buffers(scrubbed_col)
+    mv = memoryview(data)
+    hashes = [hashlib.sha256(mv[off[i]: off[i + 1]]).hexdigest() for i in range(n)]
     batch = batch.append_column("n_pii_spans", pa.array(n_spans))
     batch = batch.append_column("content_scrubbed", scrubbed_col)
     return batch.append_column("content_sha256", pa.array(hashes, pa.string()))

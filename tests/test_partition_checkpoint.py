@@ -141,6 +141,96 @@ def test_repo_stats_edge_repos_both_regimes(monkeypatch, max_bytes):
     assert empty.schema().types == REPO_STATS.types
 
 
+def _null_key_rows():
+    """9 rows whose string key ``k`` holds null and "" (each more than
+    once) in 4 blocks; ``o`` is a unique order value."""
+    import pandas as pd
+
+    return pd.DataFrame({
+        "k": ["a", None, "", None, "a", "b", "", None, "a"],
+        "o": [f"r{i}" for i in (5, 3, 8, 1, 0, 7, 2, 6, 4)],
+        "v": [3, 1, 4, 1, 5, 9, 2, 6, 5],
+    })
+
+
+def _blocks(df):
+    import pyarrow as pa
+    import ray.data as rd
+
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    return rd.from_arrow([t.slice(0, 2), t.slice(2, 2), t.slice(4, 2), t.slice(6)])
+
+
+def _nulls_as_none(df):
+    return df.astype(object).where(df.notna(), None).reset_index(drop=True)
+
+
+def _reducer_case(name):
+    """(run, expected frame, sort columns) for one keyed reducer over
+    _null_key_rows, expected by pandas with null as a group (SQL GROUP BY
+    / PARTITION BY; SQL IN for semi_join, where null never matches)."""
+    import hashlib
+
+    from pipeline import partition
+
+    df = _null_key_rows()
+    g = df.groupby("k", dropna=False, sort=False)
+    if name == "salted_group_counts":
+        # six rows: two null repos in two blocks
+        six = df.iloc[:6].rename(columns={"k": "repo"})[["repo"]]
+        exp = six.groupby("repo", dropna=False).size().rename("n").reset_index()
+        return (lambda: partition.salted_group_counts(_blocks(six), "repo"),
+                exp, ["repo"])
+    if name == "keep_first_by":
+        exp = df[df["o"].isin(g["o"].min())]
+        return (lambda: partition.keep_first_by(
+            _blocks(df), group_col="k", order_col="o"), exp, ["o"])
+    if name == "exact_dedup":
+        rows = df.assign(
+            content_sha256=df["k"].map(
+                lambda k: k if k is None else hashlib.sha256(k.encode()).hexdigest()),
+            repo="r", path=df["o"], commit="c",
+        ).drop(columns=["k"])
+        winners = rows.groupby("content_sha256", dropna=False)["path"].min()
+        return (lambda: partition.exact_dedup(_blocks(rows)),
+                rows[rows["path"].isin(winners)], ["path"])
+    if name == "topn_per_key":
+        exp = df.sort_values(["v", "o"], ascending=[False, True], kind="mergesort")
+        exp = exp.groupby("k", dropna=False, sort=False).head(2)
+        exp = exp.assign(rnk=exp.groupby("k", dropna=False, sort=False).cumcount() + 1)
+        return (lambda: partition.topn_per_key(
+            _blocks(df), key="k", order_by=["v", "o"], ascending=[False, True],
+            n=2), exp, ["o"])
+    assert name == "semi_join"
+    right = df.iloc[1:5][["k"]]  # null, "", null, "a"
+    return (lambda: partition.semi_join(_blocks(df), _blocks(right), on="k"),
+            df[df["k"].isin(["", "a"])], ["o"])
+
+
+@pytest.mark.parametrize("max_bytes", [None, -1], ids=["one_task", "bucketed"])
+@pytest.mark.parametrize("name", [
+    "salted_group_counts", "keep_first_by", "exact_dedup", "topn_per_key",
+    "semi_join",
+])
+def test_keyed_reducers_null_and_empty_keys_both_regimes(monkeypatch, name, max_bytes):
+    """Every keyed reduce of partition.py treats a null and a "" key as
+    groups like any other, in both _keyed_reduce regimes, with the keys
+    spread over several blocks."""
+    import pandas as pd
+
+    from pipeline import partition
+
+    if max_bytes is not None:
+        monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", max_bytes)
+    run, exp, by = _reducer_case(name)
+    got = run().to_pandas()
+    assert sorted(got.columns) == sorted(exp.columns)
+    pd.testing.assert_frame_equal(
+        _nulls_as_none(got[list(exp.columns)].sort_values(by)),
+        _nulls_as_none(exp.sort_values(by)),
+    )
+
+
 def test_exact_dedup_join_path_matches(scrubbed_ds, monkeypatch):
     """EXACT_DEDUP_BROADCAST_MAX=0 forces the hash semi-join back-path;
     identical kept rows as the broadcast filter — for exact_dedup and for
@@ -386,15 +476,15 @@ def test_partition_ledger_order_free_and_duplicate_sensitive():
     assert n_c == 12 and led_c != led_a
 
 
-def test_topn_per_key_both_paths_match_pandas_oracle():
-    """Two-phase top-n must equal the plain window-rank oracle, on both
-    the driver reduce and the distributed map_groups finalize, even when
+def test_topn_per_key_both_paths_match_pandas_oracle(monkeypatch):
+    """Two-phase top-n must equal the plain window-rank oracle, in both
+    keyed-reduce regimes (one task, and per bucket of the key), even when
     a key's top rows are scattered across many input batches."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
-    from pipeline.partition import topn_per_key
+    from pipeline import partition
 
     rng = np.random.default_rng(7)
     df = pd.DataFrame({
@@ -411,9 +501,10 @@ def test_topn_per_key_both_paths_match_pandas_oracle():
     # many small blocks so per-key candidates straddle batch boundaries
     ds = rd.from_pandas([df.iloc[i:i + 250] for i in range(0, 5000, 250)])
     kw = dict(key="k", order_by=["v", "uid"], ascending=[False, True], n=3)
-    drv = topn_per_key(ds, n_rows_hint=5000, **kw).to_pandas()
-    dist = topn_per_key(ds, n_rows_hint=10**9, **kw).to_pandas()
-    for out in (drv, dist):
+    one_task = partition.topn_per_key(ds, **kw).to_pandas()
+    monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", -1)
+    bucketed = partition.topn_per_key(ds, **kw).to_pandas()
+    for out in (one_task, bucketed):
         out = out.sort_values(["k", "rnk"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(out[["k", "v", "uid", "rnk"]],
                                       ora[["k", "v", "uid", "rnk"]])
