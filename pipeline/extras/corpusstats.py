@@ -2,20 +2,24 @@
 vocabulary / term-frequency tables, exact distributed quantiles over
 discrete columns, and a HyperLogLog cardinality sketch.
 
-All three follow the same scale discipline as the rest of the engine:
-the per-batch stage REDUCES before anything crosses the wire —
+All of them follow the same scale discipline as the rest of the engine:
+the per-batch stage REDUCES before anything crosses the wire, and every
+keyed merge is ONE partition._keyed_reduce of those per-batch partials:
+up to DRIVER_REDUCE_MAX_BYTES of measured partial bytes one task folds
+them all, above it the fold runs per bucket of the key (bucket_shuffle).
+Null and "" keys are groups like any other, as in SQL GROUP BY.
 
 - ``term_freq``: each batch emits at most |batch vocabulary| partial
-  (term, n_occ, n_docs) rows, so the groupby exchange moves vocabulary-
-  sized data, never token-sized data.  A natural-text corpus at 100 TB
-  has a vocabulary in the tens of millions of terms — the shuffle is
+  (term, n_occ, n_docs) rows, so the reduce moves vocabulary-sized
+  data, never token-sized data.  A natural-text corpus at 100 TB has a
+  vocabulary in the tens of millions of terms — the partials are
   ~1e4x smaller than the token stream.
 - ``value_counts_quantiles``: exact quantiles over a discrete column
   (int lengths, counts, bucket ids) via a (value, count) merge; only
-  distinct values shuffle, and the final cumulative-sum rank walk runs
-  on a driver table of |distinct values| rows.  For genuinely continuous
-  columns, quantize first (the caller picks the resolution) — this is
-  the classic histogram-merge quantile, not a full sort.
+  distinct values reach the reduce, and the final cumulative-sum rank
+  walk runs on a driver table of |distinct values| rows.  For genuinely
+  continuous columns, quantize first (the caller picks the resolution)
+  — this is the classic histogram-merge quantile, not a full sort.
 - ``hll_distinct``: constant-size (2**p registers) sketch per batch,
   tree-reduced with elementwise max; the answer costs O(blocks * 2**p
   bytes) of traffic regardless of row count.  The exact counterpart
@@ -37,7 +41,31 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data
+
+from pipeline.partition import _keyed_reduce, _sum_by, _sum_reduce, salted_group_counts
+
+_TERM_COUNTS = pa.schema([("term", pa.string()), ("n_occ", pa.int64())])
+_VOCAB = _TERM_COUNTS.append(pa.field("n_docs", pa.int64()))
+
+
+def _top(t: pa.Table, key: str, k: int) -> pa.Table:
+    """The ``k`` rows of highest n_occ, ties by ``key`` ascending."""
+    return t.sort_by([("n_occ", "descending"), (key, "ascending")]).slice(0, k)
+
+
+def _to_arrow(ds: "ray.data.Dataset") -> pa.Table:
+    """A finished reduce's (small) output as one Arrow table on the
+    driver; unlike Dataset.to_pandas it keeps the columns at zero rows."""
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def _key_pos(col, keys: pa.Array) -> np.ndarray:
+    """Each row's position in the distinct ``keys``, a null key matching
+    the null in ``keys`` (SQL PARTITION BY makes it a partition)."""
+    return pc.index_in(col.cast(keys.type), value_set=keys,
+                       skip_nulls=False).to_numpy(zero_copy_only=False)
 
 
 # ------------------------------------------------------------ term freq
@@ -81,18 +109,11 @@ def term_freq(ds: "ray.data.Dataset", *, text_col: str = "text",
     """Corpus vocabulary table: total occurrences + document frequency
     per term, optionally trimmed to the top_k most frequent (ties broken
     by term ascending, deterministic)."""
-    from ray.data.aggregate import Sum
-
-    partial = ds.map_batches(
-        lambda t: term_freq_partial(t, text_col=text_col, doc_col=doc_col),
-        batch_format="pyarrow", zero_copy_batch=True,
+    return _sum_reduce(
+        ds, lambda t: term_freq_partial(t, text_col=text_col, doc_col=doc_col),
+        ["term"], finish=None if top_k is None else lambda t: _top(t, "term", top_k),
+        empty=_VOCAB.empty_table(),
     )
-    vocab = partial.groupby("term").aggregate(
-        Sum("n_occ", alias_name="n_occ"), Sum("n_docs", alias_name="n_docs")
-    )
-    if top_k is not None:
-        vocab = vocab.sort(["n_occ", "term"], descending=[True, False]).limit(top_k)
-    return vocab
 
 
 # Above this many distinct terms the vocabulary no longer comes to the
@@ -108,7 +129,7 @@ def _tfidf_partial(batch: pa.Table, *, text_col: str,
                    doc_col: str) -> pa.Table:
     """term_freq_partial plus ONE sentinel row (term "") carrying the
     batch's (row count, doc count) so the corpus doc total falls out of
-    the same vocabulary groupby — no separate ds.count() pass.  The ""
+    the same vocabulary reduce — no separate ds.count() pass.  The ""
     term can never collide with a real term (term_freq_partial filters
     empty tokens)."""
     t = term_freq_partial(batch, text_col=text_col, doc_col=doc_col)
@@ -134,7 +155,7 @@ def tfidf_top_terms(
 
     1. the vocabulary with document frequencies (term_freq's combiner,
        plus a sentinel row folding the corpus doc count into the same
-       groupby — n_docs costs no extra pass);
+       reduce — n_docs costs no extra pass);
     2. scoring.  Two regimes, switched on the MATERIALIZED vocabulary's
        row count (metadata, no extra execution):
 
@@ -164,15 +185,9 @@ def tfidf_top_terms(
     it bit-for-bit (IEEE division is correctly rounded; ln is
     implementation-defined), which is what the oracle query uses.
     Ties rank by term ascending (deterministic total order)."""
-    import ray as _ray
-    from ray.data.aggregate import Sum
-
-    partial = ds.map_batches(
-        lambda t: _tfidf_partial(t, text_col=text_col, doc_col=id_col),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    vocab_agg = partial.groupby("term").aggregate(
-        Sum("n_occ", alias_name="n_occ"), Sum("n_docs", alias_name="n_docs")
+    vocab_agg = _sum_reduce(
+        ds, lambda t: _tfidf_partial(t, text_col=text_col, doc_col=id_col),
+        ["term"], empty=_VOCAB.empty_table(),
     ).materialize()
     n_vocab = vocab_agg.count() - 1  # minus the "" sentinel row
 
@@ -182,17 +197,17 @@ def tfidf_top_terms(
             id_col=id_col, top_n=top_n, variant=variant, n_docs=n_docs,
         )
 
-    vocab = vocab_agg.to_pandas()
+    vocab = _to_arrow(vocab_agg).to_pandas()
     sent_mask = vocab["term"] == ""
     if n_docs is None:
         n_docs = int(vocab.loc[sent_mask, "n_docs"].sum())
     vocab = vocab[~sent_mask].sort_values("term").reset_index(drop=True)
     terms = vocab["term"].to_numpy()
     df_arr = vocab["n_docs"].to_numpy().astype(np.int64)
-    ref = _ray.put((terms, df_arr, int(n_docs), variant))
+    ref = ray.put((terms, df_arr, int(n_docs), variant))
 
     def score(batch: pa.Table) -> pa.Table:
-        vterms, vdf, n, var = _ray.get(ref)
+        vterms, vdf, n, var = ray.get(ref)
         toks = pc.split_pattern(batch[text_col], " ")
         flat = pc.list_flatten(toks)
         parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
@@ -250,8 +265,6 @@ def _tfidf_distributed(
     path exists for."""
     import warnings
 
-    from ray.data.aggregate import Sum
-
     from pipeline.partition import bucket_count, bucket_shuffle, topn_per_key
 
     warnings.warn(
@@ -271,7 +284,7 @@ def _tfidf_distributed(
     # total token occurrences (sentinel rows add corpus row count —
     # harmless slack in an upper bound); one tiny distributed aggregate
     # over the already-materialized vocabulary
-    tot_occ = int(vocab_agg.aggregate(Sum("n_occ", alias_name="tot"))["tot"])
+    tot_occ = int(vocab_agg.sum("n_occ"))
     n_buckets = bucket_count(tot_occ + n_vocab)
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -377,6 +390,9 @@ def _tfidf_distributed(
     return out.select_columns([id_col, "term", "score", "rnk"])
 
 
+_BIGRAMS = pa.schema([("bigram", pa.string()), ("n_occ", pa.int64())])
+
+
 def bigram_partial(t: pa.Table, *, text_col: str = "text") -> pa.Table:
     """Per-batch bigram combiner: adjacent-token pairs built vectorized
     (Arrow ``binary_join_element_wise`` over the flattened token stream,
@@ -386,8 +402,7 @@ def bigram_partial(t: pa.Table, *, text_col: str = "text") -> pa.Table:
     flat = pc.list_flatten(toks).combine_chunks()
     parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
     if len(flat) < 2:
-        return pa.table({"bigram": pa.array([], pa.string()),
-                         "n_occ": pa.array([], pa.int64())})
+        return _BIGRAMS.empty_table()
     w1, w2 = flat.slice(0, len(flat) - 1), flat.slice(1)
     same_doc = pa.array(parents[:-1] == parents[1:])
     nonempty = pc.and_(pc.not_equal(w1, ""), pc.not_equal(w2, ""))
@@ -404,21 +419,14 @@ def bigram_counts(
 ) -> "ray.data.Dataset":
     """Top-``top_k`` word bigrams with exact global counts — the n-gram
     statistics pass of tokenizer/LM-table training.  ``bigram_partial``
-    per batch, vocabulary-sized groupby, deterministic (count desc,
-    bigram asc) top-k.  For bigram vocabularies too large to shuffle,
-    layer ``heavy_hitter_terms``'s two-pass sketch on top of the same
-    partial (same trick, different key)."""
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(
-            lambda t: bigram_partial(t, text_col=text_col),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .groupby("bigram")
-        .aggregate(Sum("n_occ", alias_name="n_occ"))
-        .sort(["n_occ", "bigram"], descending=[True, False])
-        .limit(top_k)
+    per batch, a vocabulary-sized _keyed_reduce whose one finishing task
+    takes the deterministic (count desc, bigram asc) top-k.  For bigram
+    vocabularies too large to shuffle, layer ``heavy_hitter_terms``'s
+    two-pass sketch on top of the same partial (same trick, different
+    key)."""
+    return _sum_reduce(
+        ds, lambda t: bigram_partial(t, text_col=text_col), ["bigram"],
+        finish=lambda t: _top(t, "bigram", top_k), empty=_BIGRAMS.empty_table(),
     )
 
 
@@ -455,8 +463,8 @@ def heavy_hitter_terms(
        its true count < N_batches * (m-th local count) — for Zipf-like
        text with m >> top_k this is far below the top-k cutoff.
     2. Recount: candidate set broadcast (ray.put), each batch counts
-       ONLY candidate occurrences; a candidates-sized groupby yields
-       EXACT counts, then sort+limit(top_k).
+       ONLY candidate occurrences; a candidates-sized reduce yields
+       EXACT counts, then the top_k.
 
     The result is exact whenever pass 1's pool contains the true top-k
     (guaranteed at m >= |vocab|, overwhelmingly likely otherwise);
@@ -464,23 +472,15 @@ def heavy_hitter_terms(
     vocabulary size.  Doc frequency is intentionally absent — it cannot
     be recovered from a candidate recount without a second doc-level
     pass; use term_freq when n_docs is needed."""
-    import ray as _ray
-    from ray.data.aggregate import Sum
-
-    partials = ds.map_batches(
-        lambda t: _local_topm(t, text_col=text_col, m=m),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).groupby("term").aggregate(Sum("n_occ", alias_name="n_lb"))
-    pool = (
-        partials.sort(["n_lb", "term"], descending=[True, False])
-        .limit(m)
-        .to_pandas()
-    )
-    cand = np.sort(pool["term"].to_numpy())
-    cand_ref = _ray.put(cand)
+    pool = _to_arrow(_sum_reduce(
+        ds, lambda t: _local_topm(t, text_col=text_col, m=m), ["term"],
+        finish=lambda t: _top(t, "term", m), empty=_TERM_COUNTS.empty_table(),
+    ))
+    cand = np.sort(pool["term"].to_numpy(zero_copy_only=False))
+    cand_ref = ray.put(cand)
 
     def recount(t: pa.Table) -> pa.Table:
-        cands = _ray.get(cand_ref)
+        cands = ray.get(cand_ref)
         toks = pc.split_pattern(t[text_col], " ")
         flat = pc.list_flatten(toks).to_pandas().to_numpy()
         if len(cands) and len(flat):
@@ -490,41 +490,27 @@ def heavy_hitter_terms(
         else:
             hits = flat[:0]
         if not len(hits):
-            return pa.table({
-                "term": pa.array([], pa.string()),
-                "n_occ": pa.array([], pa.int64()),
-            })
+            return _TERM_COUNTS.empty_table()
         occ = pd.Series(hits).value_counts()
         return pa.table({
             "term": pa.array(occ.index, pa.string()),
             "n_occ": pa.array(occ.to_numpy(), pa.int64()),
         })
 
-    return (
-        ds.map_batches(recount, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("term")
-        .aggregate(Sum("n_occ", alias_name="n_occ"))
-        .sort(["n_occ", "term"], descending=[True, False])
-        .limit(top_k)
+    return _sum_reduce(
+        ds, recount, ["term"], finish=lambda t: _top(t, "term", top_k),
+        empty=_TERM_COUNTS.empty_table(),
     )
 
 
 # ------------------------------------------------------- exact quantiles
 
 def value_counts(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
-    """(value, n) counts with a per-batch combiner — the exchange moves
-    distinct values only."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({col: t[col]}).group_by(col).aggregate([([], "count_all")])
-        return pa.table({col: g[col], "_n": pc.cast(g["count_all"], pa.int64())})
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(col)
-        .aggregate(Sum("_n", alias_name="n"))
-    )
+    """(value, n) counts, null counted as a value like any other: the
+    per-batch combiner and _keyed_reduce of
+    partition.salted_group_counts, so only distinct values reach the
+    reduce."""
+    return salted_group_counts(ds, col)
 
 
 def quantiles_from_counts(counts: pd.DataFrame, col: str,
@@ -534,8 +520,6 @@ def quantiles_from_counts(counts: pd.DataFrame, col: str,
     ``ceil(q * n_total)`` of the sorted multiset (verified bit-identical
     against DuckDB on integer columns — both compute ceil over the same
     IEEE double product)."""
-    if col not in counts.columns:  # empty-dataset to_pandas drops columns
-        return [None] * len(qs)
     # SQL quantile_disc IGNORES null values; a null histogram row (Ray/
     # Arrow groupbys retain null keys) must not count toward n_total
     counts = counts[counts[col].notna()]
@@ -558,7 +542,7 @@ def value_counts_quantiles(ds: "ray.data.Dataset", col: str,
     """Exact distributed quantiles over a discrete column: histogram
     merge (distinct values shuffle, not rows), then a driver-side rank
     walk over the |distinct|-row result."""
-    counts = value_counts(ds, col).to_pandas()
+    counts = _to_arrow(value_counts(ds, col)).to_pandas()
     return quantiles_from_counts(counts, col, qs)
 
 
@@ -571,8 +555,6 @@ def quantiles_cont_from_counts(counts: pd.DataFrame, col: str,
     (CRN-RN) * v[floor(RN)] + (RN-FRN) * v[ceil(RN)] — the same IEEE
     double expression DuckDB's Interpolator evaluates, so integer and
     double inputs are bit-portable."""
-    if col not in counts.columns:  # empty-dataset to_pandas drops columns
-        return [None] * len(qs)
     # SQL quantile_cont IGNORES null values (same rule as the discrete
     # walk above)
     counts = counts[counts[col].notna()]
@@ -605,7 +587,7 @@ def value_counts_quantiles_cont(ds: "ray.data.Dataset", col: str,
     distinct-values-only histogram exchange as value_counts_quantiles,
     finishing with the quantile_cont interpolation instead of the
     discrete rank walk."""
-    counts = value_counts(ds, col).to_pandas()
+    counts = _to_arrow(value_counts(ds, col)).to_pandas()
     return quantiles_cont_from_counts(counts, col, qs)
 
 
@@ -690,39 +672,43 @@ def hll_distinct(ds: "ray.data.Dataset", col: str, *, p: int = _HLL_P,
 
 def hll_distinct_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
                         *, p: int = _HLL_P) -> pd.DataFrame:
-    """Approximate distinct count per group: one sketch per (batch, key)
-    partial, merged per key.  The exchange moves n_keys * 2**p bytes —
-    use a smaller p (e.g. 10) when the group count is large."""
+    """Approximate distinct count per group (a null key is a group, as in
+    SQL GROUP BY), sorted by key with null last: a _keyed_reduce of one
+    sketch per (batch, key) whose fold is the per-key elementwise max of
+    the registers.  The reduce moves n_keys * 2**p bytes per batch — use
+    a smaller p (e.g. 10) when the group count is large."""
+
+    def codes(t: pa.Table) -> tuple[pa.Array, np.ndarray]:
+        keys = pc.unique(t[key_col])
+        return keys, _key_pos(t[key_col], keys)
+
+    def regs(t: pa.Table) -> np.ndarray:
+        return np.frombuffer(b"".join(t["regs"].to_pylist()), np.uint8).reshape(-1, 1 << p)
 
     def sketch(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "k": t[key_col].to_pandas(),
-            "v": t[col].to_numpy(zero_copy_only=False).astype(np.int64),
-        })
-        keys, blobs = [], []
-        for k, grp in df.groupby("k", sort=False):
-            keys.append(k)
-            blobs.append(hll_registers(grp["v"].to_numpy(), p).tobytes())
-        return pa.table({
-            key_col: pa.array(keys),
-            "regs": pa.array(blobs, pa.binary()),
-        })
+        keys, code = codes(t)
+        vals = pd.Series(t[col].to_numpy(zero_copy_only=False).astype(np.int64))
+        blobs = [hll_registers(g.to_numpy(), p).tobytes()
+                 for _, g in vals.groupby(code, sort=True)]
+        return pa.table({key_col: keys, "regs": pa.array(blobs, pa.binary())})
 
-    def merge(grp: pd.DataFrame) -> pd.DataFrame:
-        acc = np.zeros(1 << p, dtype=np.uint8)
-        for blob in grp["regs"]:
-            np.maximum(acc, np.frombuffer(blob, dtype=np.uint8), out=acc)
-        return pd.DataFrame({
-            key_col: [grp[key_col].iloc[0]],
-            "n_distinct_est": [hll_estimate(acc)],
-        })
+    def merge(t: pa.Table) -> pa.Table:
+        keys, code = codes(t)
+        acc = np.zeros((len(keys), 1 << p), np.uint8)
+        np.maximum.at(acc, code, regs(t))
+        return pa.table({key_col: keys,
+                         "regs": pa.array([r.tobytes() for r in acc], pa.binary())})
 
-    out = (
-        ds.map_batches(sketch, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(key_col)
-        .map_groups(merge, batch_format="pandas")
-    )
-    return out.to_pandas().sort_values(key_col).reset_index(drop=True)
+    def estimate(t: pa.Table) -> pa.Table:
+        t = t.sort_by(key_col)
+        return pa.table({key_col: t[key_col], "n_distinct_est": pa.array(
+            [hll_estimate(r) for r in regs(t)], pa.float64())})
+
+    out = _keyed_reduce(ds, sketch, [(key_col, merge)], finish=estimate)
+    if out is None:
+        return pd.DataFrame({key_col: pd.Series([], dtype=object),
+                             "n_distinct_est": pd.Series([], dtype="float64")})
+    return _to_arrow(out).to_pandas()
 
 
 # ------------------------------------------------- group-wise normalize
@@ -738,10 +724,10 @@ def groupwise_zscore(
 
     Two passes:
 
-    1. moments: per-batch combiner emits per-key (n, sum, sumsq) int64
-       partials (exact — integer sums commute, no float accumulation
-       order issues); a |keys|-row groupby merges them and the tiny
-       moment table broadcasts once via ray.put.
+    1. moments: a _keyed_reduce of per-key (n, sum, sumsq, max sq)
+       int64 partials per batch (exact — integer sums commute, no float
+       accumulation order issues); the tiny |keys|-row moment table
+       broadcasts once via ray.put.
     2. normalize: map-only; each row computes
        (x - sum/n) / sqrt(sumsq/n - (sum/n)^2) in float64.  Every
        operation after the exact integer sums is a single correctly-
@@ -749,56 +735,44 @@ def groupwise_zscore(
        engines reproduce the result bit-for-bit from the same
        expression — no libm, no order-dependent float reduction.
 
-    Groups with zero variance emit 0.0 (not NaN/inf).  ``val_col`` must
-    be integer; per-row squares are multiply_checked and the SUMS are
-    guarded by the exact bound n * max(v^2) < 2^63 per group (checked
-    in Python ints after the reduce — Arrow integer sums wrap silently,
-    so a bound check, not the sum itself, is the only sound guard)."""
-    import ray as _ray
-    from ray.data.aggregate import Max, Sum
+    Groups with zero variance emit 0.0 (not NaN/inf); a null key is a
+    group, as in SQL PARTITION BY.  ``val_col`` must be integer; per-row
+    int64 squares are multiply_checked and the SUMS are guarded by the
+    exact bound n * max(v^2) < 2^63 per group (checked in Python ints
+    after the reduce — Arrow integer sums wrap silently, so a bound
+    check, not the sum itself, is the only sound guard)."""
+    def fold(t: pa.Table) -> pa.Table:
+        g = t.group_by(key_col, use_threads=False).aggregate(
+            [("n", "sum"), ("s", "sum"), ("s2", "sum"), ("m2", "max")])
+        return pa.table([g[key_col], g["n_sum"], g["s_sum"], g["s2_sum"], g["m2_max"]],
+                        names=[key_col, "n", "s", "s2", "m2"])
 
     def moments(t: pa.Table) -> pa.Table:
-        v = t[val_col]
+        v = pc.cast(t[val_col], pa.int64())
         v2 = pc.multiply_checked(v, v)  # raises on int64 overflow
-        g = pa.table({key_col: t[key_col], "_s": v, "_s2": v2}).group_by(
-            key_col
-        ).aggregate([
-            ("_s", "sum"), ("_s2", "sum"), ("_s2", "max"), ([], "count_all"),
-        ])
-        return pa.table({
-            key_col: g[key_col],
-            "n": pc.cast(g["count_all"], pa.int64()),
-            "s": pc.cast(g["_s_sum"], pa.int64()),
-            "s2": pc.cast(g["_s2_sum"], pa.int64()),
-            "m2": pc.cast(g["_s2_max"], pa.int64()),
-        })
+        return fold(pa.table({key_col: t[key_col], "n": np.ones(len(t), np.int64),
+                              "s": v, "s2": v2, "m2": v2}))
 
-    mom = (
-        ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(key_col)
-        .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-                   Sum("s2", alias_name="s2"), Max("m2", alias_name="m2"))
-        .to_pandas()
-        .sort_values(key_col)
-        .reset_index(drop=True)
-    )
-    for k, nn, m2 in zip(mom[key_col], mom["n"], mom["m2"]):
-        if int(nn) * int(m2) >= 2 ** 63:
+    out = _keyed_reduce(ds, moments, [(key_col, fold)])
+    if out is None:  # no rows: nothing to normalize
+        return ds
+    mom = _to_arrow(out)
+    for k, nn, m2 in zip(*(mom[c].to_pylist() for c in (key_col, "n", "m2"))):
+        if m2 is not None and nn * m2 >= 2 ** 63:
             raise ValueError(
                 f"groupwise_zscore: group {k!r} has n*max(v^2) = "
-                f"{int(nn) * int(m2)} >= 2^63; the int64 sum of squares "
+                f"{nn * m2} >= 2^63; the int64 sum of squares "
                 f"would wrap silently — rescale the signal first"
             )
-    keys = mom[key_col].to_numpy()
     n = mom["n"].to_numpy().astype(np.float64)
-    mean = mom["s"].to_numpy().astype(np.float64) / n
-    var = mom["s2"].to_numpy().astype(np.float64) / n - mean * mean
+    mean = mom["s"].to_numpy(zero_copy_only=False).astype(np.float64) / n
+    var = mom["s2"].to_numpy(zero_copy_only=False).astype(np.float64) / n - mean * mean
     sd = np.sqrt(np.maximum(var, 0.0))
-    ref = _ray.put((keys, mean, sd))
+    ref = ray.put((mom[key_col].combine_chunks(), mean, sd))
 
     def normalize(t: pa.Table) -> pa.Table:
-        ks, mu, sg = _ray.get(ref)
-        pos = np.searchsorted(ks, t[key_col].to_numpy(zero_copy_only=False))
+        ks, mu, sg = ray.get(ref)
+        pos = _key_pos(t[key_col], ks)
         x = t[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
         m, s = mu[pos], sg[pos]
         z = np.divide(x - m, s, out=np.zeros_like(x), where=s > 0)
@@ -820,29 +794,28 @@ def groupwise_cume_dist(
     the same FRACTION of each source regardless of scale or shape (the
     window-function normalization, computed WITHOUT a per-key sort).
 
-    Pass 1 builds per-(key, value) counts with the value_counts combiner
-    (distinct pairs shuffle, not rows); the |keys x distinct values|
-    histogram is cumsum'd on the driver and broadcast once.  Pass 2 is a
-    map-only searchsorted lookup + ONE IEEE division — bit-identical to
-    SQL cume_dist() over the same column."""
-    import ray as _ray
-
-    hist = _pair_histogram(ds, key_col, val_col)
-    hist["_cum"] = hist.groupby(key_col, sort=False)["n"].cumsum()
-    hist["_tot"] = hist.groupby(key_col, sort=False)["n"].transform("sum")
+    Pass 1 is _pair_histogram (distinct pairs reach the reduce, not
+    rows); the |keys x distinct values| histogram is cumsum'd on the
+    driver and broadcast once.  Pass 2 is a map-only index lookup + ONE
+    IEEE division — bit-identical to SQL cume_dist() over the same
+    column, a null key being a partition."""
+    keys, hist = _pair_histogram(ds, key_col, val_col)
+    hist["_cum"] = hist.groupby("_k", sort=False)["n"].cumsum()
+    hist["_tot"] = hist.groupby("_k", sort=False)["n"].transform("sum")
     # every (key, value) pair seen in the data has an exact histogram
-    # entry, so the per-row lookup is a vectorized index join, no search
+    # entry, so the per-row lookup is a vectorized index join on (key
+    # position, value), no search
     idx = pd.MultiIndex.from_arrays(
-        [hist[key_col].to_numpy(), hist[val_col].to_numpy()]
+        [hist["_k"].to_numpy(), hist[val_col].to_numpy()]
     )
     cums = hist["_cum"].to_numpy().astype(np.float64)
     tot = hist["_tot"].to_numpy().astype(np.float64)
-    ref = _ray.put((idx, cums, tot))
+    ref = ray.put((keys, idx, cums, tot))
 
     def lookup(t: pa.Table) -> pa.Table:
-        hidx, c_all, t_all = _ray.get(ref)
+        ks, hidx, c_all, t_all = ray.get(ref)
         pos = hidx.get_indexer(pd.MultiIndex.from_arrays([
-            t[key_col].to_numpy(zero_copy_only=False),
+            _key_pos(t[key_col], ks),
             t[val_col].to_numpy(zero_copy_only=False),
         ]))
         cd = c_all[pos] / t_all[pos]
@@ -870,32 +843,23 @@ def _weighted_median(vals: np.ndarray, wts: np.ndarray) -> float:
 
 
 def _pair_histogram(ds: "ray.data.Dataset", key_col: str,
-                    val_col: str) -> pd.DataFrame:
-    """ONE per-(key, value) histogram pass — the shared exchange of the
+                    val_col: str) -> tuple[pa.Array, pd.DataFrame]:
+    """ONE per-(key, value) histogram pass — the shared reduce of the
     grouped normalization/quantile family (cume_dist, robust_z, grouped
-    quantiles): a per-batch Arrow count_all combiner so only DISTINCT
-    (key, value) PAIRS shuffle, never rows, then a small two-key groupby
-    merge; returns the (key, value, n) table sorted by (key, value)."""
-    from ray.data.aggregate import Sum
+    quantiles): a _keyed_reduce of per-batch (key, value) counts, so only
+    DISTINCT (key, value) PAIRS reach it, never rows.  Returns the
+    distinct keys in order (null last) and the (key, value, n, _k) frame
+    sorted by (key, value), ``_k`` being the key's position in them."""
+    def count(t: pa.Table) -> pa.Table:
+        return _sum_by(pa.table({key_col: t[key_col], val_col: t[val_col],
+                                 "n": np.ones(len(t), np.int64)}), [key_col, val_col])
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({key_col: t[key_col], val_col: t[val_col]}).group_by(
-            [key_col, val_col]
-        ).aggregate([([], "count_all")])
-        return pa.table({
-            key_col: g[key_col], val_col: g[val_col],
-            "_n": pc.cast(g["count_all"], pa.int64()),
-        })
-
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([key_col, val_col])
-        .aggregate(Sum("_n", alias_name="n"))
-        .to_pandas()
-    )
-    if key_col not in hist.columns:  # empty-dataset to_pandas drops columns
-        return pd.DataFrame([], columns=[key_col, val_col, "n"])
-    return hist.sort_values([key_col, val_col]).reset_index(drop=True)
+    empty = pa.table({key_col: pa.array([], pa.string()),
+                      val_col: pa.array([], pa.int64()), "n": pa.array([], pa.int64())})
+    t = _to_arrow(_sum_reduce(ds, count, [key_col, val_col], finish=lambda t: t.sort_by(
+        [(key_col, "ascending"), (val_col, "ascending")]), empty=empty))
+    keys = pc.unique(t[key_col])
+    return keys, t.to_pandas().assign(_k=_key_pos(t[key_col], keys))
 
 
 def grouped_quantiles(
@@ -915,17 +879,15 @@ def grouped_quantiles(
     searchsorted per (group, q), no Python loop over rows).  The
     driver-side table is bounded by the distinct-pair count, the same
     contract the robust-z/cume_dist family documents."""
-    hist = _pair_histogram(ds, key_col, val_col)
+    keys, hist = _pair_histogram(ds, key_col, val_col)
     names = [key_col] + [f"p{round(q * 100)}" for q in qs]
-    if key_col not in hist.columns:  # empty corpus drops columns
-        return pd.DataFrame([], columns=names)
     # SQL semantics: quantile_disc IGNORES null values (filtered inside
     # the loop so an all-null-value group still emits its row, with NULL
     # quantiles from the empty frame), and GROUP BY keeps a NULL-key
-    # group (dropna=False)
+    # group (keys holds it, last)
     walk = quantiles_cont_from_counts if interpolated else quantiles_from_counts
     rows = []
-    for k, g in hist.groupby(key_col, sort=True, dropna=False):
+    for k, (_, g) in zip(keys.to_pylist(), hist.groupby("_k", sort=True)):
         g = g[g[val_col].notna()]
         vals = walk(
             g.rename(columns={val_col: "_v"})[["_v", "n"]], "_v", qs
@@ -957,27 +919,23 @@ def groupwise_robust_z(
     subtract, abs, the two-middles mean, one division) is exact or
     correctly rounded on half-integer values, so the doubles bit-match
     DuckDB's median()/abs()/division pipeline."""
-    import ray as _ray
-
-    hist = _pair_histogram(ds, key_col, val_col)
-    keys, meds, mads = [], [], []
-    for k, g in hist.groupby(key_col, sort=True):
+    keys, hist = _pair_histogram(ds, key_col, val_col)
+    meds, mads = [], []
+    for _, g in hist.groupby("_k", sort=True):
         v = g[val_col].to_numpy().astype(np.float64)
         w = g["n"].to_numpy()
         med = _weighted_median(v, w)
         d = np.abs(v - med)
         order = np.argsort(d, kind="mergesort")
-        keys.append(k)
         meds.append(med)
         mads.append(_weighted_median(d[order], w[order]))
-    ref = _ray.put((
-        np.array(keys), np.array(meds, dtype=np.float64),
-        np.array(mads, dtype=np.float64),
+    ref = ray.put((
+        keys, np.array(meds, dtype=np.float64), np.array(mads, dtype=np.float64),
     ))
 
     def normalize(t: pa.Table) -> pa.Table:
-        ks, med, mad = _ray.get(ref)
-        pos = np.searchsorted(ks, t[key_col].to_numpy(zero_copy_only=False))
+        ks, med, mad = ray.get(ref)
+        pos = _key_pos(t[key_col], ks)
         x = t[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
         m, s = med[pos], mad[pos]
         rz = np.divide(x - m, s, out=np.zeros_like(x), where=s > 0)

@@ -15,8 +15,9 @@ Shape at 100 TB:
    to the exact global count), emit (line, n_docs) partial rows.  Only
    the batch-distinct line vocabulary crosses the wire — for boilerplate
    (highly repetitive by definition) that is a tiny fraction of the
-   text.  A global ``groupby(line).sum`` then yields exact per-line
-   document frequencies.
+   text.  One ``partition._keyed_reduce`` summing per line (one task
+   up to DRIVER_REDUCE_MAX_BYTES of measured partials, bucketed by line
+   above it) then yields exact per-line document frequencies.
 2. HOT SET — lines with ``n_docs >= min_doc_freq`` are pulled to the
    driver and broadcast ONCE via ``ray.put``.  Hot lines are bounded by
    construction (frequency >= k truncates the distribution tail); a
@@ -44,6 +45,8 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
+
+from pipeline.partition import _sum_reduce
 
 logger = logging.getLogger(__name__)
 
@@ -85,11 +88,10 @@ def _split_lines(t: pa.Table, text_col: str):
 def line_doc_counts(
     ds: "ray.data.Dataset", *, text_col: str = "text", min_chars: int = 8,
 ) -> "ray.data.Dataset":
-    """Exact per-line distinct-document counts: per-batch combiner
-    (batch-local (line, doc) dedupe) -> groupby(line).sum.  Lines shorter
-    than ``min_chars`` (codepoints, = SQL length()) are ignored."""
-    from ray.data.aggregate import Sum
-
+    """Exact per-line distinct-document counts, columns (line, n_docs):
+    per-batch combiner (batch-local (line, doc) dedupe) -> a
+    _keyed_reduce summing per line.  Lines shorter than ``min_chars``
+    (codepoints, = SQL length()) are ignored."""
     def combiner(t: pa.Table) -> pa.Table:
         flat, parent = _split_lines(t, text_col)
         keep = pc.greater_equal(pc.utf8_length(flat), min_chars)
@@ -101,11 +103,8 @@ def line_doc_counts(
             "n_docs": pc.cast(part["doc_count"], pa.int64()),
         })
 
-    return (
-        ds.map_batches(combiner, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("line")
-        .aggregate(Sum("n_docs", alias_name="n_docs"))
-    )
+    return _sum_reduce(ds, combiner, ["line"], empty=pa.table({
+        "line": pa.array([], pa.string()), "n_docs": pa.array([], pa.int64())}))
 
 
 def hot_lines(

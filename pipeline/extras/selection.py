@@ -12,10 +12,11 @@ cutoff — a full-corpus sort + a serial scan, the worst possible shape
 at 100 TB.  This operator produces the bit-identical result with:
 
 1. HISTOGRAM — per-batch (score -> sum tokens, count) combiner, then a
-   small groupby over DISTINCT SCORES (bounded by the score domain, not
-   the corpus).  A driver-side descending prefix sum finds the boundary
-   score v*: every doc scoring > v* fits the budget, the group at v*
-   only partially.
+   partition._keyed_reduce over DISTINCT SCORES (bounded by the score
+   domain, not the corpus; one task up to DRIVER_REDUCE_MAX_BYTES of
+   measured partials, bucketed by score above it).  A driver-side
+   descending prefix sum finds the boundary score v*: every doc scoring
+   > v* fits the budget, the group at v* only partially.
 2. BOUNDARY — only the v*-scoring docs (one group) are pulled, ordered
    by id, and cut at the remaining budget; their selected ids broadcast
    via ray.put.
@@ -54,6 +55,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from pipeline.partition import _sum_by, _sum_reduce
+
 logger = logging.getLogger(__name__)
 
 MAX_BOUNDARY = 4_000_000  # ~32 MB of (id, token) pairs on the driver
@@ -66,29 +69,16 @@ def budget_select(
     """Rows of ``ds`` selected by (score DESC, id ASC) inclusive running
     token sum <= budget.  ``budget`` may be a callable receiving the
     corpus-total token count (e.g. ``lambda total: total // 10``)."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        g = (
-            pa.table({score_col: t[score_col], "_t": t[token_col]})
-            .group_by(score_col)
-            .aggregate([("_t", "sum"), ([], "count_all")])
-        )
-        return pa.table({
-            score_col: g[score_col],
-            "tok": pc.cast(g["_t_sum"], pa.int64()),
-            "n": pc.cast(g["count_all"], pa.int64()),
-        })
+        return _sum_by(pa.table({
+            score_col: t[score_col], "tok": pc.cast(t[token_col], pa.int64()),
+            "n": np.ones(len(t), np.int64),
+        }), [score_col])
 
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(score_col)
-        .aggregate(Sum("tok", alias_name="tok"), Sum("n", alias_name="n"))
-        .to_pandas()
-    )
-    if not len(hist):  # empty input (to_pandas drops columns when empty)
+    hist = _sum_reduce(ds, partial, [score_col])
+    if hist is None:  # empty input
         return ds
-    hist = hist.sort_values(score_col, ascending=False).reset_index(drop=True)
+    hist = hist.to_pandas().sort_values(score_col, ascending=False).reset_index(drop=True)
     total = int(hist["tok"].sum())
     b = int(budget(total)) if callable(budget) else int(budget)
 

@@ -28,21 +28,38 @@ import ray.data
 from pipeline._util import _cluster_cpus, _fetch_once
 from pipeline.schema import REPO_STATS
 
+
+def _row_width(typ: pa.DataType) -> float:
+    """A key's width in Arrow's row encoding of group-by keys, which lays
+    keys out widest first (a string or binary key after the 4-byte fixed
+    ones). pyarrow 16 splits groups when the keys are passed in another
+    order and any key holds a null, so multi-key group_bys pass them in
+    this one, widest first."""
+    if pa.types.is_large_string(typ) or pa.types.is_large_binary(typ):
+        return 7.5
+    if pa.types.is_string(typ) or pa.types.is_binary(typ):
+        return 3.5
+    return typ.bit_width / 8
+
+
 def _sum_by(t: pa.Table, keys: list[str], count: str | None = None) -> pa.Table:
     """Per distinct ``keys`` value — null and "" are values like any
     other, as in SQL GROUP BY — the sum of every other column of ``t``
     and, given ``count``, the number of rows summed, under that name.
-    Keys come out as strings (an all-null pandas column arrives as Arrow
-    null)."""
+    The summing combiner and fold of most _keyed_reduce callers. Keys
+    keep their type (value_counts of an int column keys on ints), except
+    a key typed Arrow null (an all-null pandas object column), which
+    comes out as string."""
     import pyarrow.compute as pc
 
     vals = [c for c in t.column_names if c not in keys]
-    t = pa.table([pc.cast(t[k], pa.string()) for k in keys] + [t[c] for c in vals],
-                 names=keys + vals)
+    t = pa.table([pc.cast(t[k], pa.string()) if pa.types.is_null(t[k].type) else t[k]
+                  for k in keys] + [t[c] for c in vals], names=keys + vals)
     aggs = [(c, "sum") for c in vals]
     if count:
         aggs.append((keys[0], "count", pc.CountOptions(mode="all")))
-    g = t.group_by(keys, use_threads=False).aggregate(aggs)
+    order = sorted(keys, key=lambda k: -_row_width(t[k].type))
+    g = t.group_by(order, use_threads=False).aggregate(aggs)
     return pa.table([g[k] for k in keys] + [g[f"{a[0]}_{a[1]}"] for a in aggs],
                     names=keys + vals + ([count] if count else []))
 
@@ -103,6 +120,17 @@ def _keyed_reduce(
         return out
     return ray.data.from_arrow_refs(
         _reduce_task.remote(*out.to_arrow_refs(), fold=None, finish=finish))
+
+
+def _sum_reduce(
+    ds: "ray.data.Dataset", combine, keys: list[str], finish=None,
+    empty: pa.Table | None = None,
+) -> "ray.data.Dataset | None":
+    """_keyed_reduce whose fold is _sum_by over ``keys`` (bucketed on the
+    first). With no partials: ``empty``, a typed zero-row table, as a
+    dataset, or None if it is not given."""
+    out = _keyed_reduce(ds, combine, [(keys[0], lambda t: _sum_by(t, keys))], finish)
+    return ray.data.from_arrow(empty) if out is None and empty is not None else out
 
 
 def _repo_partials(batch: pa.Table) -> pa.Table:
@@ -167,17 +195,15 @@ def repo_stats(scrubbed: "ray.data.Dataset") -> "ray.data.Dataset":
 
 
 def salted_group_counts(ds: "ray.data.Dataset", key: str) -> "ray.data.Dataset":
-    """O7: rows per distinct value of the string column ``key`` (null and
-    "" included, as SQL GROUP BY), as columns (key, n). A _keyed_reduce
-    of per-batch counts: the combiner is the salt — a hot key reaches the
+    """O7: rows per distinct value of column ``key`` (null and "" included,
+    as SQL GROUP BY; the key keeps its type), as columns (key, n); empty
+    input gives no rows, typed (key string, n int64). A _keyed_reduce of
+    per-batch counts: the combiner is the salt — a hot key reaches the
     reduce as at most one row per batch, never as its rows."""
     def count(t: pa.Table) -> pa.Table:
         return _sum_by(pa.table({key: t[key], "n": np.ones(len(t), np.int64)}), [key])
 
-    out = _keyed_reduce(
-        ds.select_columns([key]), count, [(key, lambda t: _sum_by(t, [key]))],
-    )
-    return out if out is not None else ray.data.from_arrow(pa.table(
+    return _sum_reduce(ds.select_columns([key]), count, [key], empty=pa.table(
         {key: pa.array([], pa.string()), "n": pa.array([], pa.int64())}))
 
 
@@ -331,7 +357,7 @@ def _keep_members(
     # Arrow's unique, not pd.unique: pandas hashes object strings as C
     # strings, so keys that differ only after a NUL (exact_dedup's row
     # keys) would collapse into one
-    vals = pc.unique(pa.array(kdf[key_col])) if len(kdf) else pa.array([])
+    vals = pc.unique(pa.array(kdf[key_col]))
     return left.map_batches(
         _is_in_batch, batch_format="pyarrow", zero_copy_batch=True,
         fn_kwargs={"ref": _ray.put(vals), "on": on},

@@ -3,6 +3,8 @@ multimodal plumbing."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -605,21 +607,197 @@ def test_heavy_hitters_exact_with_tiny_sketch(docs_ds):
 
 
 def test_corpusstats_empty_inputs():
+    """Zero input rows: every keyed reducer of the extras returns no rows
+    under its declared columns (the per-row maps return no rows)."""
     import ray.data as rd
 
+    from pipeline.extras import corpusstats as cs
     from pipeline.extras.corpusstats import (
         hll_estimate, hll_registers, quantiles_from_counts, term_freq,
     )
+    from pipeline.extras.paragraphs import line_doc_counts
+    from pipeline.extras.selection import budget_select
 
     empty = rd.from_arrow(pa.table({
         "doc_id": pa.array([], pa.int64()),
+        "k": pa.array([], pa.string()),
         "text": pa.array([], pa.string()),
     }))
-    assert term_freq(empty).count() == 0
+    datasets = {
+        ("term", "n_occ", "n_docs"): term_freq(empty),
+        ("term", "n_occ"): cs.heavy_hitter_terms(empty),
+        ("bigram", "n_occ"): cs.bigram_counts(empty),
+        ("k", "n"): cs.value_counts(empty, "k"),
+        ("line", "n_docs"): line_doc_counts(empty),
+    }
+    for names, ds in datasets.items():
+        assert ds.count() == 0 and tuple(ds.schema().names) == names
+    frames = {
+        ("k", "n_distinct_est"): cs.hll_distinct_by_key(empty, "k", "doc_id"),
+        ("k", "p50"): cs.grouped_quantiles(empty, key_col="k", val_col="doc_id",
+                                           qs=[0.5]),
+    }
+    for names, df in frames.items():
+        assert len(df) == 0 and tuple(df.columns) == names
+    assert cs.value_counts_quantiles(empty, "doc_id", [0.5]) == [None]
+    assert cs.value_counts_quantiles_cont(empty, "doc_id", [0.5]) == [None]
+    kv = {"key_col": "k", "val_col": "doc_id"}
+    for ds in (cs.groupwise_zscore(empty, **kv), cs.groupwise_cume_dist(empty, **kv),
+               cs.groupwise_robust_z(empty, **kv), cs.tfidf_top_terms(empty),
+               budget_select(empty, score_col="doc_id", token_col="doc_id", budget=1)):
+        assert ds.count() == 0
     assert quantiles_from_counts(
         pd.DataFrame({"v": [], "n": []}), "v", [0.5]
     ) == [None]
     assert hll_estimate(hll_registers(np.empty(0, dtype=np.int64))) == 0.0
+
+
+_KEYED_BLOCK = 8192  # _keyed_reduce's combiner batch: one batch per block
+
+
+def _keyed_rows() -> pd.DataFrame:
+    """9 distinct rows: the key ``k`` holds null and "" (each more than
+    once), ``text`` null and "" rows and lines split by "\\n". Block b
+    of _keyed_ds is rows 3b..3b+2 tiled to _KEYED_BLOCK rows, so every
+    key reaches the fold from several combiner partials; ``doc_id`` is
+    the row number."""
+    df = pd.DataFrame({
+        "k": ["a", None, "", None, "a", "b", "", None, "a"],
+        "v": np.array([3, 1, 4, 1, 5, 9, 2, 6, 5], np.int64),
+        "tok": np.array([4, 2, 7, 1, 3, 5, 2, 6, 1], np.int64),
+        "text": ["a b\nc", None, "", "a b", "c\na b", "b b", None, "c", "a b\nc"],
+    })
+    idx = np.concatenate([np.resize([3 * b, 3 * b + 1, 3 * b + 2], _KEYED_BLOCK)
+                          for b in range(3)])
+    df = df.iloc[idx].reset_index(drop=True)
+    return df.assign(doc_id=np.arange(len(df), dtype=np.int64))
+
+
+def _nulls_as_none(df: pd.DataFrame) -> pd.DataFrame:
+    return df.astype(object).where(df.notna(), None).reset_index(drop=True)
+
+
+def _keyed_ds():
+    import ray.data as rd
+
+    t = pa.Table.from_pandas(_keyed_rows(), preserve_index=False)
+    return rd.from_arrow([t.slice(i, _KEYED_BLOCK) for i in range(0, len(t), _KEYED_BLOCK)])
+
+
+def _tokens(df: pd.DataFrame) -> pd.DataFrame:
+    """(doc_id, pos, term) per non-empty " "-separated token."""
+    toks = df.assign(term=df["text"].fillna("").str.split(" "))[["doc_id", "term"]]
+    toks = toks.explode("term").assign(pos=lambda d: d.groupby("doc_id").cumcount())
+    return toks[toks["term"] != ""]
+
+
+def _top_counts(counts: pd.DataFrame, key: str, k: int) -> pd.DataFrame:
+    return counts.sort_values(["n_occ", key], ascending=[False, True]).head(k)
+
+
+def _keyed_case(name):
+    """(run, expected frame, sort columns, rtol) for one reducer of the
+    extras over _keyed_rows, expected by pandas with null as a group (SQL
+    GROUP BY / PARTITION BY)."""
+    from pipeline.extras import corpusstats as cs
+    from pipeline.extras.paragraphs import line_doc_counts
+    from pipeline.extras.selection import budget_select
+
+    df = _keyed_rows()
+    g = df.groupby("k", dropna=False, sort=False)["v"]
+    if name in ("value_counts_str", "value_counts_int"):
+        col = "k" if name == "value_counts_str" else "v"
+        exp = df.groupby(col, dropna=False).size().rename("n").reset_index()
+        return lambda: cs.value_counts(_keyed_ds(), col), exp, [col], 0
+    if name == "grouped_quantiles":
+        exp = g.apply(lambda s: sorted(s)[math.ceil(0.5 * len(s)) - 1])
+        return (lambda: cs.grouped_quantiles(_keyed_ds(), key_col="k", val_col="v",
+                                             qs=[0.5]),
+                exp.rename("p50").reset_index(), ["k"], 0)
+    if name == "groupwise_cume_dist":
+        exp = df.assign(cume_dist=g.rank(method="max") / g.transform("size"))
+        return (lambda: cs.groupwise_cume_dist(_keyed_ds(), key_col="k", val_col="v"),
+                exp, ["doc_id"], 0)
+    if name == "groupwise_zscore":
+        sd = g.transform(lambda s: s.std(ddof=0))
+        z = ((df["v"] - g.transform("mean")) / sd).where(sd > 0, 0.0)
+        return (lambda: cs.groupwise_zscore(_keyed_ds(), key_col="k", val_col="v"),
+                df.assign(zscore=z), ["doc_id"], 1e-9)
+    if name == "groupwise_robust_z":
+        med = g.transform("median")
+        mad = (df["v"] - med).abs().groupby(df["k"], dropna=False).transform("median")
+        rz = ((df["v"] - med) / mad).where(mad > 0, 0.0)
+        return (lambda: cs.groupwise_robust_z(_keyed_ds(), key_col="k", val_col="v"),
+                df.assign(robust_z=rz), ["doc_id"], 0)
+    if name == "hll_distinct_by_key":
+        # linear counting is within 0.1% of exact at a few distinct values
+        exp = g.nunique().rename("n_distinct_est").reset_index()
+        return lambda: cs.hll_distinct_by_key(_keyed_ds(), "k", "v"), exp, ["k"], 1e-3
+    if name == "budget_select":
+        srt = df.sort_values(["v", "doc_id"], ascending=[False, True])
+        exp = srt[srt["tok"].cumsum() <= 35_000]  # cut inside the v=5 group
+        return (lambda: budget_select(_keyed_ds(), score_col="v", token_col="tok",
+                                      budget=35_000), exp, ["doc_id"], 0)
+    toks = _tokens(df)
+    tf = toks.groupby("term").agg(n_occ=("doc_id", "size"), n_docs=("doc_id", "nunique"))
+    tf = tf.reset_index()
+    if name == "term_freq":
+        return lambda: cs.term_freq(_keyed_ds()), tf, ["term"], 0
+    if name == "heavy_hitter_terms":
+        return (lambda: cs.heavy_hitter_terms(_keyed_ds(), top_k=2, m=2),
+                _top_counts(tf, "term", 2)[["term", "n_occ"]], ["term"], 0)
+    if name == "bigram_counts":
+        nxt = toks.assign(pos=toks["pos"] - 1)
+        pairs = toks.merge(nxt, on=["doc_id", "pos"])
+        big = (pairs["term_x"] + " " + pairs["term_y"]).value_counts()
+        big = big.rename_axis("bigram").rename("n_occ").reset_index()
+        return (lambda: cs.bigram_counts(_keyed_ds(), top_k=3),
+                _top_counts(big, "bigram", 3), ["bigram"], 0)
+    if name == "tfidf_top_terms":
+        cnt = toks.groupby(["doc_id", "term"]).size().rename("cnt").reset_index()
+        cnt = cnt.merge(toks.groupby("doc_id").size().rename("len").reset_index())
+        cnt = cnt.merge(tf[["term", "n_docs"]])
+        n1 = len(df) + 1
+        cnt["score"] = cnt["cnt"] * n1 / (cnt["len"] * (cnt["n_docs"] + 1))
+        exp = cnt.sort_values(["doc_id", "score", "term"], ascending=[True, False, True])
+        exp = exp.groupby("doc_id").head(1).assign(rnk=1)
+        return (lambda: cs.tfidf_top_terms(_keyed_ds(), variant="recip"),
+                exp[["doc_id", "term", "score", "rnk"]], ["doc_id"], 0)
+    assert name == "line_doc_counts"
+    lines = df.assign(line=df["text"].str.split("\n")).explode("line")
+    lines = lines.dropna(subset=["line"])
+    exp = lines[lines["line"] != ""].groupby("line")["doc_id"].nunique()
+    return (lambda: line_doc_counts(_keyed_ds(), min_chars=1),
+            exp.rename("n_docs").reset_index(), ["line"], 0)
+
+
+@pytest.mark.parametrize("max_bytes", [None, -1], ids=["one_task", "bucketed"])
+@pytest.mark.parametrize("name", [
+    "value_counts_str", "value_counts_int", "grouped_quantiles",
+    "groupwise_cume_dist", "groupwise_zscore", "groupwise_robust_z",
+    "hll_distinct_by_key", "budget_select", "term_freq", "heavy_hitter_terms",
+    "bigram_counts", "tfidf_top_terms", "line_doc_counts",
+])
+def test_extras_keyed_reducers_null_and_empty_keys_both_regimes(
+    monkeypatch, name, max_bytes,
+):
+    """Every keyed reducer of the extras (one partition._keyed_reduce
+    each) treats null and "" keys as groups like any other, keeps an int
+    key's type, and matches pandas in both regimes, over 3 blocks."""
+    from pipeline import partition
+
+    if max_bytes is not None:
+        monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", max_bytes)
+    run, exp, by, rtol = _keyed_case(name)
+    got = run()
+    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
+    assert sorted(got.columns) == sorted(exp.columns)
+    if name == "value_counts_int":
+        assert got["v"].dtype == np.int64
+    pd.testing.assert_frame_equal(
+        _nulls_as_none(got[list(exp.columns)].sort_values(by)),
+        _nulls_as_none(exp.sort_values(by)), check_exact=not rtol, rtol=rtol or 1e-5,
+    )
 
 
 def test_pack_greedy_empty_and_oversized():

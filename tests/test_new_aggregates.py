@@ -394,10 +394,12 @@ def test_events_user_paths_null_semantics(ray_session, tmp_path):
     assert len(nullrow) == 1 and nullrow["path"].iloc[0] == "view"
 
 
-def test_grouped_quantiles_null_keys_and_values(ray_session):
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_grouped_quantiles_null_keys_and_values(ray_session, n_blocks):
     """SQL parity on nulls: NULL grouping key keeps its own group,
     NULL values are ignored by the rank walk, and an all-null-value
-    group emits NULL quantiles; q=0.29 names its column p29."""
+    group emits NULL quantiles; q=0.29 names its column p29. Over one
+    block, and over three (each key's rows in two of them)."""
     import ray
 
     from pipeline.extras.corpusstats import grouped_quantiles
@@ -406,7 +408,8 @@ def test_grouped_quantiles_null_keys_and_values(ray_session):
         "k": ["a", "a", None, None, "b", "b"],
         "v": pd.array([1, 3, 10, 20, None, None], dtype="Int64"),
     })
-    ds = ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
+    t = pa.Table.from_pandas(df.iloc[[0, 2, 4, 1, 3, 5]], preserve_index=False)
+    ds = ray.data.from_arrow([t.slice(i, 6 // n_blocks) for i in range(0, 6, 6 // n_blocks)])
     got = grouped_quantiles(ds, key_col="k", val_col="v", qs=[0.5, 0.29])
     assert len(got) == 3
     # round, not truncate: int(0.29 * 100) == 28

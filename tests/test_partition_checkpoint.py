@@ -207,6 +207,34 @@ def _reducer_case(name):
             df[df["k"].isin(["", "a"])], ["o"])
 
 
+@pytest.mark.parametrize("types", [
+    ("string", "int64"), ("int8", "string"), ("bool", "string"), ("bool", "int32"),
+    ("string", "string"), ("int64", "large_string"),
+])
+def test_sum_by_multi_key_nulls_match_pandas(types):
+    """_sum_by groups on two keys of any type pair with nulls in both as
+    pandas groupby(dropna=False) does (pyarrow 16's grouper splits such
+    groups for some key orders)."""
+    import random
+
+    import pandas as pd
+    import pyarrow as pa
+
+    from pipeline.partition import _sum_by
+
+    rng = random.Random(0)
+    pools = {"string": ["a", "", "bb"], "large_string": ["a", "", "bb"],
+             "int64": [1, 2, 3], "int32": [1, 2], "int8": [1, 2], "bool": [True, False]}
+    cols = {f"k{i}": pa.array([rng.choice(pools[t] + [None]) for _ in range(3000)],
+                              getattr(pa, t if t != "bool" else "bool_")())
+            for i, t in enumerate(types)}
+    t = pa.table({**cols, "n": pa.array([1] * 3000, pa.int64())})
+    got = _sum_by(t, ["k0", "k1"]).to_pandas()
+    exp = t.to_pandas().groupby(["k0", "k1"], dropna=False)["n"].sum()
+    assert len(got) == len(exp) and got["n"].sum() == 3000
+    assert sorted(got["n"]) == sorted(exp)
+
+
 @pytest.mark.parametrize("max_bytes", [None, -1], ids=["one_task", "bucketed"])
 @pytest.mark.parametrize("name", [
     "salted_group_counts", "keep_first_by", "exact_dedup", "topn_per_key",
