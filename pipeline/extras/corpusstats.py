@@ -44,7 +44,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from pipeline.partition import _keyed_reduce, _sum_by, _sum_reduce, salted_group_counts
+from pipeline.partition import (
+    _column_types, _keyed_reduce, _sum_by, _sum_reduce, salted_group_counts,
+)
 
 _TERM_COUNTS = pa.schema([("term", pa.string()), ("n_occ", pa.int64())])
 _VOCAB = _TERM_COUNTS.append(pa.field("n_docs", pa.int64()))
@@ -56,9 +58,10 @@ def _top(t: pa.Table, key: str, k: int) -> pa.Table:
 
 
 def _to_arrow(ds: "ray.data.Dataset") -> pa.Table:
-    """A finished reduce's (small) output as one Arrow table on the
-    driver; unlike Dataset.to_pandas it keeps the columns at zero rows."""
-    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    """A reduce's (small) output as one Arrow table on the driver; unlike
+    Dataset.to_pandas it keeps the columns at zero rows, and it absorbs
+    a bucketed reduce's blocks without columns (see bucket_shuffle)."""
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()), promote_options="default")
 
 
 def _key_pos(col, keys: pa.Array) -> np.ndarray:
@@ -713,6 +716,36 @@ def hll_distinct_by_key(ds: "ray.data.Dataset", key_col: str, col: str,
 
 # ------------------------------------------------- group-wise normalize
 
+def _no_rows_with(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
+    """Zero rows under ``ds``'s columns plus float64 ``col``: a per-row
+    normalize's output on empty input (a map over no rows has no
+    schema)."""
+    t = pa.schema(list(_column_types(ds).items()) if ds.schema() else []).empty_table()
+    return ray.data.from_arrow(t.append_column(col, pa.array([], pa.float64())))
+
+
+def _scale_per_key(ds: "ray.data.Dataset", key_col: str, val_col: str, out_col: str,
+                   keys: pa.Array, center: np.ndarray, scale: np.ndarray,
+                   ) -> "ray.data.Dataset":
+    """``ds`` plus ``out_col`` = (x - center) / scale of each row's key
+    (its position in ``keys``, broadcast once; a null key matches the
+    null), 0.0 where the scale is 0: the map-only pass of the z-score
+    and robust z. No keys (empty input): _no_rows_with."""
+    if not len(keys):
+        return _no_rows_with(ds, out_col)
+    ref = ray.put((keys, center, scale))
+
+    def normalize(t: pa.Table) -> pa.Table:
+        ks, mu, sg = ray.get(ref)
+        pos = _key_pos(t[key_col], ks)
+        x = t[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        m, s = mu[pos], sg[pos]
+        z = np.divide(x - m, s, out=np.zeros_like(x), where=s > 0)
+        return t.append_column(out_col, pa.array(z, pa.float64()))
+
+    return ds.map_batches(normalize, batch_format="pyarrow", zero_copy_batch=True)
+
+
 def groupwise_zscore(
     ds: "ray.data.Dataset", *, key_col: str, val_col: str,
     out_col: str = "zscore",
@@ -754,8 +787,8 @@ def groupwise_zscore(
                               "s": v, "s2": v2, "m2": v2}))
 
     out = _keyed_reduce(ds, moments, [(key_col, fold)])
-    if out is None:  # no rows: nothing to normalize
-        return ds
+    if out is None:
+        return _no_rows_with(ds, out_col)
     mom = _to_arrow(out)
     for k, nn, m2 in zip(*(mom[c].to_pylist() for c in (key_col, "n", "m2"))):
         if m2 is not None and nn * m2 >= 2 ** 63:
@@ -768,19 +801,8 @@ def groupwise_zscore(
     mean = mom["s"].to_numpy(zero_copy_only=False).astype(np.float64) / n
     var = mom["s2"].to_numpy(zero_copy_only=False).astype(np.float64) / n - mean * mean
     sd = np.sqrt(np.maximum(var, 0.0))
-    ref = ray.put((mom[key_col].combine_chunks(), mean, sd))
-
-    def normalize(t: pa.Table) -> pa.Table:
-        ks, mu, sg = ray.get(ref)
-        pos = _key_pos(t[key_col], ks)
-        x = t[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        m, s = mu[pos], sg[pos]
-        z = np.divide(x - m, s, out=np.zeros_like(x), where=s > 0)
-        return t.append_column(out_col, pa.array(z, pa.float64()))
-
-    return ds.map_batches(
-        normalize, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return _scale_per_key(ds, key_col, val_col, out_col, mom[key_col].combine_chunks(),
+                          mean, sd)
 
 
 def groupwise_cume_dist(
@@ -800,6 +822,8 @@ def groupwise_cume_dist(
     IEEE division — bit-identical to SQL cume_dist() over the same
     column, a null key being a partition."""
     keys, hist = _pair_histogram(ds, key_col, val_col)
+    if not len(hist):
+        return _no_rows_with(ds, out_col)
     hist["_cum"] = hist.groupby("_k", sort=False)["n"].cumsum()
     hist["_tot"] = hist.groupby("_k", sort=False)["n"].transform("sum")
     # every (key, value) pair seen in the data has an exact histogram
@@ -856,8 +880,11 @@ def _pair_histogram(ds: "ray.data.Dataset", key_col: str,
 
     empty = pa.table({key_col: pa.array([], pa.string()),
                       val_col: pa.array([], pa.int64()), "n": pa.array([], pa.int64())})
-    t = _to_arrow(_sum_reduce(ds, count, [key_col, val_col], finish=lambda t: t.sort_by(
-        [(key_col, "ascending"), (val_col, "ascending")]), empty=empty))
+    # bucketed on the value (exact: a pair's partials share it), as a
+    # few-key column (a source) would keep at most |keys| buckets busy
+    t = _to_arrow(_sum_reduce(ds, count, [val_col, key_col], finish=lambda t: t.sort_by(
+        [(key_col, "ascending"), (val_col, "ascending")]).select([key_col, val_col, "n"]),
+        empty=empty))
     keys = pc.unique(t[key_col])
     return keys, t.to_pandas().assign(_k=_key_pos(t[key_col], keys))
 
@@ -929,18 +956,5 @@ def groupwise_robust_z(
         order = np.argsort(d, kind="mergesort")
         meds.append(med)
         mads.append(_weighted_median(d[order], w[order]))
-    ref = ray.put((
-        keys, np.array(meds, dtype=np.float64), np.array(mads, dtype=np.float64),
-    ))
-
-    def normalize(t: pa.Table) -> pa.Table:
-        ks, med, mad = ray.get(ref)
-        pos = _key_pos(t[key_col], ks)
-        x = t[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        m, s = med[pos], mad[pos]
-        rz = np.divide(x - m, s, out=np.zeros_like(x), where=s > 0)
-        return t.append_column(out_col, pa.array(rz, pa.float64()))
-
-    return ds.map_batches(
-        normalize, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return _scale_per_key(ds, key_col, val_col, out_col, keys,
+                          np.array(meds, np.float64), np.array(mads, np.float64))

@@ -32,9 +32,9 @@ from pipeline.schema import REPO_STATS
 def _row_width(typ: pa.DataType) -> float:
     """A key's width in Arrow's row encoding of group-by keys, which lays
     keys out widest first (a string or binary key after the 4-byte fixed
-    ones). pyarrow 16 splits groups when the keys are passed in another
-    order and any key holds a null, so multi-key group_bys pass them in
-    this one, widest first."""
+    ones). pyarrow 16.1 splits a multi-key group_by's groups when a key
+    holds a null unless the keys come in this order; drop this on an
+    upgrade where test_sum_by_multi_key_nulls_match_pandas passes without."""
     if pa.types.is_large_string(typ) or pa.types.is_large_binary(typ):
         return 7.5
     if pa.types.is_string(typ) or pa.types.is_binary(typ):
@@ -58,7 +58,7 @@ def _sum_by(t: pa.Table, keys: list[str], count: str | None = None) -> pa.Table:
     aggs = [(c, "sum") for c in vals]
     if count:
         aggs.append((keys[0], "count", pc.CountOptions(mode="all")))
-    order = sorted(keys, key=lambda k: -_row_width(t[k].type))
+    order = sorted(keys, key=lambda k: -_row_width(t[k].type)) if len(keys) > 1 else keys
     g = t.group_by(order, use_threads=False).aggregate(aggs)
     return pa.table([g[k] for k in keys] + [g[f"{a[0]}_{a[1]}"] for a in aggs],
                     names=keys + vals + ([count] if count else []))
@@ -197,14 +197,19 @@ def repo_stats(scrubbed: "ray.data.Dataset") -> "ray.data.Dataset":
 def salted_group_counts(ds: "ray.data.Dataset", key: str) -> "ray.data.Dataset":
     """O7: rows per distinct value of column ``key`` (null and "" included,
     as SQL GROUP BY; the key keeps its type), as columns (key, n); empty
-    input gives no rows, typed (key string, n int64). A _keyed_reduce of
-    per-batch counts: the combiner is the salt — a hot key reaches the
-    reduce as at most one row per batch, never as its rows."""
+    input gives no rows, typed (key as in ``ds``, n int64). A
+    _keyed_reduce of per-batch counts: the combiner is the salt — a hot
+    key reaches the reduce as at most one row per batch, never as its
+    rows."""
     def count(t: pa.Table) -> pa.Table:
         return _sum_by(pa.table({key: t[key], "n": np.ones(len(t), np.int64)}), [key])
 
-    return _sum_reduce(ds.select_columns([key]), count, [key], empty=pa.table(
-        {key: pa.array([], pa.string()), "n": pa.array([], pa.int64())}))
+    ds = ds.select_columns([key])
+    out = _sum_reduce(ds, count, [key])
+    if out is None:  # no rows: count's output on none, typed as ds
+        typ = _column_types(ds)[key] if ds.schema() else pa.null()
+        out = ray.data.from_arrow(count(pa.table({key: pa.array([], typ)})))
+    return out
 
 
 def _bcast_join_batch(batch: pd.DataFrame, *, small_ref, on: str,
@@ -257,8 +262,8 @@ def hash_join(
     for key field") — only safe when distinct keys >> num_partitions on
     BOTH sides (true for the above-broadcast-max semi-joins here, whose
     key sets exceed 2M by contract).  For joins whose key cardinality
-    can be small, join inside a bucket_shuffle instead (its groupby
-    never builds a partition that received no rows)."""
+    can be small, join inside a bucket_shuffle instead (a partition of
+    its groupby that gets no rows never reaches the join)."""
     if num_partitions is None:
         cpus = _cluster_cpus()
         if n_rows_hint is not None:
@@ -287,20 +292,27 @@ def bucket_shuffle(
     bucket's rows from all sides, unordered, without the bucket column);
     ``fn`` returns that bucket's output frame or Arrow table.
 
-    The bucket is ``pd.util.hash_array(key) % n_buckets`` — a keyed
-    siphash with a fixed key, so equal values land together across
-    processes and sides (the key's type must match across sides). The
+    The bucket is ``pd.util.hash_array(key) % n_buckets`` over the key's
+    non-null values in the column's own type, whether or not the batch
+    holds a null (a null key takes bucket 0) — a keyed siphash with a
+    fixed key, so equal values land together across batches, processes
+    and sides (the key's type must match across sides). The
     sides are unioned as they are: callers tag them and align their
     schemas. One frame per bucket, not per key, means a vectorized
     ``fn`` handles every key in a single pass ("1/n_buckets of the
-    keyspace fits a worker"), and the groupby never builds a partition
-    that received no rows — the failure mode of Ray 2.49's native join
-    on sparse keys (see hash_join)."""
+    keyspace fits a worker"), and a groupby partition that gets no
+    bucket never runs ``fn``: it leaves an empty block without columns
+    (concatenate Arrow output with promotion), not the crash of Ray
+    2.49's native join on sparse keys (see hash_join)."""
+    import pyarrow.compute as pc
+
     def tag(t: pa.Table) -> pa.Table:
-        bkt = pd.util.hash_array(
-            t[key].to_numpy(zero_copy_only=False)
-        ) % np.uint64(n_buckets)
-        return t.append_column("_bkt", pa.array(bkt.astype(np.int64)))
+        # non-null values only: with a null, to_numpy gives an int batch as
+        # float64 (3.0 does not hash as 3 does), a bool one as object
+        valid = pc.is_valid(t[key]).to_numpy(zero_copy_only=False)
+        h = np.zeros(len(t), np.uint64)
+        h[valid] = pd.util.hash_array(t[key].drop_null().to_numpy(zero_copy_only=False))
+        return t.append_column("_bkt", pa.array((h % np.uint64(n_buckets)).astype(np.int64)))
 
     tagged = [s.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
               for s in sides]

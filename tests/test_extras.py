@@ -642,10 +642,17 @@ def test_corpusstats_empty_inputs():
     assert cs.value_counts_quantiles(empty, "doc_id", [0.5]) == [None]
     assert cs.value_counts_quantiles_cont(empty, "doc_id", [0.5]) == [None]
     kv = {"key_col": "k", "val_col": "doc_id"}
-    for ds in (cs.groupwise_zscore(empty, **kv), cs.groupwise_cume_dist(empty, **kv),
-               cs.groupwise_robust_z(empty, **kv), cs.tfidf_top_terms(empty),
+    for out_col, ds in (("zscore", cs.groupwise_zscore(empty, **kv)),
+                        ("cume_dist", cs.groupwise_cume_dist(empty, **kv)),
+                        ("robust_z", cs.groupwise_robust_z(empty, **kv))):
+        assert ds.count() == 0
+        assert ds.schema().names == ["doc_id", "k", "text", out_col]
+        assert ds.schema().base_schema.field(out_col).type == pa.float64()
+    for ds in (cs.tfidf_top_terms(empty),
                budget_select(empty, score_col="doc_id", token_col="doc_id", budget=1)):
         assert ds.count() == 0
+    vc = cs.value_counts(empty, "doc_id")
+    assert vc.schema().base_schema == pa.schema([("doc_id", pa.int64()), ("n", pa.int64())])
     assert quantiles_from_counts(
         pd.DataFrame({"v": [], "n": []}), "v", [0.5]
     ) == [None]
@@ -657,12 +664,13 @@ _KEYED_BLOCK = 8192  # _keyed_reduce's combiner batch: one batch per block
 
 def _keyed_rows() -> pd.DataFrame:
     """9 distinct rows: the key ``k`` holds null and "" (each more than
-    once), ``text`` null and "" rows and lines split by "\\n". Block b
-    of _keyed_ds is rows 3b..3b+2 tiled to _KEYED_BLOCK rows, so every
-    key reaches the fold from several combiner partials; ``doc_id`` is
-    the row number."""
+    once), the int key ``ik`` null in blocks 0 and 2 only, ``text`` null
+    and "" rows and lines split by "\\n". Block b of _keyed_ds is rows
+    3b..3b+2 tiled to _KEYED_BLOCK rows, so every key reaches the fold
+    from several combiner partials; ``doc_id`` is the row number."""
     df = pd.DataFrame({
         "k": ["a", None, "", None, "a", "b", "", None, "a"],
+        "ik": pd.array([1, None, 2, 1, 3, 2, None, 3, 1], dtype="Int64"),
         "v": np.array([3, 1, 4, 1, 5, 9, 2, 6, 5], np.int64),
         "tok": np.array([4, 2, 7, 1, 3, 5, 2, 6, 1], np.int64),
         "text": ["a b\nc", None, "", "a b", "c\na b", "b b", None, "c", "a b\nc"],
@@ -703,36 +711,38 @@ def _keyed_case(name):
     from pipeline.extras.paragraphs import line_doc_counts
     from pipeline.extras.selection import budget_select
 
+    key = "ik" if name.endswith("_ik") else "k"
+    name = name.removesuffix("_ik")
     df = _keyed_rows()
-    g = df.groupby("k", dropna=False, sort=False)["v"]
-    if name in ("value_counts_str", "value_counts_int"):
-        col = "k" if name == "value_counts_str" else "v"
+    g = df.groupby(key, dropna=False, sort=False)["v"]
+    if name.startswith("value_counts"):
+        col = "v" if name == "value_counts_int" else key
         exp = df.groupby(col, dropna=False).size().rename("n").reset_index()
         return lambda: cs.value_counts(_keyed_ds(), col), exp, [col], 0
     if name == "grouped_quantiles":
         exp = g.apply(lambda s: sorted(s)[math.ceil(0.5 * len(s)) - 1])
-        return (lambda: cs.grouped_quantiles(_keyed_ds(), key_col="k", val_col="v",
+        return (lambda: cs.grouped_quantiles(_keyed_ds(), key_col=key, val_col="v",
                                              qs=[0.5]),
-                exp.rename("p50").reset_index(), ["k"], 0)
+                exp.rename("p50").reset_index(), [key], 0)
     if name == "groupwise_cume_dist":
         exp = df.assign(cume_dist=g.rank(method="max") / g.transform("size"))
-        return (lambda: cs.groupwise_cume_dist(_keyed_ds(), key_col="k", val_col="v"),
+        return (lambda: cs.groupwise_cume_dist(_keyed_ds(), key_col=key, val_col="v"),
                 exp, ["doc_id"], 0)
     if name == "groupwise_zscore":
         sd = g.transform(lambda s: s.std(ddof=0))
         z = ((df["v"] - g.transform("mean")) / sd).where(sd > 0, 0.0)
-        return (lambda: cs.groupwise_zscore(_keyed_ds(), key_col="k", val_col="v"),
+        return (lambda: cs.groupwise_zscore(_keyed_ds(), key_col=key, val_col="v"),
                 df.assign(zscore=z), ["doc_id"], 1e-9)
     if name == "groupwise_robust_z":
         med = g.transform("median")
-        mad = (df["v"] - med).abs().groupby(df["k"], dropna=False).transform("median")
+        mad = (df["v"] - med).abs().groupby(df[key], dropna=False).transform("median")
         rz = ((df["v"] - med) / mad).where(mad > 0, 0.0)
-        return (lambda: cs.groupwise_robust_z(_keyed_ds(), key_col="k", val_col="v"),
+        return (lambda: cs.groupwise_robust_z(_keyed_ds(), key_col=key, val_col="v"),
                 df.assign(robust_z=rz), ["doc_id"], 0)
     if name == "hll_distinct_by_key":
         # linear counting is within 0.1% of exact at a few distinct values
         exp = g.nunique().rename("n_distinct_est").reset_index()
-        return lambda: cs.hll_distinct_by_key(_keyed_ds(), "k", "v"), exp, ["k"], 1e-3
+        return lambda: cs.hll_distinct_by_key(_keyed_ds(), key, "v"), exp, [key], 1e-3
     if name == "budget_select":
         srt = df.sort_values(["v", "doc_id"], ascending=[False, True])
         exp = srt[srt["tok"].cumsum() <= 35_000]  # cut inside the v=5 group
@@ -776,14 +786,18 @@ def _keyed_case(name):
     "value_counts_str", "value_counts_int", "grouped_quantiles",
     "groupwise_cume_dist", "groupwise_zscore", "groupwise_robust_z",
     "hll_distinct_by_key", "budget_select", "term_freq", "heavy_hitter_terms",
-    "bigram_counts", "tfidf_top_terms", "line_doc_counts",
+    "bigram_counts", "tfidf_top_terms", "line_doc_counts", "value_counts_ik",
+    "grouped_quantiles_ik", "groupwise_cume_dist_ik", "groupwise_zscore_ik",
+    "groupwise_robust_z_ik", "hll_distinct_by_key_ik",
 ])
 def test_extras_keyed_reducers_null_and_empty_keys_both_regimes(
     monkeypatch, name, max_bytes,
 ):
     """Every keyed reducer of the extras (one partition._keyed_reduce
     each) treats null and "" keys as groups like any other, keeps an int
-    key's type, and matches pandas in both regimes, over 3 blocks."""
+    key's type, and matches pandas in both regimes, over 3 blocks; the
+    ``_ik`` cases key on an int column that is null in some blocks only
+    (a bucket must not depend on whether its batch holds a null)."""
     from pipeline import partition
 
     if max_bytes is not None:
