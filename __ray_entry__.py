@@ -772,9 +772,9 @@ def _scrub_pii_corpus(sf_dir: str) -> pd.DataFrame:
 
 def _scored_docs(sf_dir: str):
     """Documents through the flagship's fused QualityScorer actor pool
-    (langid + perplexity on `text`, both models fit once and broadcast)."""
-    import ray as _ray
-
+    (langid + perplexity on `text`); both models are fit once and
+    broadcast once per Ray session (_put_once), as in the flagship."""
+    from pipeline._util import _put_once
     from pipeline.quality.langid import LangIdModel
     from pipeline.quality.perplexity import PerplexityModel
     from pipeline.ray_pipeline import QualityScorer
@@ -783,8 +783,8 @@ def _scored_docs(sf_dir: str):
         QualityScorer, batch_format="pyarrow", batch_size=512,
         fn_constructor_kwargs={
             "column": "text",
-            "lang_ref": _ray.put(LangIdModel.default()),
-            "ppl_ref": _ray.put(PerplexityModel.default()),
+            "lang_ref": _put_once(LangIdModel.default()),
+            "ppl_ref": _put_once(PerplexityModel.default()),
         },
         concurrency=2, num_cpus=1,
     )

@@ -15,7 +15,7 @@ Layout (SURVEY.md §7.1):
   synth/        - deterministic fixture generators (conformance corpus + code table)
   oracle.py     - single-process golden implementation for parity tests
   ray_pipeline.py - Dataset graph assembly
-  partition.py  - size-balanced repartition, salted groupby stats
+  partition.py  - keyed reduces (counts, dedup, top-n), joins, bucket shuffle
   checkpoint.py - lineage manifests + resume
   metrics.py    - span-F1 partial+final aggregation
   extras/       - dedup (exact/minhash/simhash), ANN, text stats, multimodal stubs

@@ -221,6 +221,32 @@ def _cluster_cpus() -> int:
     return max(1, int(_ray.cluster_resources().get("CPU", 1)))
 
 
+_PUT_CACHE: dict = {}
+
+
+def _put_once(obj):
+    """Driver-side twin of _fetch_once: ray.put ``obj`` once per Ray
+    session and return the same ref on later calls, so a broadcast model
+    is shipped, and fetched by each worker, once per session however many
+    pipelines, partitions or queries use it.  One slot per type, keyed by
+    (node id, job id, the object itself): a refit or swapped-in object is
+    put again, and a ref from an ended session is never reused (after
+    ray.shutdown() + ray.init() in one process the job id repeats but
+    the node id changes)."""
+    import ray as _ray
+
+    def session():
+        ctx = _ray.get_runtime_context()
+        return ctx.get_node_id(), ctx.get_job_id()
+
+    hit = _PUT_CACHE.get(type(obj))
+    if hit is not None and hit[1] is obj and _ray.is_initialized() and hit[0] == session():
+        return hit[2]
+    ref = _ray.put(obj)  # initialises Ray if needed, like any lazy pipeline
+    _PUT_CACHE[type(obj)] = (session(), obj, ref)
+    return ref
+
+
 _BCAST_CACHE: dict = {}
 
 

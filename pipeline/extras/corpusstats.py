@@ -729,8 +729,9 @@ def _scale_per_key(ds: "ray.data.Dataset", key_col: str, val_col: str, out_col: 
                    ) -> "ray.data.Dataset":
     """``ds`` plus ``out_col`` = (x - center) / scale of each row's key
     (its position in ``keys``, broadcast once; a null key matches the
-    null), 0.0 where the scale is 0: the map-only pass of the z-score
-    and robust z. No keys (empty input): _no_rows_with."""
+    null), 0.0 where the scale is 0 and null where x or the center is
+    null (NaN): the map-only pass of the z-score and robust z. No keys
+    (empty input): _no_rows_with."""
     if not len(keys):
         return _no_rows_with(ds, out_col)
     ref = ray.put((keys, center, scale))
@@ -740,8 +741,9 @@ def _scale_per_key(ds: "ray.data.Dataset", key_col: str, val_col: str, out_col: 
         pos = _key_pos(t[key_col], ks)
         x = t[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
         m, s = mu[pos], sg[pos]
-        z = np.divide(x - m, s, out=np.zeros_like(x), where=s > 0)
-        return t.append_column(out_col, pa.array(z, pa.float64()))
+        d = x - m
+        z = np.divide(d, s, out=np.zeros_like(x), where=s > 0)
+        return t.append_column(out_col, pa.array(z, pa.float64(), mask=np.isnan(d)))
 
     return ds.map_batches(normalize, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -758,9 +760,9 @@ def groupwise_zscore(
     Two passes:
 
     1. moments: a _keyed_reduce of per-key (n, sum, sumsq, max sq)
-       int64 partials per batch (exact — integer sums commute, no float
-       accumulation order issues); the tiny |keys|-row moment table
-       broadcasts once via ray.put.
+       int64 partials per batch over the VALID values (exact — integer
+       sums commute, no float accumulation order issues); the tiny
+       |keys|-row moment table broadcasts once via ray.put.
     2. normalize: map-only; each row computes
        (x - sum/n) / sqrt(sumsq/n - (sum/n)^2) in float64.  Every
        operation after the exact integer sums is a single correctly-
@@ -769,11 +771,14 @@ def groupwise_zscore(
        expression — no libm, no order-dependent float reduction.
 
     Groups with zero variance emit 0.0 (not NaN/inf); a null key is a
-    group, as in SQL PARTITION BY.  ``val_col`` must be integer; per-row
-    int64 squares are multiply_checked and the SUMS are guarded by the
-    exact bound n * max(v^2) < 2^63 per group (checked in Python ints
-    after the reduce — Arrow integer sums wrap silently, so a bound
-    check, not the sum itself, is the only sound guard)."""
+    group, as in SQL PARTITION BY.  Null values are skipped, as by SQL
+    avg / stddev_pop: they count in no group's n, a null value's z is
+    null, and so is every z of a group with no valid value.
+    ``val_col`` must be integer; per-row int64 squares are
+    multiply_checked and the SUMS are guarded by the exact bound
+    n * max(v^2) < 2^63 per group (checked in Python ints after the
+    reduce — Arrow integer sums wrap silently, so a bound check, not the
+    sum itself, is the only sound guard)."""
     def fold(t: pa.Table) -> pa.Table:
         g = t.group_by(key_col, use_threads=False).aggregate(
             [("n", "sum"), ("s", "sum"), ("s2", "sum"), ("m2", "max")])
@@ -783,8 +788,8 @@ def groupwise_zscore(
     def moments(t: pa.Table) -> pa.Table:
         v = pc.cast(t[val_col], pa.int64())
         v2 = pc.multiply_checked(v, v)  # raises on int64 overflow
-        return fold(pa.table({key_col: t[key_col], "n": np.ones(len(t), np.int64),
-                              "s": v, "s2": v2, "m2": v2}))
+        n = pc.cast(pc.is_valid(v), pa.int64())
+        return fold(pa.table({key_col: t[key_col], "n": n, "s": v, "s2": v2, "m2": v2}))
 
     out = _keyed_reduce(ds, moments, [(key_col, fold)])
     if out is None:
@@ -798,6 +803,7 @@ def groupwise_zscore(
                 f"would wrap silently — rescale the signal first"
             )
     n = mom["n"].to_numpy().astype(np.float64)
+    n[n == 0] = np.nan  # no valid value: a null (NaN) mean, sd and z
     mean = mom["s"].to_numpy(zero_copy_only=False).astype(np.float64) / n
     var = mom["s2"].to_numpy(zero_copy_only=False).astype(np.float64) / n - mean * mean
     sd = np.sqrt(np.maximum(var, 0.0))

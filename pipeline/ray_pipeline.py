@@ -12,7 +12,8 @@ All stages are Arrow-in/Arrow-out (batch_format="pyarrow",
 zero_copy_batch=True). Stateless stages are plain functions (regexes
 compile at module import — once per worker process); the fused model
 stage is a callable class -> a Ray actor pool with both models fetched
-once in __init__ [T2 archetype: evaluation/model_evaluation.py:55-63].
+once in __init__ [T2 archetype: evaluation/model_evaluation.py:55-63],
+from refs put once per Ray session (_util._put_once).
 
 Scale notes: the scrub path is map-only end-to-end (no shuffle, streams
 with backpressure); the only wide ops live in pipeline.partition.
@@ -27,7 +28,7 @@ import pyarrow as pa
 
 import ray.data
 
-from pipeline._util import _cluster_cpus, _fetch_once, clean_batch, parquet_schema
+from pipeline._util import _cluster_cpus, _fetch_once, _put_once, clean_batch, parquet_schema
 from pipeline.quality.decide import decide_batch
 from pipeline.quality.heuristics import heuristic_batch
 from pipeline.quality.langid import LangIdModel
@@ -58,8 +59,10 @@ class QualityScorer:
     """The flagship's one scoring stage: (optional heuristics +) langid +
     perplexity in one actor-pool boundary (each boundary costs an
     object-store write+read of the whole batch). Both models are fit once
-    on the driver, broadcast via ray.put and fetched through the
-    per-worker _fetch_once cache; with no refs (standalone use) the
+    on the driver and broadcast once per Ray session (_put_once: every
+    flagship call, partition and query of a session passes the same
+    refs), so the per-worker _fetch_once cache fetches each model once
+    per worker per session; with no refs (standalone use) the
     deterministic defaults are fit locally."""
 
     def __init__(self, column: str = "content", lang_ref=None, ppl_ref=None,
@@ -120,7 +123,7 @@ def quality_task_stage(batch: pa.Table, *, column: str = "content",
     """Task-pool regime of QualityScorer for small inputs.  Building the
     scorer per batch is cheap: Ray worker processes persist across
     tasks, so _fetch_once deserializes each broadcast model once per
-    worker."""
+    worker (per session: the refs are _put_once's)."""
     return QualityScorer(column=column, lang_ref=lang_ref, ppl_ref=ppl_ref,
                          with_heuristics=with_heuristics)(batch)
 
@@ -361,12 +364,14 @@ def flagship_pipeline(
     into one operator, the read stays its own); above it — or with no
     hint — the actor pool is used. A cluster with fewer than 2 CPUs
     always takes the task regime: the pool leaves n_cpus - 1 CPUs to the
-    read and scrub tasks, and its one actor would hold the only CPU."""
-    import ray as _ray
+    read and scrub tasks, and its one actor would hold the only CPU.
 
+    Both regimes take the scoring models as refs from _put_once, so
+    repeated calls in one Ray session (bench jobs, run_partitioned's
+    partitions) put each model once, not once per call."""
     scorer_kwargs = {
-        "lang_ref": _ray.put(LangIdModel.default()),  # fit once, broadcast
-        "ppl_ref": _ray.put(PerplexityModel.default()),
+        "lang_ref": _put_once(LangIdModel.default()),  # fit once, broadcast
+        "ppl_ref": _put_once(PerplexityModel.default()),
         "with_heuristics": True,
     }
     small = n_rows_hint is not None and n_rows_hint <= FLAGSHIP_TASK_POOL_MAX_ROWS

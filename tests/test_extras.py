@@ -1348,6 +1348,31 @@ def test_groupwise_zscore():
     assert (out[out["k"] == "b"]["zscore"] == 0.0).all()
 
 
+@pytest.mark.parametrize("max_bytes", [None, -1], ids=["one_task", "bucketed"])
+def test_groupwise_zscore_skips_null_values(monkeypatch, max_bytes):
+    """Null values count in no group's n, as SQL avg / stddev_pop skip
+    them: DuckDB's (v - avg(v) OVER w) / stddev_pop(v) OVER w gives
+    -1, 1, null for one group holding 1, 3, null, and null for every row
+    of a group with no valid value."""
+    import ray.data as rd
+
+    from pipeline import partition
+    from pipeline.extras.corpusstats import groupwise_zscore
+
+    if max_bytes is not None:
+        monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", max_bytes)
+    t = pa.table({
+        "id": [0, 1, 2, 3, 4],
+        "k": ["a", "a", "a", "b", "b"],
+        "v": pa.array([1, 3, None, None, None], pa.int64()),
+    })
+    out = groupwise_zscore(
+        rd.from_arrow([t.slice(0, 2), t.slice(2)]), key_col="k", val_col="v",
+    ).to_pandas().sort_values("id")
+    assert out["zscore"].tolist()[:2] == [-1.0, 1.0]
+    assert out["zscore"].isna().tolist() == [False, False, True, True, True]
+
+
 def test_lsh_recall_vs_brute_force():
     import ray.data as rd
 

@@ -125,10 +125,10 @@ print("rows", len(no_hint))
 """
 
 
-def test_flagship_without_hint_finishes_on_one_cpu(tmp_path):
-    """On a 1-CPU cluster the flagship takes the task regime even with no
-    n_rows_hint: a one-actor scorer pool would hold the only CPU and the
-    read and scrub tasks would never run. Fresh process, own Ray session."""
+def _run_fresh(script: str, arg: str, what: str) -> str:
+    """Run ``script`` with ``arg`` in a fresh process (its own Ray
+    sessions) from the repo root; its last stdout line. A run past 120 s
+    fails as ``what`` after its process group is killed."""
     import os
     import signal
     import subprocess
@@ -137,7 +137,7 @@ def test_flagship_without_hint_finishes_on_one_cpu(tmp_path):
 
     repo = Path(__file__).resolve().parents[1]
     proc = subprocess.Popen(
-        [sys.executable, "-c", _ONE_CPU_SCRIPT, str(tmp_path / "code")],
+        [sys.executable, "-c", script, arg],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=repo,
         env=dict(os.environ, PYTHONPATH=str(repo)), start_new_session=True,
     )
@@ -146,6 +146,136 @@ def test_flagship_without_hint_finishes_on_one_cpu(tmp_path):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)   # the script and the Ray processes it started
         proc.communicate()
-        pytest.fail("flagship_pipeline made no progress in 120 s at num_cpus=1")
+        pytest.fail(f"{what} made no progress in 120 s")
     assert proc.returncode == 0, stderr[-2000:]
-    assert stdout.strip().splitlines()[-1] == "rows 120"
+    return stdout.strip().splitlines()[-1]
+
+
+def test_flagship_without_hint_finishes_on_one_cpu(tmp_path):
+    """On a 1-CPU cluster the flagship takes the task regime even with no
+    n_rows_hint: a one-actor scorer pool would hold the only CPU and the
+    read and scrub tasks would never run. Fresh process, own Ray session."""
+    out = _run_fresh(_ONE_CPU_SCRIPT, str(tmp_path / "code"),
+                     "flagship_pipeline at num_cpus=1")
+    assert out == "rows 120"
+
+
+# ------------------------------------------ model broadcast per session
+
+def _count_model_puts(monkeypatch) -> dict:
+    """Empty the session's broadcast slots, then count ray.put calls per
+    scoring-model type."""
+    import ray
+
+    from pipeline import _util
+    from pipeline.quality.langid import LangIdModel
+    from pipeline.quality.perplexity import PerplexityModel
+
+    monkeypatch.setattr(_util, "_PUT_CACHE", {})
+    puts = {LangIdModel: 0, PerplexityModel: 0}
+    put = ray.put
+
+    def counted(value, **kwargs):
+        if type(value) in puts:
+            puts[type(value)] += 1
+        return put(value, **kwargs)
+
+    monkeypatch.setattr(ray, "put", counted)
+    return puts
+
+
+def test_flagship_puts_models_once_per_session(ray_session, edge_frame, monkeypatch):
+    """Two flagship calls in one session, one per scoring regime (actor
+    pool with no hint, tasks with one), put each model once and agree."""
+    import ray.data as rd
+
+    from pipeline.ray_pipeline import flagship_pipeline
+
+    puts = _count_model_puts(monkeypatch)
+    tbl = pa.Table.from_pandas(edge_frame, preserve_index=False)
+    actor = flagship_pipeline(rd.from_arrow(tbl)).to_pandas()
+    task = flagship_pipeline(rd.from_arrow(tbl), n_rows_hint=len(tbl)).to_pandas()
+    assert list(puts.values()) == [1, 1]
+    pd.testing.assert_frame_equal(
+        task.sort_values("path").reset_index(drop=True),
+        actor.sort_values("path").reset_index(drop=True),
+    )
+
+
+def test_flagship_puts_a_swapped_in_model(ray_session, edge_frame, monkeypatch):
+    """A new LangIdModel._default within a session (a refit, a test
+    patch) is put again, and the workers score with it, not with the
+    model cached under the first ref."""
+    import ray.data as rd
+
+    from pipeline.quality.langid import LangIdModel
+    from pipeline.quality.perplexity import PerplexityModel
+    from pipeline.ray_pipeline import flagship_pipeline
+
+    puts = _count_model_puts(monkeypatch)
+    tbl = pa.Table.from_pandas(edge_frame, preserve_index=False)
+    flagship_pipeline(rd.from_arrow(tbl), n_rows_hint=len(tbl)).materialize()
+    base = LangIdModel.default()
+    monkeypatch.setattr(LangIdModel, "_default",
+                        LangIdModel(base.profiles, [f"refit_{la}" for la in base.langs]))
+    got = flagship_pipeline(rd.from_arrow(tbl), n_rows_hint=len(tbl)).to_pandas()
+    assert puts == {LangIdModel: 2, PerplexityModel: 1}
+    assert got["lang_pred"].str.startswith("refit_").all()
+
+
+def test_run_partitioned_puts_models_once(ray_session, tmp_path, monkeypatch):
+    """run_partitioned's partitions share one broadcast of each model."""
+    from pathlib import Path
+
+    from pipeline.checkpoint import run_partitioned
+    from pipeline.synth.codegen import write_code_table
+
+    d = write_code_table(tmp_path / "code", 200, n_files=4)
+    files = sorted(str(p) for p in Path(d).glob("*.parquet"))
+    puts = _count_model_puts(monkeypatch)
+    summary = run_partitioned(files, tmp_path / "out")
+    assert summary["partitions_run"] == len(files) == 4
+    assert list(puts.values()) == [1, 1]
+
+
+_TWO_SESSIONS_SCRIPT = """
+import sys
+
+import pandas as pd
+import ray
+import ray.data as rd
+from ray.data import DataContext
+
+from pipeline.quality.langid import LangIdModel
+from pipeline.quality.perplexity import PerplexityModel
+from pipeline.ray_pipeline import flagship_pipeline
+from pipeline.synth.codegen import write_code_table
+
+puts, put = [], ray.put
+def counted(value, **kwargs):
+    if isinstance(value, (LangIdModel, PerplexityModel)):
+        puts.append(type(value).__name__)
+    return put(value, **kwargs)
+ray.put = counted
+
+d = write_code_table(sys.argv[1], 120, n_files=3)
+key = ["repo", "path", "commit"]
+outs = []
+for _ in range(2):
+    ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+    df = flagship_pipeline(rd.read_parquet(d), n_rows_hint=120).to_pandas()
+    outs.append(df.sort_values(key).reset_index(drop=True))
+    ray.shutdown()
+pd.testing.assert_frame_equal(outs[0], outs[1], check_exact=True)
+print("puts", " ".join(sorted(puts)))
+"""
+
+
+def test_flagship_after_ray_restart_puts_models_again(tmp_path):
+    """After ray.shutdown() + ray.init() in one process (the job id
+    repeats) the flagship puts both models again rather than passing the
+    ended session's refs, and its output equals the first session's."""
+    out = _run_fresh(_TWO_SESSIONS_SCRIPT, str(tmp_path / "code"),
+                     "two flagship sessions in one process")
+    assert out == "puts LangIdModel LangIdModel PerplexityModel PerplexityModel"
