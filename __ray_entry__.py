@@ -12,7 +12,7 @@ are derived from one table, `_REGISTRY`, at the bottom of this module.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import Any
 
 import numpy as np
@@ -61,6 +61,31 @@ def _docs(sf_dir: str):
     return _read(f"{sf_dir}/documents.parquet")
 
 
+def _group_sums(ds, keys: list[str], sums: Sequence[str] = (),
+                count: str | None = None) -> pd.DataFrame:
+    """Per distinct ``keys`` value (null and "" are groups, as in SQL
+    GROUP BY) the sum of each ``sums`` column of ``ds`` and, given
+    ``count``, its row count (SQL count(*)) under that name, sorted by
+    ``keys`` with null last: the queries' one keyed reduce, a
+    partition._sum_reduce of per-batch _sum_by partials (only partials
+    cross the exchange, never rows). No rows: the same columns, typed
+    as in ``ds`` (int64 where a map over no rows left no schema)."""
+    from pipeline.partition import _column_types, _sum_by, _sum_reduce, _to_arrow
+
+    cols = [*keys, *sums]
+
+    def combine(t: pa.Table) -> pa.Table:
+        return _sum_by(t.select(cols), keys, count)
+
+    out = _sum_reduce(ds, combine, keys,
+                      finish=lambda t: t.sort_by([(k, "ascending") for k in keys]))
+    if out is not None:
+        return _to_arrow(out).to_pandas()
+    types = _column_types(ds) if ds.schema() else {}
+    empty = pa.schema([(c, types.get(c, pa.int64())) for c in cols]).empty_table()
+    return combine(empty).to_pandas()
+
+
 def entry() -> Any:
     """Flagship pipeline smoke over sf0.001: adapt `documents` to the code
     table shape and run quality+scrub end to end (all rows returned with
@@ -93,25 +118,30 @@ def entry() -> Any:
 # --------------------------------------------------------------- queries
 
 def _doc_length_stats(sf_dir: str) -> pd.DataFrame:
-    """A4: sequence-length stats [model.ipynb cell 9 analog]."""
-    from ray.data.aggregate import Count, Max, Mean, Min, Std
+    """A4: sequence-length stats [model.ipynb cell 9 analog] from the
+    exact (length, count) histogram: min and max read off its ends, the
+    mean and sample sd formed from exact Python-int moment sums with one
+    correctly rounded division each (see doc_corr_by_source). Null
+    lengths count as docs and nowhere else, as in SQL; no docs (or one,
+    for the sd) give NULL."""
+    import math
 
-    row = _docs(sf_dir).aggregate(
-        Count(alias_name="n_docs"),
-        Mean("n_chars", alias_name="mean_chars"),
-        Min("n_chars", alias_name="min_chars"),
-        Max("n_chars", alias_name="max_chars"),
-        Std("n_chars", alias_name="std_chars"),
-    )
-    return pd.DataFrame(
-        [{
-            "n_docs": int(row["n_docs"]),
-            "mean_chars": _round_ha(float(row["mean_chars"]), 3),
-            "min_chars": int(row["min_chars"]),
-            "max_chars": int(row["max_chars"]),
-            "std_chars": _round_ha(float(row["std_chars"]), 3),
-        }]
-    )
+    h = _group_sums(_read(f"{sf_dir}/documents.parquet", columns=["n_chars"]),
+                    ["n_chars"], count="n")
+    n_docs = int(h["n"].sum())
+    h = h[h["n_chars"].notna()]
+    x, c = [int(v) for v in h["n_chars"]], [int(v) for v in h["n"]]
+    n = sum(c)
+    s = sum(v * k for v, k in zip(x, c))
+    ss = sum(v * v * k for v, k in zip(x, c))
+    return pd.DataFrame([{
+        "n_docs": n_docs,
+        "mean_chars": _round_ha(s / n, 3) if n else None,
+        "min_chars": x[0] if n else None,
+        "max_chars": x[-1] if n else None,
+        "std_chars": (_round_ha(math.sqrt((n * ss - s * s) / (n * (n - 1))), 3)
+                      if n > 1 else None),
+    }])
 
 
 def _doc_minlen_filter(sf_dir: str) -> pd.DataFrame:
@@ -132,32 +162,19 @@ def _doc_minlen_filter(sf_dir: str) -> pd.DataFrame:
 def _doc_lang_filter(sf_dir: str) -> pd.DataFrame:
     """M22: language filter + count [evaluation/model_evaluation.py:27]."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count
 
-    out = (
-        _docs(sf_dir)
-        .map_batches(
-            lambda t: t.filter(pc.equal(t["lang"], "en")),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_docs"))
+    ds = _read(f"{sf_dir}/documents.parquet", columns=["lang"]).map_batches(
+        lambda t: t.filter(pc.equal(t["lang"], "en")),
+        batch_format="pyarrow", zero_copy_batch=True,
     )
-    return out.to_pandas()
+    return _group_sums(ds, ["lang"], count="n_docs")
 
 
 def _doc_source_counts(sf_dir: str) -> pd.DataFrame:
     """A6 analog: grouped counts + byte sums."""
-    from ray.data.aggregate import Count, Sum
-
-    out = (
-        _docs(sf_dir)
-        .groupby("source")
-        .aggregate(Count(alias_name="n_docs"), Sum("n_chars", alias_name="sum_chars"))
-    )
-    df = out.to_pandas()
-    df["sum_chars"] = df["sum_chars"].astype("int64")
-    return df.sort_values("source").reset_index(drop=True)
+    ds = _read(f"{sf_dir}/documents.parquet", columns=["source", "n_chars"])
+    df = _group_sums(ds, ["source"], ["n_chars"], count="n_docs")
+    return df.rename(columns={"n_chars": "sum_chars"})[["source", "n_docs", "sum_chars"]]
 
 
 def _doc_top10_longest(sf_dir: str) -> pd.DataFrame:
@@ -173,19 +190,12 @@ def _doc_top10_longest(sf_dir: str) -> pd.DataFrame:
 
 def _doc_token_counts(sf_dir: str) -> pd.DataFrame:
     """Token counting (whitespace) per source, vectorized."""
-    from ray.data.aggregate import Sum
-
     from pipeline.extras.textstats import token_count_stage
 
-    out = (
-        _docs(sf_dir)
-        .map_batches(token_count_stage, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(Sum("n_tokens_ws", alias_name="n_tokens"))
-    )
-    df = out.to_pandas()
-    df["n_tokens"] = df["n_tokens"].astype("int64")
-    return df.sort_values("source").reset_index(drop=True)
+    ds = _read(f"{sf_dir}/documents.parquet", columns=["source", "text"]).map_batches(
+        token_count_stage, batch_format="pyarrow", zero_copy_batch=True)
+    return _group_sums(ds, ["source"], ["n_tokens_ws"]).rename(
+        columns={"n_tokens_ws": "n_tokens"})
 
 
 def _doc_alnum_ratio(sf_dir: str) -> pd.DataFrame:
@@ -195,19 +205,13 @@ def _doc_alnum_ratio(sf_dir: str) -> pd.DataFrame:
     def stage(batch: pa.Table) -> pa.Table:
         cols = heuristic_batch(batch["text"])
         return pa.table(
-            {"source": batch["source"], "alnum_ratio": pa.array(cols["alnum_ratio"])}
+            {"source": batch["source"], "avg_alnum": pa.array(cols["alnum_ratio"])}
         )
 
-    from ray.data.aggregate import Mean
-
-    out = (
-        _docs(sf_dir)
-        .map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(Mean("alnum_ratio", alias_name="avg_alnum"))
-    )
-    df = out.to_pandas()
-    df["avg_alnum"] = _round_ha(df["avg_alnum"], 4)
+    ds = _read(f"{sf_dir}/documents.parquet", columns=["source", "text"]).map_batches(
+        stage, batch_format="pyarrow", zero_copy_batch=True)
+    df = _group_sums(ds, ["source"], ["avg_alnum"], count="n")
+    df["avg_alnum"] = _round_ha(df["avg_alnum"] / df.pop("n"), 4)
     return df
 
 
@@ -227,33 +231,29 @@ def _doc_len_histogram(sf_dir: str) -> pd.DataFrame:
     """A4: sequence-length histogram buckets [model.ipynb cell 9;
     synth_checks.ipynb cell 3] — per-batch bucket counts + Sum."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count
 
     def bucket(batch: pa.Table) -> pa.Table:
         b = pc.cast(pc.floor(pc.divide(batch["n_chars"], 100)), pa.int64())
         return pa.table({"bucket": b})
 
-    out = (
-        _docs(sf_dir)
-        .map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .aggregate(Count(alias_name="n_docs"))
-    )
-    return out.to_pandas().sort_values("bucket").reset_index(drop=True)
+    ds = _read(f"{sf_dir}/documents.parquet", columns=["n_chars"]).map_batches(
+        bucket, batch_format="pyarrow", zero_copy_batch=True)
+    return _group_sums(ds, ["bucket"], count="n_docs")
 
 
 def _orders_by_nation(sf_dir: str) -> pd.DataFrame:
     """Broadcast join (SURVEY.md §2.4): orders x customer x nation with
     both dimension tables ray.put once; grouped revenue per nation."""
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
+    import pyarrow.parquet as pq
 
     from pipeline.partition import broadcast_join
 
-    cust = _read(
+    # the dimension tables come to the driver whole, read without Ray (a
+    # Ray read of a zero-row file comes back without columns)
+    cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     ).to_pandas()
-    nation = _read(
+    nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
     ).to_pandas().rename(columns={"n_nationkey": "c_nationkey"})
     dim = cust.merge(nation, on="c_nationkey").rename(columns={"o_custkey": "c_custkey"})
@@ -267,39 +267,9 @@ def _orders_by_nation(sf_dir: str) -> pd.DataFrame:
         ),
         dim, on="c_custkey", columns=["n_name"],
     )
-
-    def _nation_partial(t: pa.Table) -> pa.Table:
-        # per-batch combiner: Ray's sort-based AggregateMap costs ~0.5 ms
-        # per input row on string keys (measured 80 CPU-s on 150k rows);
-        # the Arrow group_by reduces each batch to <=25 nation rows so the
-        # engine groupby touches 25 x n_batches rows, not the fact table.
-        import pyarrow.compute as pc
-
-        # count_all, not count: the oracle is count(*) — arrow's plain
-        # count skips nulls and would silently undercount on a null price
-        g = pa.table({
-            "n_name": t["n_name"], "p": t["o_totalprice"],
-        }).group_by("n_name").aggregate([("p", "sum"), ([], "count_all")])
-        return pa.table({
-            "n_name": g["n_name"],
-            "n_orders": pc.cast(g["count_all"], pa.int64()),
-            "total_price": g["p_sum"],
-        })
-
-    out = (
-        joined.map_batches(
-            _nation_partial, batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .groupby("n_name")
-        .aggregate(
-            Sum("n_orders", alias_name="n_orders"),
-            Sum("total_price", alias_name="total_price"),
-        )
-    )
-    df = out.to_pandas()
-    df["n_orders"] = df["n_orders"].astype("int64")
-    df["total_price"] = _round_ha(df["total_price"], 2)
-    return df.sort_values("n_name").reset_index(drop=True)
+    df = _group_sums(joined, ["n_name"], ["o_totalprice"], count="n_orders")
+    df["total_price"] = _round_ha(df.pop("o_totalprice"), 2)
+    return df
 
 
 def _orders_customer_join(sf_dir: str) -> pd.DataFrame:
@@ -360,11 +330,9 @@ def _dedup_exact(sf_dir: str) -> pd.DataFrame:
 
 def _events_hourly(sf_dir: str) -> pd.DataFrame:
     """Windowed aggregate: tumbling 1-hour count+sum per event_type
-    (streaming-shaped workload expressed as groupby over bucket keys)."""
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    ds = _read(f"{sf_dir}/events.parquet")
+    (streaming-shaped workload expressed as a keyed reduce over bucket
+    keys)."""
+    ds = _read(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
 
     def bucket(batch: pa.Table) -> pa.Table:
         from pipeline._util import epoch_floor_div
@@ -377,13 +345,11 @@ def _events_hourly(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "hour_bucket"])
-        .aggregate(Count(alias_name="n_events"), Sum("value", alias_name="sum_value"))
+    df = _group_sums(
+        ds.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "hour_bucket"], ["value"], count="n_events",
     )
-    df = out.to_pandas()
-    df["sum_value"] = _round_ha(df["sum_value"], 3)
+    df["sum_value"] = _round_ha(df.pop("value"), 3)
     return df
 
 
@@ -391,15 +357,11 @@ def _events_hopping(sf_dir: str) -> pd.DataFrame:
     """HOPPING event-time windows (size 2h, hop 1h — each event lands in
     the two windows covering it): the overlapping-window counterpart of
     the tumbling events_hourly.  The explode to window starts happens
-    INSIDE a per-batch Arrow combiner, so the exchange ships
-    (event_type, win) partial rows — never 2x event rows — into a small
-    groupby merge (same string-key pre-combine rule as
-    orders_by_nation)."""
-    from ray.data.aggregate import Sum
-
+    in the map before the per-batch combiner, so the exchange ships
+    (event_type, win) partial rows, never 2x event rows."""
     ds = _read(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def windows(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         from pipeline._util import epoch_floor_div
@@ -412,26 +374,14 @@ def _events_hopping(sf_dir: str) -> pd.DataFrame:
         prev = base.set_column(
             1, "win", pc.subtract(base["win"], pa.scalar(1, pa.int64()))
         )
-        g = (
-            pa.concat_tables([base, prev])
-            .group_by(["event_type", "win"])
-            .aggregate([("value", "sum"), ([], "count_all")])
-        )
-        return pa.table({
-            "event_type": g["event_type"], "win": g["win"],
-            "s": g["value_sum"], "n": pc.cast(g["count_all"], pa.int64()),
-        })
+        return pa.concat_tables([base, prev])
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "win"])
-        .aggregate(Sum("n", alias_name="n_events"),
-                   Sum("s", alias_name="sum_value"))
+    df = _group_sums(
+        ds.map_batches(windows, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "win"], ["value"], count="n_events",
     )
-    df = out.to_pandas()
-    df["n_events"] = df["n_events"].astype("int64")
-    df["sum_value"] = _round_ha(df["sum_value"], 3)
-    return df[["event_type", "win", "n_events", "sum_value"]]
+    df["sum_value"] = _round_ha(df.pop("value"), 3)
+    return df
 
 
 def _events_user_paths(sf_dir: str) -> pd.DataFrame:
@@ -854,8 +804,6 @@ def _lineitem_pricing(sf_dir: str) -> pd.DataFrame:
     import datetime
 
     import pyarrow.compute as pc
-    import ray.data as rd
-    from ray.data.aggregate import Sum
 
     cutoff = datetime.datetime(1998, 9, 2)
     ds = _read(
@@ -878,52 +826,34 @@ def _lineitem_pricing(sf_dir: str) -> pd.DataFrame:
         )
 
     def derive(t: pa.Table) -> pa.Table:
-        # per-batch COMBINER: derive columns, then pre-aggregate with
-        # pa.Table.group_by so at most |flag x status| = 6 rows leave each
-        # batch — the downstream all-to-all shuffles partials, never the
-        # 600k derived rows (same aggregate-then-shuffle shape as
-        # _supplier_revenue). Means decompose to sum + count; float sums
-        # keep the same double-reduction class the Mean aggregate had.
+        # derived columns only; the per-batch combiner sums them, so at
+        # most |flag x status| = 6 rows leave each batch. Means decompose
+        # to sum + count; float sums keep the double-reduction class a
+        # Mean aggregate has.
         t = t.filter(pc.less_equal(t["l_shipdate"], pa.scalar(cutoff)))
         disc = pc.multiply(
             t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])
         )
         charge = pc.multiply(disc, pc.add(pa.scalar(1.0), t["l_tax"]))
-        t2 = pa.table(
+        return pa.table(
             {
                 "l_returnflag": t["l_returnflag"],
                 "l_linestatus": t["l_linestatus"],
-                "l_quantity": t["l_quantity"],
+                "sum_qty": t["l_quantity"],
                 "base_c": _scaled(t["l_extendedprice"], 100.0),
                 "disc_c": _scaled(disc, 10_000.0),
                 "charge_c": _scaled(charge, 1_000_000.0),
-                "l_discount": t["l_discount"],
+                "disc_sum": t["l_discount"],
             }
         )
-        return t2.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [
-                ("l_quantity", "sum"), ("base_c", "sum"), ("disc_c", "sum"),
-                ("charge_c", "sum"), ("l_discount", "sum"),
-                ("l_quantity", "count"),
-            ]
-        )
 
-    out = (
-        ds.map_batches(derive, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("l_quantity_sum", alias_name="sum_qty"),
-            Sum("base_c_sum", alias_name="base_c"),
-            Sum("disc_c_sum", alias_name="disc_c"),
-            Sum("charge_c_sum", alias_name="charge_c"),
-            Sum("l_discount_sum", alias_name="disc_sum"),
-            Sum("l_quantity_count", alias_name="count_order"),
-        )
+    df = _group_sums(
+        ds.map_batches(derive, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"],
+        ["sum_qty", "base_c", "disc_c", "charge_c", "disc_sum"], count="count_order",
     )
-    df = out.to_pandas()
     df["avg_qty"] = df["sum_qty"] / df["count_order"]
     df["avg_disc"] = df.pop("disc_sum") / df["count_order"]
-    df["count_order"] = df["count_order"].astype("int64")
     # no final round: int/scale is one IEEE division, bit-identical to the
     # oracle; round(2) would re-introduce a half-boundary rule mismatch
     # (pandas half-even vs DuckDB half-away — observed at .965)
@@ -933,11 +863,8 @@ def _lineitem_pricing(sf_dir: str) -> pd.DataFrame:
     df["sum_charge"] = df.pop("charge_c") / 1_000_000.0
     for c in ("avg_qty", "avg_disc"):
         df[c] = _round_ha(df[c], 4)
-    cols = ["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
-            "sum_disc_price", "sum_charge", "avg_qty", "avg_disc", "count_order"]
-    return df[cols].sort_values(
-        ["l_returnflag", "l_linestatus"]
-    ).reset_index(drop=True)
+    return df[["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
+               "sum_disc_price", "sum_charge", "avg_qty", "avg_disc", "count_order"]]
 
 
 def _embedding_pairs_exact(sf_dir: str) -> pd.DataFrame:
@@ -1068,44 +995,34 @@ def _orders_rollup(sf_dir: str) -> pd.DataFrame:
     """Hierarchical ROLLUP aggregate: order count + revenue at three
     levels — (status, priority) leaves, per-status subtotals, grand
     total.  ONE distributed pass: per-batch Arrow combiner (scaled-cent
-    int sums, <= |status|x|priority| rows leave each batch) -> small
-    two-key groupby; the subtotal levels re-aggregate DRIVER-SIDE from
-    the dimension-sized leaf table (~15 rows at any corpus scale — the
-    rollup never re-reads the fact table, unlike a naive
-    one-groupby-per-level plan).  'ALL' marks rolled-up levels in both
+    int sums, <= |status|x|priority| rows leave each batch) -> the
+    two-key _group_sums reduce; the subtotal levels re-aggregate
+    DRIVER-SIDE from the dimension-sized leaf table (~15 rows at any
+    corpus scale — the rollup never re-reads the fact table, unlike a
+    naive one-groupby-per-level plan).  'ALL' marks rolled-up levels in both
     engines; money sums via scaled ints + one IEEE division
     (bit-portable, see supplier_revenue)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     ds = _read(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderstatus", "o_orderpriority", "o_totalprice"],
     )
 
-    def combine(t: pa.Table) -> pa.Table:
-        cents = pc.cast(
-            pc.floor(pc.add(pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
-                            pa.scalar(0.5))),
-            pa.int64(),
-        )
-        t2 = pa.table({
+    def cents(t: pa.Table) -> pa.Table:
+        return pa.table({
             "o_orderstatus": t["o_orderstatus"],
             "o_orderpriority": t["o_orderpriority"],
-            "cents": cents,
+            "cents": pc.cast(
+                pc.floor(pc.add(pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
+                                pa.scalar(0.5))),
+                pa.int64(),
+            ),
         })
-        # ([], "count_all") == SQL count(*): rows count even if the
-        # measure is null (plain "count" would skip null cents)
-        return t2.group_by(["o_orderstatus", "o_orderpriority"]).aggregate(
-            [("cents", "sum"), ([], "count_all")]
-        )
 
-    leaf = (
-        ds.map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["o_orderstatus", "o_orderpriority"])
-        .aggregate(Sum("cents_sum", alias_name="cents"),
-                   Sum("count_all", alias_name="n_orders"))
-        .to_pandas()
+    leaf = _group_sums(
+        ds.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True),
+        ["o_orderstatus", "o_orderpriority"], ["cents"], count="n_orders",
     )
     # dropna=False: a (hypothetical) NULL dimension value still rolls
     # into its status subtotal.  NOTE: the 'ALL' sentinel contract
@@ -1138,19 +1055,18 @@ def _events_type_pivot(sf_dir: str) -> pd.DataFrame:
     """Pivot (conditional aggregation to wide columns): per-day event
     counts and value sums, one column pair per event type.  ONE
     distributed pass — per-batch Arrow combiner on (day, type) with
-    scaled-milli int sums, small two-key groupby, then the ~|days| x
-    |types| leaf table pivots DRIVER-SIDE (dimension-sized at any
+    scaled-milli int sums, the two-key _group_sums reduce, then the
+    ~|days| x |types| leaf table pivots DRIVER-SIDE (dimension-sized at any
     corpus scale; absent combinations fill 0 to match the SQL CASE
     WHEN ... ELSE 0 sums).  Money-style value sums via scaled ints +
     one IEEE division (bit-portable)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     ds = _read(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
     )
 
-    def combine(t: pa.Table) -> pa.Table:
+    def day_milli(t: pa.Table) -> pa.Table:
         from pipeline._util import epoch_floor_div
 
         # FLOOR division: matches SQL floor(epoch/86400) for pre-epoch
@@ -1161,19 +1077,12 @@ def _events_type_pivot(sf_dir: str) -> pd.DataFrame:
                             pa.scalar(0.5))),
             pa.int64(),
         )
-        t2 = pa.table({"day": day, "event_type": t["event_type"], "vm": vm})
-        # ([], "count_all") == SQL row count per (day, type): rows with
-        # a null value still count (plain "count" would skip them)
-        return t2.group_by(["day", "event_type"]).aggregate(
-            [("vm", "sum"), ([], "count_all")]
-        )
+        return pa.table({"day": day, "event_type": t["event_type"], "vm": vm})
 
-    leaf = (
-        ds.map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["day", "event_type"])
-        .aggregate(Sum("vm_sum", alias_name="vm"),
-                   Sum("count_all", alias_name="n"))
-        .to_pandas()
+    # count, not a count of vm: a row with a null value still counts
+    leaf = _group_sums(
+        ds.map_batches(day_milli, batch_format="pyarrow", zero_copy_batch=True),
+        ["day", "event_type"], ["vm"], count="n",
     )
     wide = leaf.pivot(index="day", columns="event_type", values=["n", "vm"])
     out = pd.DataFrame({"day": wide.index.astype("int64")})
@@ -1193,7 +1102,7 @@ def _doc_corr_by_source(sf_dir: str) -> pd.DataFrame:
     """Grouped Pearson correlation (n_chars vs whitespace token count)
     from EXACT integer moment sums: the distributed pass moves six
     int64 partials per (batch, source) — n, Sx, Sy, Sxx, Syy, Sxy —
-    through a per-batch Arrow combiner and a small groupby; the driver
+    through _group_sums' per-batch combiner and keyed reduce; the driver
     forms the correlation from arbitrary-precision Python ints (no
     int64 wrap, no float accumulation order) with the SAME IEEE
     operation sequence the SQL mirror uses (HUGEINT products -> one
@@ -1202,12 +1111,11 @@ def _doc_corr_by_source(sf_dir: str) -> pd.DataFrame:
     both engines (the SQL 0/0 is NULL -> NaN in the compare frame; the
     covariance is 0 whenever a variance is, by Cauchy-Schwarz)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     ds = _read(f"{sf_dir}/documents.parquet",
                columns=["source", "text", "n_chars"])
 
-    def combine(t: pa.Table) -> pa.Table:
+    def moments(t: pa.Table) -> pa.Table:
         x = pc.cast(t["n_chars"], pa.int64())
         y = pc.cast(
             pc.count_substring_regex(
@@ -1215,26 +1123,15 @@ def _doc_corr_by_source(sf_dir: str) -> pd.DataFrame:
             ),
             pa.int64(),
         )
-        t2 = pa.table({
-            "source": t["source"], "x": x, "y": y,
-            "xx": pc.multiply(x, x), "yy": pc.multiply(y, y),
-            "xy": pc.multiply(x, y),
+        return pa.table({
+            "source": t["source"], "sx": x, "sy": y,
+            "sxx": pc.multiply(x, x), "syy": pc.multiply(y, y),
+            "sxy": pc.multiply(x, y),
         })
-        return t2.group_by("source").aggregate(
-            [("x", "sum"), ("y", "sum"), ("xx", "sum"), ("yy", "sum"),
-             ("xy", "sum"), ("x", "count")]
-        )
 
-    leaf = (
-        ds.map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(Sum("x_sum", alias_name="sx"),
-                   Sum("y_sum", alias_name="sy"),
-                   Sum("xx_sum", alias_name="sxx"),
-                   Sum("yy_sum", alias_name="syy"),
-                   Sum("xy_sum", alias_name="sxy"),
-                   Sum("x_count", alias_name="n"))
-        .to_pandas()
+    leaf = _group_sums(
+        ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
+        ["source"], ["sx", "sy", "sxx", "syy", "sxy"], count="n",
     )
     import math
 
@@ -1249,81 +1146,70 @@ def _doc_corr_by_source(sf_dir: str) -> pd.DataFrame:
         # zero-variance source: num is 0 too (Cauchy-Schwarz), and the
         # SQL 0/0 yields NULL -> NaN in the compare frame; mirror it
         corrs.append(num / den if den != 0.0 else float("nan"))
-    out = pd.DataFrame({
+    return pd.DataFrame({
         "source": leaf["source"],
-        "n_docs": leaf["n"].astype("int64"),
+        "n_docs": leaf["n"],
         "corr_chars_tokens": np.array(corrs, dtype=np.float64),
     })
-    return out.sort_values("source").reset_index(drop=True)
 
 
 def _doc_mode_lang_by_source(sf_dir: str) -> pd.DataFrame:
     """Grouped MODE (argmax-per-key): each source's most common language
     with a deterministic tie-break (highest count, then smallest lang) —
-    per-batch (source, lang) count_all combiner -> small two-key
-    groupby -> the existing two-phase topn_per_key(n=1) over the
-    aggregate (the exchange only ever moves per-(source,lang) counts,
-    never documents)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    from pipeline.partition import topn_per_key
-
+    per-(source, lang) counts from _group_sums (the exchange only ever
+    moves per-(source, lang) counts, never documents), then topn_per_key's
+    own mergesort + groupby.head(1) over that |sources| x |langs| frame
+    on the driver."""
     ds = _read(f"{sf_dir}/documents.parquet", columns=["source", "lang"])
-
-    counts = (
-        ds.map_batches(
-            lambda t: t.group_by(["source", "lang"]).aggregate(
-                [([], "count_all")]
-            ),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .groupby(["source", "lang"])
-        .aggregate(Sum("count_all", alias_name="n_docs"))
-    )
-    top = topn_per_key(
-        counts, key="source", order_by=["n_docs", "lang"],
-        ascending=[False, True], n=1,
-    )
-    df = top.to_pandas()[["source", "lang", "n_docs"]]
-    df["n_docs"] = df["n_docs"].astype("int64")
-    return df.sort_values("source").reset_index(drop=True)
+    counts = _group_sums(ds, ["source", "lang"], count="n_docs")
+    top = counts.sort_values(["n_docs", "lang"], ascending=[False, True], kind="mergesort")
+    top = top.groupby("source", sort=False, dropna=False).head(1)
+    return top.sort_values("source").reset_index(drop=True)
 
 
 def _events_distinct_users(sf_dir: str) -> pd.DataFrame:
-    """Grouped distinct count: exact n-distinct users per event_type via
-    two-level groupby (distinct pairs first, then count — the partial-
-    aggregate shape; no count-distinct state on one reducer)."""
-    import ray.data as rd
-    from ray.data.aggregate import Count
+    """Grouped distinct count: exact n-distinct users per event_type
+    (SQL count(DISTINCT user_id): a null user is no user) — a two-stage
+    _keyed_reduce of the same shape as repo_stats. Each batch leaves its
+    distinct (event_type, user_id) pairs; bucketed, stage 1 folds them
+    per user_id bucket to exact pairs counted per event_type (a pair
+    never spans buckets; bucketing on the 5-value event_type would keep
+    at most 5 buckets busy), stage 2 sums those counts per event_type."""
+    import pyarrow.compute as pc
 
-    ds = _read(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
+    from pipeline.partition import _keyed_reduce, _sum_by, _to_arrow
+
+    keys = ["event_type", "user_id"]
+    ds = _read(f"{sf_dir}/events.parquet", columns=keys)
+
+    def per_type(t: pa.Table) -> pa.Table:
+        pairs = _sum_by(t.select(keys), keys)
+        return _sum_by(pa.table({
+            "event_type": pairs["event_type"],
+            "n_users": pc.cast(pc.is_valid(pairs["user_id"]), pa.int64()),
+        }), ["event_type"])
+
+    out = _keyed_reduce(
+        ds, lambda t: _sum_by(t.select(keys), keys),
+        [("user_id", per_type), ("event_type", lambda t: _sum_by(t, ["event_type"]))],
+        finish=lambda t: t.sort_by("event_type"),
     )
-    # per-batch distinct combiner: only batch-distinct pairs shuffle
-    batch_distinct = ds.map_batches(
-        lambda t: t.group_by(["event_type", "user_id"]).aggregate([]),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    pairs = batch_distinct.groupby(["event_type", "user_id"]).aggregate(
-        Count(alias_name="_n")
-    )
-    out = pairs.groupby("event_type").aggregate(Count(alias_name="n_users"))
-    return out.to_pandas().sort_values("event_type").reset_index(drop=True)
+    if out is None:  # no rows: per_type's output on none
+        return per_type(ds.schema().base_schema.empty_table()).to_pandas()
+    return _to_arrow(out).to_pandas()
 
 
 def _supplier_revenue(sf_dir: str) -> pd.DataFrame:
-    """Fact-dimension revenue rollup, aggregate-then-join: per-batch
-    Arrow combiner (pa.Table.group_by — <= n_suppliers rows leave each
-    batch) -> small int-key groupby -> supplier names merged onto the
-    1000-row result. Joining names BEFORE aggregating would drag a
-    600k-row string-key shuffle (measured 22 s vs ~2 s this way); money
-    sums via scaled ints (see lineitem_pricing)."""
+    """Fact-dimension revenue rollup, aggregate-then-join: _group_sums
+    on the int supplier key (<= n_suppliers partial rows leave each
+    batch) -> supplier names merged onto the 1000-row result. Joining
+    names BEFORE aggregating would drag a 600k-row string-key shuffle
+    (measured 22 s vs ~2 s this way); money sums via scaled ints (see
+    lineitem_pricing)."""
     import pyarrow.compute as pc
-    import ray.data as rd
-    from ray.data.aggregate import Sum
+    import pyarrow.parquet as pq
 
-    supp = _read(
+    supp = pq.read_table(  # the dimension side, read on the driver
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
     ).to_pandas().rename(columns={"s_suppkey": "l_suppkey"})
     li = _read(
@@ -1331,7 +1217,7 @@ def _supplier_revenue(sf_dir: str) -> pd.DataFrame:
         columns=["l_suppkey", "l_extendedprice", "l_discount"],
     )
 
-    def combine(t: pa.Table) -> pa.Table:
+    def disc_cents(t: pa.Table) -> pa.Table:
         disc = pc.multiply(
             t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])
         )
@@ -1339,21 +1225,13 @@ def _supplier_revenue(sf_dir: str) -> pd.DataFrame:
             pc.floor(pc.add(pc.multiply(disc, pa.scalar(10_000.0)), pa.scalar(0.5))),
             pa.int64(),
         )
-        t2 = pa.table({"l_suppkey": t["l_suppkey"], "disc_c": disc_c})
-        return t2.group_by("l_suppkey").aggregate(
-            [("disc_c", "sum"), ("disc_c", "count")]
-        )
+        return pa.table({"l_suppkey": t["l_suppkey"], "disc_c": disc_c})
 
-    partials = li.map_batches(
-        combine, batch_format="pyarrow", zero_copy_batch=True
-    )
-    out = partials.groupby("l_suppkey").aggregate(
-        Sum("disc_c_sum", alias_name="disc_c"),
-        Sum("disc_c_count", alias_name="n_items"),
-    )
-    df = out.to_pandas().merge(supp, on="l_suppkey")
-    df["revenue"] = df.pop("disc_c").astype("int64") / 10_000.0
-    df["n_items"] = df["n_items"].astype("int64")
+    df = _group_sums(
+        li.map_batches(disc_cents, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_suppkey"], ["disc_c"], count="n_items",
+    ).merge(supp, on="l_suppkey")
+    df["revenue"] = df.pop("disc_c") / 10_000.0
     return df[["s_name", "n_items", "revenue"]].sort_values(
         "s_name"
     ).reset_index(drop=True)
@@ -1394,9 +1272,6 @@ def _orders_price_band(sf_dir: str) -> pd.DataFrame:
     via pipeline.partition.broadcast_range_join (intervals broadcast,
     vectorized searchsorted — the big side never shuffles), then a
     grouped rollup with scaled-int money sums."""
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
     import pyarrow.compute as pc
 
     from pipeline.partition import broadcast_range_join
@@ -1417,22 +1292,18 @@ def _orders_price_band(sf_dir: str) -> pd.DataFrame:
         )
         return pa.table({"band_id": t["band_id"], "price_c": c})
 
-    out = (
-        joined.map_batches(scale, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("band_id")
-        .aggregate(Count(alias_name="n_orders"), Sum("price_c", alias_name="price_c"))
+    df = _group_sums(
+        joined.map_batches(scale, batch_format="pyarrow", zero_copy_batch=True),
+        ["band_id"], ["price_c"], count="n_orders",
     )
-    df = out.to_pandas()
-    df["total_price"] = df.pop("price_c").astype("int64") / 100.0
-    return df[["band_id", "n_orders", "total_price"]].sort_values(
-        "band_id"
-    ).reset_index(drop=True)
+    df["total_price"] = df.pop("price_c") / 100.0
+    return df
 
 
 def _corpus_term_freq(sf_dir: str) -> pd.DataFrame:
     """Corpus vocabulary table (top-50 terms by occurrence, doc freq
     alongside): per-batch (term, n_occ, n_docs) combiner -> vocabulary-
-    sized groupby -> sort+limit.  The token stream never shuffles."""
+    sized keyed reduce -> sort+limit.  The token stream never shuffles."""
     from pipeline.extras.corpusstats import term_freq
 
     out = term_freq(_docs(sf_dir), top_k=50).to_pandas()
@@ -1570,7 +1441,7 @@ def _doc_ntile_by_source(sf_dir: str) -> pd.DataFrame:
 def _events_distinct_users_hll(sf_dir: str) -> pd.DataFrame:
     """Approximate grouped distinct count (HyperLogLog, p=12, ~1.6% se):
     the 100-TB path when the key set is too large for the exact
-    two-level groupby (events_distinct_users is the labeled exact
+    two-stage keyed reduce (events_distinct_users is the labeled exact
     baseline).  Deterministic (splitmix64 hash, no process salt); no SQL
     oracle — approximate by design, accuracy unit-tested vs exact."""
     from pipeline.extras.corpusstats import hll_distinct_by_key
@@ -1603,6 +1474,7 @@ def _bench_docs(sf_dir: str) -> pd.DataFrame:
         .select_columns(["doc_id", "text", "n_chars"])
         .map_batches(trim, batch_format="pyarrow", zero_copy_batch=True)
         .to_pandas()
+        .reindex(columns=["doc_id", "text", "n_chars"])  # a map over no rows has none
     )
     return (
         cand.sort_values(["n_chars", "doc_id"], ascending=[False, True])
@@ -1616,22 +1488,14 @@ def _decontaminate_snippets(sf_dir: str) -> pd.DataFrame:
     first 120 chars of any benchmark doc, counted per source.  Map-only —
     the 10-snippet benchmark side is the broadcast side; the corpus
     streams."""
-    from ray.data.aggregate import Count
-
     from pipeline.extras.decontaminate import flag_snippet_contamination
 
     snippets = [t[:120] for t in _bench_docs(sf_dir)["text"]]
-    flagged = flag_snippet_contamination(_docs(sf_dir), snippets)
-    out = (
-        flagged
-        .map_batches(
-            lambda t: t.filter(t["contaminated"]).select(["source"]),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .groupby("source")
-        .aggregate(Count(alias_name="n_contaminated"))
+    flagged = flag_snippet_contamination(_docs(sf_dir), snippets).map_batches(
+        lambda t: t.filter(t["contaminated"]), batch_format="pyarrow",
+        zero_copy_batch=True,
     )
-    return out.to_pandas().sort_values("source").reset_index(drop=True)
+    return _group_sums(flagged, ["source"], count="n_contaminated")
 
 
 def _decontaminate_ngrams(sf_dir: str) -> pd.DataFrame:
@@ -1641,29 +1505,16 @@ def _decontaminate_ngrams(sf_dir: str) -> pd.DataFrame:
     convention as ngram_jaccard_pairs) — equal modulo vanishing-probability
     61-bit hash collisions; planted-contamination coverage lives in
     tests/test_extras.py."""
-    from ray.data.aggregate import Count, Sum
-
     from pipeline.extras.decontaminate import flag_ngram_contamination
 
     bench = _bench_docs(sf_dir)["text"].tolist()
-    flagged = flag_ngram_contamination(_docs(sf_dir), bench, k=8)
-    out = (
-        flagged
-        .map_batches(
-            lambda t: t.filter(t["contaminated"]).select(
-                ["source", "n_bench_hits"]
-            ),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .groupby("source")
-        .aggregate(
-            Count(alias_name="n_contaminated"),
-            Sum("n_bench_hits", alias_name="n_hits"),
-        )
+    flagged = flag_ngram_contamination(_docs(sf_dir), bench, k=8).map_batches(
+        lambda t: t.filter(t["contaminated"]), batch_format="pyarrow",
+        zero_copy_batch=True,
     )
-    df = out.to_pandas().sort_values("source").reset_index(drop=True)
-    df["n_hits"] = df["n_hits"].astype("int64")
-    return df
+    df = _group_sums(flagged, ["source"], ["n_bench_hits"], count="n_contaminated")
+    return df.rename(columns={"n_bench_hits": "n_hits"})[
+        ["source", "n_contaminated", "n_hits"]]
 
 
 def _doc_line_dedup(sf_dir: str) -> pd.DataFrame:
@@ -1677,7 +1528,6 @@ def _doc_line_dedup(sf_dir: str) -> pd.DataFrame:
     (line, doc)-distinct combiner; removal is map-only against the
     broadcast hot set."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from pipeline.extras.paragraphs import (
         chunk_words_stage, hot_lines, remove_lines,
@@ -1699,21 +1549,13 @@ def _doc_line_dedup(sf_dir: str) -> pd.DataFrame:
         return pa.table({
             "source": t["source"],
             "n_lines_removed": t["n_lines_removed"],
-            "changed": changed,
+            "n_docs_changed": changed,
         })
 
-    out = (
-        cleaned.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(
-            Sum("n_lines_removed", alias_name="n_lines_removed"),
-            Sum("changed", alias_name="n_docs_changed"),
-        )
+    return _group_sums(
+        cleaned.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True),
+        ["source"], ["n_lines_removed", "n_docs_changed"],
     )
-    df = out.to_pandas().sort_values("source").reset_index(drop=True)
-    df["n_lines_removed"] = df["n_lines_removed"].astype("int64")
-    df["n_docs_changed"] = df["n_docs_changed"].astype("int64")
-    return df
 
 
 def _doc_normalize(sf_dir: str) -> pd.DataFrame:
@@ -1769,7 +1611,6 @@ def _doc_blocklist(sf_dir: str) -> pd.DataFrame:
     total hits; one RE2 alternation, map-only, identical semantics in
     the DuckDB oracle (both engines embed RE2)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from pipeline.quality.blocklist import blocklist_score_stage
 
@@ -1778,23 +1619,15 @@ def _doc_blocklist(sf_dir: str) -> pd.DataFrame:
         flagged = pc.cast(pc.greater(t["n_blocked"], 0), pa.int64())
         return pa.table({
             "source": t["source"],
-            "flagged": flagged,
-            "n_blocked": t["n_blocked"],
+            "n_flagged": flagged,
+            "n_hits": t["n_blocked"],
         })
 
     ds = _read(f"{sf_dir}/documents.parquet", columns=["source", "text"])
-    out = (
-        ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(
-            Sum("flagged", alias_name="n_flagged"),
-            Sum("n_blocked", alias_name="n_hits"),
-        )
+    return _group_sums(
+        ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True),
+        ["source"], ["n_flagged", "n_hits"],
     )
-    df = out.to_pandas().sort_values("source").reset_index(drop=True)
-    df["n_flagged"] = df["n_flagged"].astype("int64")
-    df["n_hits"] = df["n_hits"].astype("int64")
-    return df
 
 
 def _docs_weighted_sample(sf_dir: str) -> pd.DataFrame:
@@ -1803,7 +1636,6 @@ def _docs_weighted_sample(sf_dir: str) -> pd.DataFrame:
     Weyl hash (SQL-reproducible bit-for-bit — pipeline/extras/mixing.py);
     map-only, integer-domain threshold compare."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count
 
     from pipeline.extras.mixing import weighted_sample
 
@@ -1814,12 +1646,8 @@ def _docs_weighted_sample(sf_dir: str) -> pd.DataFrame:
         return np.where(n % 2 == 0, 0.5, 0.2)
 
     ds = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
-    out = (
-        weighted_sample(ds, id_col="doc_id", rate_fn=rate_fn)
-        .groupby("source")
-        .aggregate(Count(alias_name="n_sampled"))
-    )
-    return out.to_pandas().sort_values("source").reset_index(drop=True)
+    return _group_sums(weighted_sample(ds, id_col="doc_id", rate_fn=rate_fn),
+                       ["source"], count="n_sampled")
 
 
 def _embedding_kmeans(sf_dir: str) -> pd.DataFrame:
@@ -1897,22 +1725,19 @@ def _doc_dev_from_source_mean(sf_dir: str) -> pd.DataFrame:
     IEEE division of an exact int sum by an exact count, and the
     deviation one subtraction — both correctly rounded, so DuckDB
     reproduces the doubles bit-for-bit."""
-    from ray.data.aggregate import Count, Sum
-
     from pipeline.partition import broadcast_join
 
-    ds = _read(f"{sf_dir}/documents.parquet",
-               columns=["doc_id", "source", "n_chars"])
-    per_source = ds.groupby("source").aggregate(
-        Sum("n_chars", alias_name="_sum"), Count(alias_name="_n"),
-    ).to_pandas()
+    cols = ["doc_id", "source", "n_chars"]
+    ds = _read(f"{sf_dir}/documents.parquet", columns=cols)
+    per_source = _group_sums(ds, ["source"], ["n_chars"], count="_n")
     per_source["mean_chars"] = (
-        per_source["_sum"].astype("int64").to_numpy().astype(np.float64)
-        / per_source["_n"].astype("int64").to_numpy().astype(np.float64)
+        per_source["n_chars"].to_numpy().astype(np.float64)
+        / per_source["_n"].to_numpy().astype(np.float64)
     )
+    # reindex: a join over no rows comes back without columns
     out = broadcast_join(
         ds, per_source[["source", "mean_chars"]], on="source",
-    ).to_pandas()
+    ).to_pandas().reindex(columns=[*cols, "mean_chars"])
     out["dev_chars"] = out["n_chars"].to_numpy().astype(np.float64) - out["mean_chars"].to_numpy()
     return (
         out[["doc_id", "source", "mean_chars", "dev_chars"]]
@@ -1927,16 +1752,10 @@ def _docs_hash_split(sf_dir: str) -> pd.DataFrame:
     across cluster sizes); reported as per-(split, source) counts.  The
     integer interval boundaries are computed once and inlined into the
     oracle, so both engines compare the SAME ints."""
-    from ray.data.aggregate import Count
-
     from pipeline.extras.mixing import hash_split
 
     ds = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
-    out = hash_split(ds, id_col="doc_id").groupby(["split", "source"]) \
-        .aggregate(Count(alias_name="n"))
-    df = out.to_pandas()
-    df["n"] = df["n"].astype("int64")
-    return df.sort_values(["split", "source"]).reset_index(drop=True)
+    return _group_sums(hash_split(ds, id_col="doc_id"), ["split", "source"], count="n")
 
 
 def _doc_tfidf_top(sf_dir: str) -> pd.DataFrame:
@@ -1963,7 +1782,7 @@ def _doc_tfidf_top(sf_dir: str) -> pd.DataFrame:
 def _corpus_bigrams(sf_dir: str) -> pd.DataFrame:
     """Top-50 word bigrams, exact counts (corpusstats.bigram_counts):
     vectorized same-doc adjacent-pair build + per-batch pre-count, so the
-    groupby moves batch-bigram-vocabulary rows, not the token stream."""
+    keyed reduce moves batch-bigram-vocabulary rows, not the token stream."""
     from pipeline.extras.corpusstats import bigram_counts
 
     out = bigram_counts(
@@ -2130,7 +1949,6 @@ def _dedup_incremental(sf_dir: str) -> pd.DataFrame:
     computes the identical split; the engine result is exact despite
     the approximate prefilter (FPs only grow the confirm set)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
 
     from pipeline.extras.incremental import novel_against
 
@@ -2152,22 +1970,15 @@ def _dedup_incremental(sf_dir: str) -> pd.DataFrame:
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"]
     ).map_batches(mk_shard, batch_format="pyarrow", zero_copy_batch=True)
 
-    out = novel_against(existing, shard)
-    agg = (
-        out.map_batches(
-            lambda t: pa.table({
-                "source": t["source"],
-                "novel": pc.cast(t["is_novel"], pa.int64()),
-            }),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .groupby("source")
-        .aggregate(Count(alias_name="n_shard"), Sum("novel", alias_name="n_novel"))
+    novel = novel_against(existing, shard).map_batches(
+        lambda t: pa.table({
+            "source": t["source"],
+            "n_novel": pc.cast(t["is_novel"], pa.int64()),
+        }),
+        batch_format="pyarrow", zero_copy_batch=True,
     )
-    df = agg.to_pandas().sort_values("source").reset_index(drop=True)
-    df["n_shard"] = df["n_shard"].astype("int64")
-    df["n_novel"] = df["n_novel"].astype("int64")
-    df["n_dup"] = (df["n_shard"] - df["n_novel"]).astype("int64")
+    df = _group_sums(novel, ["source"], ["n_novel"], count="n_shard")
+    df["n_dup"] = df["n_shard"] - df["n_novel"]
     return df[["source", "n_shard", "n_dup", "n_novel"]]
 
 
@@ -2213,8 +2024,6 @@ def _corpus_budget_select(sf_dir: str) -> pd.DataFrame:
     until 10% of the corpus's whitespace tokens are used — histogram
     prefix-sum finds the boundary score; only the one tie group touches
     the driver.  Bit-equal to the SQL running-sum window formulation."""
-    from ray.data.aggregate import Count, Sum
-
     from pipeline.extras.selection import budget_select
     from pipeline.extras.textstats import token_count_stage
 
@@ -2233,14 +2042,9 @@ def _corpus_budget_select(sf_dir: str) -> pd.DataFrame:
         ds, score_col="n_chars", token_col="n_tokens_ws",
         budget=lambda total: total // 10,
     )
-    agg = sel.groupby("source").aggregate(
-        Count(alias_name="n_selected"),
-        Sum("n_tokens_ws", alias_name="sel_tokens"),
-    )
-    df = agg.to_pandas().sort_values("source").reset_index(drop=True)
-    df["n_selected"] = df["n_selected"].astype("int64")
-    df["sel_tokens"] = df["sel_tokens"].astype("int64")
-    return df[["source", "n_selected", "sel_tokens"]]
+    df = _group_sums(sel, ["source"], ["n_tokens_ws"], count="n_selected")
+    return df.rename(columns={"n_tokens_ws": "sel_tokens"})[
+        ["source", "n_selected", "sel_tokens"]]
 
 
 def _doc_ppl_quantiles(sf_dir: str) -> pd.DataFrame:
@@ -2304,7 +2108,6 @@ def _curation_end_to_end(sf_dir: str) -> pd.DataFrame:
     the vectorized 64-bit content hash (collision caveat as elsewhere);
     the oracle partitions by the text itself."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
 
     from pipeline.extras.incremental import hash_strings64
     from pipeline.extras.selection import budget_select
@@ -2358,21 +2161,9 @@ def _curation_end_to_end(sf_dir: str) -> pd.DataFrame:
         kept, score_col="n_chars", token_col="n_tokens_ws",
         budget=lambda total: total // 10,
     )
-    agg = sel.groupby("source").aggregate(
-        Count(alias_name="n_docs"),
-        Sum("n_tokens_ws", alias_name="n_tokens"),
-    )
-    df = agg.to_pandas()
-    if not len(df):  # empty corpus / zero budget: to_pandas drops columns
-        return pd.DataFrame({
-            "source": pd.Series([], dtype="object"),
-            "n_docs": pd.Series([], dtype="int64"),
-            "n_tokens": pd.Series([], dtype="int64"),
-        })
-    df = df.sort_values("source").reset_index(drop=True)
-    df["n_docs"] = df["n_docs"].astype("int64")
-    df["n_tokens"] = df["n_tokens"].astype("int64")
-    return df[["source", "n_docs", "n_tokens"]]
+    df = _group_sums(sel, ["source"], ["n_tokens_ws"], count="n_docs")
+    return df.rename(columns={"n_tokens_ws": "n_tokens"})[
+        ["source", "n_docs", "n_tokens"]]
 
 
 def _docs_temperature_sample(sf_dir: str) -> pd.DataFrame:
@@ -2394,26 +2185,18 @@ def _pii_entity_stats(sf_dir: str) -> pd.DataFrame:
     """Corpus-level per-entity-type PII counts — the A3 entity-count
     analysis at corpus scale (pipeline/ray_pipeline.entity_count_stage):
     trigger-prescreened detection emits per-batch (label, n) combiner
-    rows; the groupby shuffles the 9-entity vocabulary, never text.
+    rows; the keyed reduce moves the 9-entity vocabulary, never text.
     Rows-only (the detector has no SQL form); per-label parity against
     the sequential oracle detector is asserted in
     tests/test_conformance.py."""
-    from ray.data.aggregate import Sum
-
     from pipeline.ray_pipeline import entity_count_stage
 
-    out = (
-        _read(_pii_corpus_dir(sf_dir), columns=["text"]).map_batches(
-            entity_count_stage, batch_format="pyarrow",
-            fn_kwargs={"column": "text", "profile": "conformance"},
-            zero_copy_batch=True,
-        )
-        .groupby("label")
-        .aggregate(Sum("n", alias_name="n_spans"))
+    counts = _read(_pii_corpus_dir(sf_dir), columns=["text"]).map_batches(
+        entity_count_stage, batch_format="pyarrow",
+        fn_kwargs={"column": "text", "profile": "conformance"},
+        zero_copy_batch=True,
     )
-    df = out.to_pandas().sort_values("label").reset_index(drop=True)
-    df["n_spans"] = df["n_spans"].astype("int64")
-    return df[["label", "n_spans"]]
+    return _group_sums(counts, ["label"], ["n"]).rename(columns={"n": "n_spans"})
 
 
 def _doc_robust_z_by_source(sf_dir: str) -> pd.DataFrame:

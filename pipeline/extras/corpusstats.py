@@ -23,9 +23,9 @@ Null and "" keys are groups like any other, as in SQL GROUP BY.
 - ``hll_distinct``: constant-size (2**p registers) sketch per batch,
   tree-reduced with elementwise max; the answer costs O(blocks * 2**p
   bytes) of traffic regardless of row count.  The exact counterpart
-  (two-level groupby, see __ray_entry__._events_distinct_users) is the
-  labeled baseline; this is the 100-TB path when the key set itself is
-  too large to shuffle.
+  (a two-stage keyed reduce, see __ray_entry__._events_distinct_users)
+  is the labeled baseline; this is the 100-TB path when the key set
+  itself is too large to shuffle.
 
 Analog in the reference: dataset_stats / label-distribution reporting
 [ref: evaluation/model_evaluation.py:240-276 length stats;
@@ -45,7 +45,8 @@ import ray
 import ray.data
 
 from pipeline.partition import (
-    _column_types, _keyed_reduce, _sum_by, _sum_reduce, salted_group_counts,
+    _column_types, _keyed_reduce, _sum_by, _sum_reduce, _to_arrow,
+    salted_group_counts,
 )
 
 _TERM_COUNTS = pa.schema([("term", pa.string()), ("n_occ", pa.int64())])
@@ -55,13 +56,6 @@ _VOCAB = _TERM_COUNTS.append(pa.field("n_docs", pa.int64()))
 def _top(t: pa.Table, key: str, k: int) -> pa.Table:
     """The ``k`` rows of highest n_occ, ties by ``key`` ascending."""
     return t.sort_by([("n_occ", "descending"), (key, "ascending")]).slice(0, k)
-
-
-def _to_arrow(ds: "ray.data.Dataset") -> pa.Table:
-    """A reduce's (small) output as one Arrow table on the driver; unlike
-    Dataset.to_pandas it keeps the columns at zero rows, and it absorbs
-    a bucketed reduce's blocks without columns (see bucket_shuffle)."""
-    return pa.concat_tables(ray.get(ds.to_arrow_refs()), promote_options="default")
 
 
 def _key_pos(col, keys: pa.Array) -> np.ndarray:
@@ -862,7 +856,9 @@ def _weighted_median(vals: np.ndarray, wts: np.ndarray) -> float:
     middle element for odd N, the mean of the two middles for even N.
     All arithmetic is exact in float64 for integer and half-integer
     values (the only inputs the robust-z pipeline feeds it), so the
-    result bit-matches the SQL engine's."""
+    result bit-matches the SQL engine's. No value: NaN (SQL NULL)."""
+    if not len(wts):
+        return float("nan")
     cum = np.cumsum(wts)
     n = int(cum[-1])
     if n % 2:
@@ -941,7 +937,9 @@ def groupwise_robust_z(
     cousin of ``groupwise_zscore`` (doc lengths and quality scores are
     skewed; one 10 MB file drags a mean/sd calibration, but not the
     median/MAD one).  Zero-MAD groups emit 0.0, matching zscore's
-    zero-variance convention.
+    zero-variance convention; null values are skipped, as SQL median()
+    does, and get a null ``out_col``, as does every row of a group with
+    no value.
 
     Same shape as ``groupwise_cume_dist``: ONE per-(key, value)
     histogram pass (distinct pairs shuffle, not rows), then BOTH the
@@ -955,6 +953,7 @@ def groupwise_robust_z(
     keys, hist = _pair_histogram(ds, key_col, val_col)
     meds, mads = [], []
     for _, g in hist.groupby("_k", sort=True):
+        g = g[g[val_col].notna()]  # median() skips nulls; none left: null z
         v = g[val_col].to_numpy().astype(np.float64)
         w = g["n"].to_numpy()
         med = _weighted_median(v, w)

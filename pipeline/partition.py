@@ -133,6 +133,13 @@ def _sum_reduce(
     return ray.data.from_arrow(empty) if out is None and empty is not None else out
 
 
+def _to_arrow(ds: "ray.data.Dataset") -> pa.Table:
+    """A reduce's (small) output as one Arrow table on the driver; unlike
+    Dataset.to_pandas it keeps the columns at zero rows, and it absorbs
+    a bucketed reduce's blocks without columns (see bucket_shuffle)."""
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()), promote_options="default")
+
+
 def _repo_partials(batch: pa.Table) -> pa.Table:
     """Batch-local combiner: n_files, n_bytes and n_kept per (repo,
     content_sha256). Accepts either the full scrub output (raw `content`

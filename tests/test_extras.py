@@ -1582,6 +1582,34 @@ def test_groupwise_robust_z_zero_mad(ray_session):
     assert out["robust_z"].tolist() == [0.0, 0.0, -1.0, 1.0]
 
 
+@pytest.mark.parametrize("src, vals, want", [
+    (["s"] * 4, [1, 3, 5, None], [-1.0, 0.0, 1.0, None]),
+    (["s"] * 4, [1, 3, None, None], [-1.0, 1.0, None, None]),
+    (["a", "a", "b", "b"], [1, 3, None, None], [-1.0, 1.0, None, None]),
+])
+def test_groupwise_robust_z_skips_null_values(ray_session, tmp_path, src, vals, want):
+    """Null values take no part in a group's median and MAD, as with SQL
+    median(), and a group with no value gets a null robust_z: the
+    doc_robust_z_by_source query against its DuckDB oracle on a 4-row
+    table."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as em
+
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(4), pa.int64()), "source": pa.array(src),
+        "n_chars": pa.array(vals, pa.int64()),
+    }), str(tmp_path / "documents.parquet"))
+    got = em._doc_robust_z_by_source(str(tmp_path))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/documents.parquet')")
+    oracle = con.execute(em.oracle_sql()["doc_robust_z_by_source"]).df()
+    pd.testing.assert_frame_equal(got, oracle, check_dtype=False, check_exact=True)
+    assert [None if math.isnan(z) else z for z in got["robust_z"]] == want
+
+
 def test_hash_split_disjoint_complete_and_invariant():
     """hash_split: every row lands in exactly one split, fractions are
     respected approximately, assignment is identical across block

@@ -598,3 +598,32 @@ def test_grouped_quantiles_interpolated_matches_duckdb(ray_session):
     """).df()
     got = got.sort_values("k").reset_index(drop=True)
     assert_frame_equal(got, want, check_dtype=False, check_exact=True)
+
+
+@pytest.mark.parametrize("max_bytes", [None, -1], ids=["one_task", "bucketed"])
+def test_null_event_type_across_blocks_matches_oracle(
+        ray_session, tmp_path, monkeypatch, max_bytes):
+    """A null event_type in every row group: events_hopping and
+    events_distinct_users keep it as one group, as SQL GROUP BY does, in
+    both _keyed_reduce regimes. Both reduce on (string, int64) keys, which
+    pyarrow 16.1's group_by splits on a null unless _sum_by orders them."""
+    import __ray_entry__ as em
+    from pipeline import partition
+
+    if max_bytes is not None:
+        monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", max_bytes)
+    t = pq.read_table("/root/testdata/sf0.001/events.parquet")
+    et = [None if i % 7 == 0 else v for i, v in enumerate(t["event_type"].to_pylist())]
+    t = t.set_column(t.column_names.index("event_type"), "event_type", pa.array(et))
+    pq.write_table(t, str(tmp_path / "events.parquet"), row_group_size=len(t) // 4)
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW events AS SELECT * FROM "
+        f"read_parquet('{tmp_path}/events.parquet')"
+    )
+    for name in ("events_hopping", "events_distinct_users"):
+        got = em.queries()[name](str(tmp_path))
+        want = con.execute(em.oracle_sql()[name]).df()
+        assert got["event_type"].isna().any(), name
+        assert_frame_equal(_norm(got), _norm(want), check_dtype=False,
+                           check_exact=True, obj=name)

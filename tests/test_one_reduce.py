@@ -1,0 +1,118 @@
+"""One keyed reduce: the modules that fold through partition._keyed_reduce
+call no Ray Dataset.groupby and import nothing from ray.data.aggregate
+(a static check), and every query rebuilt on the queries' reduce helper
+(__ray_entry__._group_sums) keeps its columns on zero-row tables."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SF_DIR = "/root/testdata/sf0.001"
+
+# pipeline/extras/{dedup,ann,clustering}.py still run Ray groupbys; they
+# join this list when their reduces move onto _keyed_reduce
+ONE_REDUCE = [
+    "__ray_entry__.py", "pipeline/partition.py", "pipeline/extras/corpusstats.py",
+    "pipeline/extras/selection.py", "pipeline/extras/paragraphs.py",
+]
+# GroupedData methods of a Ray groupby; a .groupby(...) whose result takes
+# one of them is taken for a Ray one unless its function is listed below
+RAY_GROUPED = {"aggregate", "map_groups", "count", "sum", "min", "max", "mean", "std"}
+ALLOWED = {
+    ("pipeline/partition.py", "bucket_shuffle"):
+        "the one keyed exchange: _keyed_reduce's bucketed regime runs on it",
+    ("__ray_entry__.py", "sessions"):
+        "pandas: per-user session sum inside one bucket frame",
+}
+
+
+def _ray_groupbys(path: str, source: str) -> list[str]:
+    """'line: reason' for each ray.data.aggregate import and each Ray
+    groupby in ``source`` (the file ``path``) that ALLOWED does not list."""
+    tree = ast.parse(source)
+    bad = []
+
+    def visit(node: ast.AST, fn: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "ray.data.aggregate"):
+            bad.append(f"{node.lineno}: from {node.module} import")
+        if isinstance(node, ast.Import) and any(
+                a.name.startswith("ray.data.aggregate") for a in node.names):
+            bad.append(f"{node.lineno}: import ray.data.aggregate")
+        if (isinstance(node, ast.Attribute) and node.attr in RAY_GROUPED
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "groupby"
+                and (path, fn) not in ALLOWED):
+            bad.append(f"{node.lineno}: .groupby(...).{node.attr} in {fn}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, "<module>")
+    return bad
+
+
+@pytest.mark.parametrize("path", ONE_REDUCE)
+def test_no_ray_groupby(path):
+    assert _ray_groupbys(path, (ROOT / path).read_text()) == [], (
+        f"{path} reduces outside partition._keyed_reduce; fold through "
+        f"_sum_reduce / _keyed_reduce or list the site in ALLOWED with a reason")
+
+
+def test_guard_sees_a_ray_groupby():
+    """The check flags the shapes it guards against, not a pandas fold."""
+    src = (
+        "from ray.data.aggregate import Count\n"
+        "def q(ds):\n"
+        "    return ds.map_batches(f).groupby('k').aggregate(Count())\n"
+        "def p(df):\n"
+        "    return df.groupby('k', dropna=False).head(1)\n"
+    )
+    assert [b.split(":")[0] for b in _ray_groupbys("q.py", src)] == ["1", "3"]
+
+
+# every query that reduces through _group_sums (or, for
+# events_distinct_users, _keyed_reduce directly)
+REBUILT = [
+    "doc_length_stats", "doc_lang_filter", "doc_source_counts", "doc_token_counts",
+    "doc_alnum_ratio", "doc_len_histogram", "orders_by_nation", "events_hourly",
+    "events_hopping", "lineitem_pricing", "orders_rollup", "events_type_pivot",
+    "doc_corr_by_source", "doc_mode_lang_by_source", "events_distinct_users",
+    "supplier_revenue", "orders_price_band", "decontaminate_snippets",
+    "decontaminate_ngrams", "doc_line_dedup", "doc_blocklist", "docs_weighted_sample",
+    "doc_dev_from_source_mean", "docs_hash_split", "dedup_incremental",
+    "corpus_budget_select", "curation_end_to_end", "pii_entity_stats",
+]
+TABLES = ["nation", "customer", "supplier", "orders", "lineitem", "events", "documents"]
+
+
+@pytest.fixture(scope="module")
+def zero_dir(tmp_path_factory):
+    """Zero-row copies of the tables, plus a zero-row PII corpus."""
+    d = tmp_path_factory.mktemp("zero_rows")
+    for t in TABLES:
+        pq.write_table(pq.read_table(f"{SF_DIR}/{t}.parquet").slice(0, 0),
+                       d / f"{t}.parquet")
+    (d / "pii").mkdir()
+    pq.write_table(pa.table({"text": pa.array([], pa.string())}), d / "pii" / "p.parquet")
+    return d
+
+
+@pytest.mark.parametrize("name", REBUILT)
+def test_rebuilt_query_keeps_columns_at_zero_rows(ray_session, zero_dir, monkeypatch, name):
+    import __ray_entry__ as em
+
+    corpus = em._pii_corpus_dir
+    monkeypatch.setattr(em, "_pii_corpus_dir", lambda sf: (
+        str(zero_dir / "pii") if sf == str(zero_dir) else corpus(sf)))
+    want = em.queries()[name](SF_DIR)
+    got = em.queries()[name](str(zero_dir))
+    assert list(got.columns) == list(want.columns)
