@@ -322,8 +322,9 @@ def _orders_customer_full(sf_dir: str) -> pd.DataFrame:
 def _dedup_exact(sf_dir: str) -> pd.DataFrame:
     """§2.7 exact dedup stats: first doc id + copy count per distinct text."""
     from pipeline.extras.dedup import exact_dedup_stats
+    from pipeline.partition import _to_arrow
 
-    df = exact_dedup_stats(_docs(sf_dir)).to_pandas()
+    df = _to_arrow(exact_dedup_stats(_docs(sf_dir))).to_pandas()
     df["n_copies"] = df["n_copies"].astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -540,11 +541,9 @@ def _multimodal_features(sf_dir: str) -> pd.DataFrame:
 
 def _minhash_pairs(sf_dir: str) -> pd.DataFrame:
     from pipeline.extras.dedup import minhash_lsh_pairs
+    from pipeline.partition import _to_arrow
 
-    df = minhash_lsh_pairs(
-        _docs(sf_dir), threshold=0.5,
-        n_docs_hint=parquet_rows(f"{sf_dir}/documents.parquet"),
-    ).to_pandas()
+    df = _to_arrow(minhash_lsh_pairs(_docs(sf_dir), threshold=0.5)).to_pandas()
     if len(df):
         df["jaccard"] = df["jaccard"].round(4)
         df = df.sort_values(["a", "b"]).reset_index(drop=True)
@@ -559,10 +558,7 @@ def _near_dup_groups(sf_dir: str) -> pd.DataFrame:
     transitive closure is not ANSI-SQL-expressible without recursion."""
     from pipeline.extras.dedup import dup_groups, minhash_lsh_pairs
 
-    pairs = minhash_lsh_pairs(
-        _docs(sf_dir), threshold=0.5,
-        n_docs_hint=parquet_rows(f"{sf_dir}/documents.parquet"),
-    )
+    pairs = minhash_lsh_pairs(_docs(sf_dir), threshold=0.5)
     out = dup_groups(pairs)
     out["id"] = out["id"].astype("int64")
     out["canonical_id"] = out["canonical_id"].astype("int64")
@@ -578,12 +574,10 @@ def _near_dup_groups_distributed(sf_dir: str) -> pd.DataFrame:
     the distributed path end-to-end on the real LSH pair stream.
     Rows-only (transitive closure is not ANSI-SQL without recursion)."""
     from pipeline.extras.dedup import dup_groups_distributed, minhash_lsh_pairs
+    from pipeline.partition import _to_arrow
 
-    pairs = minhash_lsh_pairs(
-        _docs(sf_dir), threshold=0.5,
-        n_docs_hint=parquet_rows(f"{sf_dir}/documents.parquet"),
-    )
-    out = dup_groups_distributed(pairs).to_pandas()
+    pairs = minhash_lsh_pairs(_docs(sf_dir), threshold=0.5)
+    out = _to_arrow(dup_groups_distributed(pairs)).to_pandas()
     out["id"] = out["id"].astype("int64")
     out["canonical_id"] = out["canonical_id"].astype("int64")
     return out.sort_values("id").reset_index(drop=True)
@@ -594,11 +588,12 @@ def _ngram_jaccard(sf_dir: str) -> pd.DataFrame:
     definition behind minhash_dup_pairs' LSH approximation (same measure,
     no banding loss). Charter dedup family: n-gram Jaccard."""
     from pipeline.extras.dedup import ngram_jaccard_pairs
+    from pipeline.partition import _to_arrow
 
-    df = ngram_jaccard_pairs(
+    df = _to_arrow(ngram_jaccard_pairs(
         _docs(sf_dir), threshold=0.5,
         n_docs_hint=parquet_rows(f"{sf_dir}/documents.parquet"),
-    ).to_pandas()
+    )).to_pandas()
     if len(df):
         df["jaccard"] = _round_ha(df["jaccard"], 4)
         df = df.sort_values(["a", "b"]).reset_index(drop=True)
@@ -614,12 +609,13 @@ def _ngram_dup_groups(sf_dir: str) -> pd.DataFrame:
     (pairs -> closure -> keep-list) is mirrored in ANSI SQL via a
     WITH RECURSIVE reachability closure and driver-hash-checked."""
     from pipeline.extras.dedup import dup_groups_distributed, ngram_jaccard_pairs
+    from pipeline.partition import _to_arrow
 
     pairs = ngram_jaccard_pairs(
         _docs(sf_dir), threshold=0.5,
         n_docs_hint=parquet_rows(f"{sf_dir}/documents.parquet"),
     )
-    out = dup_groups_distributed(pairs).to_pandas()
+    out = _to_arrow(dup_groups_distributed(pairs)).to_pandas()
     out["id"] = out["id"].astype("int64")
     out["canonical_id"] = out["canonical_id"].astype("int64")
     out["keep"] = out["keep"].astype(bool)
@@ -628,11 +624,9 @@ def _ngram_dup_groups(sf_dir: str) -> pd.DataFrame:
 
 def _simhash_pairs(sf_dir: str) -> pd.DataFrame:
     from pipeline.extras.dedup import simhash_pairs
+    from pipeline.partition import _to_arrow
 
-    df = simhash_pairs(
-        _docs(sf_dir), max_hamming=6,
-        n_docs_hint=parquet_rows(f"{sf_dir}/documents.parquet"),
-    ).to_pandas()
+    df = _to_arrow(simhash_pairs(_docs(sf_dir), max_hamming=6)).to_pandas()
     if len(df):
         df = df.sort_values(["a", "b"]).reset_index(drop=True)
     return df

@@ -12,16 +12,12 @@
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 import ray
 import ray.data
-
-logger = logging.getLogger(__name__)
 
 # Cap for a degenerate centroid bucket (e.g. a corpus of near-identical
 # embeddings — exactly the near-dup use case). The within-bucket scan is a
@@ -153,6 +149,8 @@ def hash_sample_frame(
     parts = ds.map_batches(
         partial, batch_format="pyarrow", batch_size=4096, zero_copy_batch=True,
     ).to_pandas()
+    if parts.empty:  # Dataset.to_pandas keeps no columns at zero rows
+        return pd.DataFrame(columns=[id_col] + [c for c in cols if c != id_col])
     parts = parts.sort_values(["_k", id_col]).head(limit)
     return parts.drop(columns=["_k"]).reset_index(drop=True)
 
@@ -160,7 +158,11 @@ def hash_sample_frame(
 def _sample_matrix(
     ds: "ray.data.Dataset", vec_col: str, id_col: str, limit: int,
 ) -> np.ndarray:
+    """The hash sample's vectors as an (n, d) float64 matrix; (0, 0) for
+    an empty dataset."""
     sample = hash_sample_frame(ds, id_col=id_col, cols=[vec_col], limit=limit)
+    if sample.empty:
+        return np.empty((0, 0))
     return np.stack(sample[vec_col].to_numpy()).astype(np.float64)
 
 
@@ -234,6 +236,19 @@ def exact_cosine_pairs(
     return out.sort_values(["a", "b"]).reset_index(drop=True)
 
 
+def _cosine_scan(threshold: float, vec_col: str):
+    """_bucket_pairs scan of one bucket's rows (ascending id): ONE
+    normalized matmul + triu mask (no Python pair loop), its (i < j)
+    pairs with cosine >= threshold."""
+    def scan(g: pa.Table):
+        m = _norm_rows(_to_matrix(g[vec_col]))
+        s = m @ m.T
+        iu, ju = np.nonzero(np.triu(s >= threshold, 1))
+        return iu, ju, {"cosine": s[iu, ju]}
+
+    return scan
+
+
 def embedding_near_dup_pairs(
     ds: "ray.data.Dataset", threshold: float = 0.95, *,
     id_col: str = "vec_id", vec_col: str = "embedding", n_clusters: int = 16,
@@ -241,16 +256,23 @@ def embedding_near_dup_pairs(
 ) -> pd.DataFrame:
     """Embedding-cosine near-dup: bucket by nearest centroids, exact cosine
     within buckets only (per-group O(|bucket|^2), never global O(n^2)).
+    Returns (a, b, cosine), a < b, sorted.
 
     Multi-probe assignment: each vector lands in its `n_assign` nearest
     buckets, so a near-dup pair straddling one bucket boundary still
     co-occurs somewhere (single-assignment missed boundary pairs; the
-    standard multi-probe recall/cost trade — n_assign x the grouped rows).
-    Duplicate pair hits from shared buckets are dropped at the end.
-    The within-bucket scan is ONE vectorized matmul + triu mask (no Python
-    pair loop); buckets over MAX_EMB_BUCKET members are truncated to the
-    MAX_EMB_BUCKET smallest ids with a WARN (mirrors dedup.MAX_BUCKET)."""
+    standard multi-probe recall/cost trade — n_assign x the bucket rows).
+    The buckets reduce through dedup._bucket_pairs, which drops the
+    repeat hits of shared buckets; its scan is _cosine_scan, and buckets
+    over MAX_EMB_BUCKET members are truncated to the MAX_EMB_BUCKET
+    smallest ids with a WARN (mirrors dedup.MAX_BUCKET)."""
+    from pipeline.extras.dedup import _bucket_pairs
+
+    empty = pd.DataFrame({"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
+                          "cosine": pd.Series(dtype="float64")})
     sample = _sample_matrix(ds, vec_col, id_col, 4096)
+    if not len(sample):
+        return empty
     cent = kmeans_lite(sample, n_clusters)
     cent_ref = ray.put(cent)
     n_assign = min(n_assign, n_clusters)
@@ -263,38 +285,16 @@ def embedding_near_dup_pairs(
             top = s.argmax(axis=1)[:, None]
         else:
             top = np.argpartition(-s, n_assign - 1, axis=1)[:, :n_assign]
-        idx = np.repeat(np.arange(len(batch)), n_assign)
-        out = batch.take(pa.array(idx))
+        out = batch.select([id_col, vec_col]).take(
+            pa.array(np.repeat(np.arange(len(batch)), n_assign)))
         return out.append_column(
             "_bucket", pa.array(top.reshape(-1).astype(np.int32))
         )
 
-    bucketed = ds.map_batches(assign, batch_format="pyarrow", batch_size=4096)
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) > MAX_EMB_BUCKET:
-            logger.warning(
-                "embedding bucket %s truncated: %d members > MAX_EMB_BUCKET=%d",
-                int(g["_bucket"].iloc[0]), len(g), MAX_EMB_BUCKET,
-            )
-            g = g.sort_values(id_col).head(MAX_EMB_BUCKET)
-        ids = g[id_col].to_numpy().astype(np.int64)
-        m = _norm_rows(np.stack(g[vec_col].to_numpy()).astype(np.float64))
-        s = m @ m.T
-        iu, ju = np.nonzero(np.triu(s >= threshold, 1))
-        a = np.minimum(ids[iu], ids[ju])
-        b = np.maximum(ids[iu], ids[ju])
-        return pd.DataFrame(
-            {"a": a, "b": b, "cosine": s[iu, ju].astype(np.float64)},
-            columns=["a", "b", "cosine"],
-        )
-
-    out = bucketed.groupby("_bucket").map_groups(
-        pairs, batch_format="pandas"
+    return _bucket_pairs(
+        ds, assign, ["_bucket"], _cosine_scan(threshold, vec_col), id_col=id_col,
+        cap=MAX_EMB_BUCKET, extra=[pa.field("cosine", pa.float64())],
     ).to_pandas()
-    # a pair whose members share >1 probed bucket is found in each — same
-    # cosine everywhere, keep one
-    return out.drop_duplicates(["a", "b"]).reset_index(drop=True)
 
 
 def lsh_topk(

@@ -32,8 +32,6 @@ steps from converged).
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -42,8 +40,6 @@ import ray
 import ray.data
 
 from pipeline.extras.ann import _norm_rows, _sample_matrix, _to_matrix
-
-logger = logging.getLogger(__name__)
 
 
 def _seed_farthest(sample: np.ndarray, k: int) -> np.ndarray:
@@ -97,9 +93,12 @@ def kmeans_fit(
     """Spherical k-means centroids (k x d, L2-normalized rows): seeded
     by deterministic farthest-point selection on a cross-block hash
     sample, then ``n_iter`` full-data Lloyd passes.  An empty cluster
-    keeps its previous centroid.  (``seed`` reserved for future
-    randomized init variants; the default init is sample-deterministic.)"""
+    keeps its previous centroid; an empty dataset gives a (0, 0) array.
+    (``seed`` reserved for future randomized init variants; the default
+    init is sample-deterministic.)"""
     sample = _sample_matrix(ds, vec_col, id_col, sample_limit)
+    if not len(sample):
+        return sample  # no rows: no centroids
     cent = _seed_farthest(sample, k)
     d = cent.shape[1]
     for _ in range(n_iter):
@@ -159,38 +158,21 @@ def semantic_dedup(
     ``ann.embedding_near_dup_pairs``'s multi-probe for boundary recall).
     Returns (id, canonical_id, keep); docs in no pair are implicitly
     kept."""
-    from pipeline.extras.ann import MAX_EMB_BUCKET
-    from pipeline.extras.dedup import dup_groups
+    from pipeline.extras import ann
+    from pipeline.extras.dedup import _bucket_pairs, dup_groups
 
     cent = kmeans_fit(
         ds, k=k, n_iter=n_iter, vec_col=vec_col, id_col=id_col,
         sample_limit=sample_limit,
     )
-    assigned = kmeans_assign(ds, cent, vec_col=vec_col)
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) > MAX_EMB_BUCKET:
-            logger.warning(
-                "semantic_dedup: cluster %s holds %d members; pair scan "
-                "truncated to the %d smallest ids (members beyond the cap "
-                "are implicitly kept) — raise k to shrink clusters",
-                g["cluster_id"].iloc[0] if "cluster_id" in g else "?",
-                len(g), MAX_EMB_BUCKET,
-            )
-            g = g.sort_values(id_col).head(MAX_EMB_BUCKET)
-        ids = g[id_col].to_numpy().astype(np.int64)
-        m = _norm_rows(np.stack(g[vec_col].to_numpy()).astype(np.float64))
-        s = m @ m.T
-        iu, ju = np.nonzero(np.triu(s >= threshold, 1))
-        return pd.DataFrame({
-            "a": np.minimum(ids[iu], ids[ju]),
-            "b": np.maximum(ids[iu], ids[ju]),
-        })
-
-    pair_df = assigned.groupby("cluster_id").map_groups(
-        pairs, batch_format="pandas"
-    ).to_pandas()
-    return dup_groups(pair_df)
+    if not len(cent):
+        return dup_groups(pd.DataFrame({"a": [], "b": []}))
+    pairs = _bucket_pairs(
+        kmeans_assign(ds.select_columns([id_col, vec_col]), cent, vec_col=vec_col),
+        lambda t: t, ["cluster_id"], ann._cosine_scan(threshold, vec_col),
+        id_col=id_col, cap=ann.MAX_EMB_BUCKET, extra=[pa.field("cosine", pa.float64())],
+    )
+    return dup_groups(pairs.select(["a", "b"]).to_pandas())
 
 
 def cluster_profile(

@@ -1,22 +1,30 @@
 """Deduplication operators over a (doc_id, text) table.
 
-Scale design notes (100 TB / 256 nodes):
-- exact: content hash -> groupby(hash) -> first. Uniform key, no skew.
+Scale design notes (100 TB / 256 nodes). Every reduce here is a
+partition._keyed_reduce of per-batch Arrow partials, so one measured
+size (DRIVER_REDUCE_MAX_BYTES) picks one task or bucket_shuffle stages:
+- exact: per-batch (sha256, min id, copies) partials -> the same Arrow
+  group_by as the fold. Uniform key, no skew.
 - MinHash-LSH: per-batch vectorized shingle->minhash, explode to one row
-  per band -> bucket-count (driver reduce below a size switch, Ray
-  groupby above it) -> per-bucket pairs -> exact Jaccard verify. The
-  all-to-all volume is one int64 key per (doc, band), never the
-  documents themselves. Buckets are capped (a degenerate bucket of B
-  docs yields B*(B-1)/2 pairs — cap + WARN log, never silently explode).
+  per band -> _bucket_pairs (per (band, band_hash) bucket: sorted ids,
+  capped, all pairs; then one copy per pair) -> exact Jaccard verify of
+  the candidates. The all-to-all volume is one (id, band, int64 key) row
+  per (doc, band), never the documents themselves. Buckets are capped (a
+  degenerate bucket of B docs yields B*(B-1)/2 pairs — cap + WARN log,
+  never silently explode).
 - SimHash: 63-bit fingerprint, 4x16-bit band bucketing for Hamming<=3
-  candidates, exact Hamming verify.
-- near-dup by embedding cosine lives in pipeline.extras.ann.
+  candidates, exact Hamming in the same _bucket_pairs scan.
+- connected components: min-label reduces over bucket_shuffle lookups.
+- near-dup by embedding cosine lives in pipeline.extras.ann, and
+  SemDeDup in pipeline.extras.clustering; both scan through
+  _bucket_pairs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+from collections.abc import Sequence
 
 import numpy as np
 import pandas as pd
@@ -32,12 +40,6 @@ N_PERM = 64
 N_BANDS = 16  # 4 rows/band -> catches J>=~0.5 pairs w.h.p.
 ROWS_PER_BAND = N_PERM // N_BANDS
 MAX_BUCKET = 64  # cap degenerate buckets (logged, not silent)
-
-# Above this many (doc, band) rows the bucket-count reduce switches from
-# the driver-side numpy unique (fast at bench scale: no shuffle, ~5 s Ray
-# groupby floor avoided) to a distributed Ray groupby — the driver path
-# materializes 8 bytes/row and would be a scale-killer on a real corpus.
-DRIVER_REDUCE_MAX_ROWS = 2_000_000
 
 
 def _perm_params(seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +171,7 @@ def _scramble64(x: np.ndarray) -> np.ndarray:
 
 
 def _band_rows(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
-    """Explode each doc to N_BANDS (doc_id, band, band_hash) rows —
+    """Explode each doc to N_BANDS (``id_col``, band, band_hash) rows —
     signatures batched across docs, band keys vectorized (no per-doc
     hashing loop)."""
     texts = batch[text_col].to_pylist()
@@ -181,10 +183,9 @@ def _band_rows(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
     for r in range(ROWS_PER_BAND):
         acc = acc * _MIX + bands[:, :, r]
     keys = _scramble64(acc)
-    ids = batch[id_col].to_numpy(zero_copy_only=False)
     return pa.table(
         {
-            "doc_id": pa.array(np.repeat(ids, N_BANDS)),
+            id_col: batch[id_col].take(np.repeat(np.arange(n), N_BANDS)),
             "band": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int32), n)),
             "band_hash": pa.array(keys.reshape(-1)),
         }
@@ -198,116 +199,97 @@ def jaccard(a: str, b: str, k: int = 3) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def _combine_keys(batch: pa.Table, keys: list[str]) -> np.ndarray:
-    """Hash-combine the key columns to one int64 per row. A collision only
-    merges two buckets — extra CANDIDATE pairs that the exact verify stage
-    (Jaccard / Hamming) discards, never a missed duplicate."""
-    acc = np.zeros(len(batch), dtype=np.int64)
-    for k in keys:
-        col = batch[k].to_numpy(zero_copy_only=False).astype(np.int64)
-        acc = (acc * _MIX) + col
-    return acc
+def _id_type(ds: "ray.data.Dataset", id_col: str) -> pa.DataType:
+    """``ds``' ``id_col`` type, to type an empty output (int64 when
+    ``ds`` reports no schema)."""
+    from pipeline.partition import _column_types
+
+    return pa.int64() if ds.schema() is None else _column_types(ds)[id_col]
 
 
-def _sorted_membership(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """values[i] in sorted_keys, via searchsorted (no Python set loop)."""
-    if sorted_keys.size == 0:
-        return np.zeros(values.size, dtype=bool)
-    idx = np.searchsorted(sorted_keys, values)
-    idx[idx == sorted_keys.size] = sorted_keys.size - 1
-    return sorted_keys[idx] == values
+def _distinct_pairs(t: pa.Table) -> pa.Table:
+    """``t``'s rows sorted by (a, b), one per (a, b) pair. The copies
+    of a pair come from buckets that share it, and agree on every other
+    column (the scans are per-pair deterministic), so any one is right."""
+    t = t.sort_by([("a", "ascending"), ("b", "ascending")]).combine_chunks()
+    a = t["a"].to_numpy(zero_copy_only=False)
+    b = t["b"].to_numpy(zero_copy_only=False)
+    new = np.ones(len(t), dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return t.filter(pa.array(new))
 
 
-def _members_driver(bands: "ray.data.Dataset", keys: list[str]) -> pd.DataFrame:
-    """Hot-bucket member rows (bucket key appears >= 2 times), computed in
-    ONE streaming pass: a single to_pandas pull (Arrow-backed columns, no
-    Python row objects, any id type), then the driver counts bucket keys
-    with np.unique and slices the hot rows. No materialize, no groupby
-    barrier, no second corpus pass: a materialize + key-count pass +
-    filter pass costs ~3 fixed execution rounds per sketch query at
-    bench scale. Only used below DRIVER_REDUCE_MAX_ROWS band rows."""
-    cols = bands.schema().names
-    df = bands.to_pandas()
-    if not len(df):
-        return pd.DataFrame(columns=cols)
-    acc = np.zeros(len(df), dtype=np.int64)
-    for k in keys:
-        acc = (acc * _MIX) + df[k].to_numpy().astype(np.int64)  # as _combine_keys
-    _, inv, counts = np.unique(acc, return_inverse=True, return_counts=True)
-    return df[counts[inv] > 1].reset_index(drop=True)
+def _pair_fold(t: pa.Table, *, bucket: list[str], id_col: str, cap: int,
+               scan, extra: Sequence[pa.Field]) -> pa.Table:
+    """The one fold of _bucket_pairs' two stages. Over bucket rows (they
+    hold the ``bucket`` columns): per exact bucket with 2 or more
+    distinct ids, its rows by ascending id, cut to the ``cap`` smallest
+    ids (logged, never a silent B*(B-1)/2 explosion); ``scan`` maps such
+    a group to local (i < j) row pairs plus the ``extra`` columns' values.
+    Over pair rows only the last step runs: one row per (a, b)."""
+    if bucket[0] in t.column_names:
+        t = t.sort_by([(c, "ascending") for c in bucket + [id_col]]).combine_chunks()
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        same = np.ones(max(len(t) - 1, 0), dtype=bool)
+        for c in bucket:
+            k = t[c].to_numpy(zero_copy_only=False)
+            same &= k[1:] == k[:-1]
+        keep = np.ones(len(t), dtype=bool)
+        keep[1:] = ~(same & (ids[1:] == ids[:-1]))  # an id once per bucket
+        starts = np.flatnonzero(np.r_[True, ~same][keep])
+        t = t.filter(pa.array(keep))
+        sizes = np.diff(np.r_[starts, len(t)])
+        none = np.empty(0, np.int64)
+        ia, ib = [none], [none]
+        vals = {f.name: [np.empty(0, f.type.to_pandas_dtype())] for f in extra}
+        for s, n in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+            if n > cap:
+                logger.warning(
+                    "bucket %s truncated: %d members > cap %d",
+                    tuple(t[c][s].as_py() for c in bucket), n, cap,
+                )
+                n = cap
+            iu, ju, cols = scan(t.slice(s, n))
+            ia.append(s + iu)
+            ib.append(s + ju)
+            for f in extra:
+                vals[f.name].append(cols[f.name])
+        ids = t[id_col]
+        t = pa.table(
+            [ids.take(pa.array(np.concatenate(ia))), ids.take(pa.array(np.concatenate(ib)))]
+            + [pa.array(np.concatenate(vals[f.name]), f.type) for f in extra],
+            names=["a", "b"] + [f.name for f in extra],
+        )
+    return _distinct_pairs(t)
 
 
-def _hot_keys_distributed(bands: "ray.data.Dataset", keys: list[str]) -> np.ndarray:
-    """Scale path: distributed groupby(count) over the combined key —
-    nothing proportional to the corpus ever lands on the driver; only the
-    hot (duplicate-bucket) keys do, and those are small by the dedup
-    premise."""
-    from ray.data.aggregate import Count
+def _bucket_pairs(
+    ds: "ray.data.Dataset", combine, bucket: list[str], scan, *,
+    id_col: str, cap: int, extra: Sequence[pa.Field] = (),
+) -> pa.Table:
+    """The near-dup pair reduce behind every bucketed sketch (MinHash and
+    SimHash bands, embedding centroid buckets, k-means clusters): one
+    partition._keyed_reduce of the per-batch bucket rows ``combine``
+    emits (``id_col``, the ``bucket`` columns, whatever ``scan`` reads),
+    with _pair_fold as the fold of both stages. Up to
+    DRIVER_REDUCE_MAX_BYTES of bucket rows one task scans every bucket
+    and drops the pairs found twice; above it stage 1 scans per
+    bucket_shuffle bucket of the last ``bucket`` column and stage 2
+    drops repeated pairs per bucket of ``a``. Returns (a, b, *extra)
+    with a < b, sorted (the pair set is bounded by candidate count,
+    never by corpus size), typed as ``ds``' ``id_col`` when it is empty."""
+    from pipeline.partition import _keyed_reduce, _to_arrow
 
-    keyed = bands.map_batches(
-        lambda t: pa.table({"k": pa.array(_combine_keys(t, keys))}),
-        batch_format="pyarrow", batch_size=8192, zero_copy_batch=True,
-    )
-    hot = (
-        keyed.groupby("k")
-        .aggregate(Count(alias_name="n"))
-        .filter(expr="n > 1")
-        .to_pandas()
-    )
-    return np.sort(hot["k"].to_numpy().astype(np.int64))
+    def fold(t: pa.Table) -> pa.Table:
+        return _pair_fold(t, bucket=bucket, id_col=id_col, cap=cap, scan=scan,
+                          extra=extra)
 
-
-# Above this many hot-bucket member rows, candidate-pair generation and
-# verification run as distributed stages instead of driver loops.
-DRIVER_PAIRS_MAX = 200_000
-
-
-def _hot_bucket_members(
-    bands: "ray.data.Dataset", keys: list[str], *, n_rows_hint: int | None = None,
-) -> tuple[pd.DataFrame | "ray.data.Dataset", int]:
-    """(members, n_members): the `bands` rows whose bucket key appears
-    >= 2 times. Size-switched:
-
-    - driver regime (band rows <= DRIVER_REDUCE_MAX_ROWS): ONE streaming
-      pass via _members_driver, returns a pandas frame (a Ray groupby has
-      a ~5 s fixed floor locally; the old materialize+count+filter shape
-      cost 3 execution rounds).
-    - distributed regime: materialize (consumed twice), groupby(count)
-      for hot keys, broadcast + vectorized searchsorted membership filter;
-      returns a materialized Dataset. Nothing proportional to the corpus
-      lands on the driver.
-
-    `n_rows_hint` (exact band-row count, e.g. parquet-metadata doc count x
-    bands per doc) picks the regime without an extra count pass; without
-    it the bands are materialized and counted first. MAX_BUCKET caps
-    degenerate buckets downstream."""
-    import ray as _ray
-
-    if n_rows_hint is None:
-        bands = bands.materialize()
-        n_rows = bands.count()  # metadata on a materialized dataset
-    else:
-        n_rows = n_rows_hint
-    if n_rows <= DRIVER_REDUCE_MAX_ROWS:
-        df = _members_driver(bands, keys)
-        return df, len(df)
-
-    if n_rows_hint is not None:
-        bands = bands.materialize()  # consumed twice: count reduce + filter
-    hot = _hot_keys_distributed(bands, keys)
-    if hot.size == 0:
-        return bands.limit(0), 0
-    key_ref = _ray.put(hot)
-
-    def filter_hot(batch: pa.Table) -> pa.Table:
-        hk = _ray.get(key_ref)
-        combined = _combine_keys(batch, keys)
-        return batch.filter(pa.array(_sorted_membership(combined, hk)))
-
-    out = bands.map_batches(
-        filter_hot, batch_format="pyarrow", batch_size=8192
-    ).materialize()
-    return out, out.count()
+    out = _keyed_reduce(ds, combine, [(bucket[-1], fold), ("a", fold)])
+    out = None if out is None else _to_arrow(out)
+    if out is None or "a" not in out.column_names:  # no rows, or no bucket of 2
+        id_t = _id_type(ds, id_col)
+        return pa.schema([("a", id_t), ("b", id_t), *extra]).empty_table()
+    return _distinct_pairs(out)
 
 
 def _texts_for(ds, ids: set, id_col: str, text_col: str) -> dict:
@@ -328,17 +310,6 @@ def _texts_for(ds, ids: set, id_col: str, text_col: str) -> dict:
     return dict(zip(small[id_col], small[text_col]))
 
 
-def _bucket_pair_frame(ids: list, key) -> list[tuple]:
-    """All (a < b) pairs of a bucket, capped + logged at MAX_BUCKET."""
-    if len(ids) > MAX_BUCKET:
-        logger.warning(
-            "bucket %s truncated: %d members > MAX_BUCKET=%d",
-            key, len(ids), MAX_BUCKET,
-        )
-        ids = ids[:MAX_BUCKET]
-    return [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
-
-
 def dup_groups(pairs, *, a_col: str = "a", b_col: str = "b") -> pd.DataFrame:
     """Near-dup pairs -> connected components -> canonical keep-list: the
     step that turns a pair stream into an actionable dedup decision.
@@ -351,7 +322,11 @@ def dup_groups(pairs, *, a_col: str = "a", b_col: str = "b") -> pd.DataFrame:
     size, so union-find over it is a small in-memory reduction — the
     same winners-fit-on-driver contract as the broadcast side of
     keep_first_by. Docs in no pair are implicitly kept and not listed."""
-    if hasattr(pairs, "to_pandas"):
+    if isinstance(pairs, ray.data.Dataset):
+        from pipeline.partition import _to_arrow
+
+        pairs = _to_arrow(pairs)  # keeps the columns at zero rows
+    if isinstance(pairs, pa.Table):
         pairs = pairs.to_pandas()
     parent: dict = {}
 
@@ -401,7 +376,8 @@ def dup_groups_distributed(
     per round, so convergence is O(log diameter) — a planted 100k-node
     chain (worst-case diameter) converges in 18 rounds, a 100k-pair
     binary tree in 6 (both tested).  Each round is ONE bucketed lookup
-    shuffle (both message kinds share it) + one groupby-min + a
+    shuffle (both message kinds share it) + one min-label _keyed_reduce
+    (its combiner and fold an Arrow group_by min per node) + a
     map-only label checksum for the convergence test (exact diff join
     runs once, to confirm).  Labels materialize per round with their
     lineage CUT (from_arrow_refs): feeding a MaterializedDataset into
@@ -433,9 +409,8 @@ def dup_groups_distributed(
     pure iterative path (chains/trees with a large surviving frontier
     fall through to it automatically)."""
     import ray.data as rd
-    from ray.data.aggregate import Min
 
-    from pipeline.partition import bucket_count, bucket_shuffle
+    from pipeline.partition import _keyed_reduce, bucket_count, bucket_shuffle
 
     pairs_id_t = None
     if isinstance(pairs, pd.DataFrame):
@@ -489,32 +464,34 @@ def dup_groups_distributed(
     id_t = getattr(sch, "base_schema", sch).field("src").type
     n_buckets = bucket_count(n_edges)
 
-    # Ray's hash aggregate can emit EMPTY blocks with a stripped schema;
-    # projections guard by emitting a correctly-typed empty table.
-    def _init_labels(t: pa.Table) -> pa.Table:
-        if not all(c in t.column_names for c in ("src", "lbl")):
-            return pa.table({"node": pa.array([], id_t),
-                             "lbl": pa.array([], id_t)})
-        return pa.table({
-            "node": t["src"],
-            "lbl": pc.min_element_wise(t["src"], t["lbl"]),
-        })
-
     # Labels keep a FIXED block count across rounds: each round unions
-    # labels+nbr+jump and aggregates, and Ray's aggregate emits ~as many
-    # blocks as its input — without the coalescing repartition the block
-    # count (hence shuffle task count) grows ~4x per round, which turns
-    # round times exponential (observed 3s -> 5s -> 31s -> ...).
+    # labels+nbr+jump and reduces, and a bucketed reduce emits one block
+    # per bucket — without the coalescing repartition the block count
+    # (hence shuffle task count) grows per round, which turns round
+    # times exponential (observed 3s -> 5s -> 31s -> ...).
     n_label_blocks = max(8, edges.num_blocks())
+    no_labels = pa.table({"node": pa.array([], id_t), "lbl": pa.array([], id_t)})
+
+    def _min_label(t: pa.Table) -> pa.Table:
+        g = t.group_by("node", use_threads=False).aggregate([("lbl", "min")])
+        return pa.table({"node": g["node"], "lbl": g["lbl_min"]})
+
+    def _labels(ds, combine):
+        """Per node the min of its (node, lbl) rows: a _keyed_reduce
+        whose fold is _min_label, typed (a bucket_shuffle partition
+        that got no bucket leaves a block without columns), in
+        n_label_blocks blocks with its lineage cut."""
+        out = _keyed_reduce(ds, combine, [("node", _min_label)]).map_batches(
+            lambda t: t if t.num_columns else no_labels,
+            batch_format="pyarrow", zero_copy_batch=True,
+        )
+        return _snap(out.repartition(n_label_blocks))
 
     # initial label = min(node, min neighbor): one flooding round folded
-    # into the node-dedup groupby.
-    labels = _snap(
-        edges.groupby("src").aggregate(Min("dst", alias_name="lbl"))
-        .map_batches(_init_labels, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .repartition(n_label_blocks)
-    )
+    # into the node-dedup reduce.
+    labels = _labels(edges, lambda t: _min_label(pa.table({
+        "node": t["src"], "lbl": pc.min_element_wise(t["src"], t["dst"]),
+    })))
 
     def _tagged(ds, k_col: str, x_col: str, tag: int):
         """``ds`` as (key, payload-or-value, tag) rows for a lookup."""
@@ -665,17 +642,7 @@ def dup_groups_distributed(
             batch_format="pyarrow", zero_copy_batch=True,
         )
 
-        new = (
-            labels.union(msgs)
-            .groupby("node").aggregate(Min("lbl", alias_name="lbl"))
-        ).map_batches(
-            lambda t: (pa.table({"node": t["node"], "lbl": t["lbl"]})
-                       if all(c in t.column_names for c in ("node", "lbl"))
-                       else pa.table({"node": pa.array([], id_t),
-                                      "lbl": pa.array([], id_t)})),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ).repartition(n_label_blocks)
-        new = _snap(new)
+        new = _labels(labels.union(msgs), _min_label)
 
         new_chk = _checksum(new)
         changed = new_chk != chk
@@ -708,102 +675,32 @@ def dup_groups_distributed(
 
 def minhash_lsh_pairs(
     ds: "ray.data.Dataset", *, id_col: str = "doc_id", text_col: str = "text",
-    threshold: float = 0.6, n_docs_hint: int | None = None,
+    threshold: float = 0.6,
 ) -> "ray.data.Dataset":
     """Candidate pairs via LSH banding, verified with exact n-gram Jaccard.
-    Returns (a, b, jaccard) with a < b, deduplicated.
+    Returns (a, b, jaccard) with a < b, deduplicated, sorted.
 
-    Below DRIVER_PAIRS_MAX hot-member rows, pair generation + verify run
-    on the driver (small); above it they run as distributed stages:
-    per-bucket pair explosion via groupby().map_groups, cross-band dedup
-    via a keys-only groupby, and Jaccard verification in map_batches with
-    only the INVOLVED docs' texts broadcast (bounded by candidate count,
-    never by corpus size).
-
-    `n_docs_hint` (exact corpus row count, e.g. from parquet metadata)
-    lets the size switch pick its regime without materializing the band
-    rows first."""
+    The candidates are every pair of ids sharing a (band, band_hash)
+    bucket — one _bucket_pairs reduce of the _band_rows (MAX_BUCKET
+    caps a bucket). Jaccard is then verified once, on the driver, over
+    only the INVOLVED docs' texts (_texts_for: bounded by candidate
+    count, never by corpus size)."""
     import ray.data as rd
 
-    bands = ds.map_batches(
-        lambda t: _band_rows(t, id_col, text_col),
-        batch_format="pyarrow", batch_size=1024, zero_copy_batch=True,
+    cand = _bucket_pairs(
+        ds.select_columns([id_col, text_col]),
+        lambda t: _band_rows(t, id_col, text_col), ["band", "band_hash"],
+        lambda g: (*np.triu_indices(len(g), 1), {}), id_col=id_col, cap=MAX_BUCKET,
     )
-    members_any, n_members = _hot_bucket_members(
-        bands, ["band", "band_hash"],
-        n_rows_hint=None if n_docs_hint is None else n_docs_hint * N_BANDS,
-    )
-    empty = pd.DataFrame(columns=["a", "b", "jaccard"])
-    if n_members == 0:
-        return rd.from_pandas(empty)
-
-    if n_members <= DRIVER_PAIRS_MAX:
-        members = (
-            members_any if isinstance(members_any, pd.DataFrame)
-            else members_any.to_pandas()
-        )
-        cand: set[tuple] = set()
-        for key, g in members.groupby(["band", "band_hash"], sort=False):
-            cand.update(_bucket_pair_frame(sorted(g["doc_id"].unique()), key))
-        if not cand:
-            return rd.from_pandas(empty)
-        involved = {x for p in cand for x in p}
-        texts = _texts_for(ds, involved, id_col, text_col)
-        rows = [
-            {"a": a, "b": b, "jaccard": j}
-            for a, b in sorted(cand)
-            if (j := jaccard(texts[a], texts[b])) >= threshold
-        ]
-        return rd.from_pandas(pd.DataFrame(rows, columns=["a", "b", "jaccard"]))
-
-    # ---- distributed path
-    import ray as _ray
-
-    members_ds = (
-        rd.from_pandas(members_any) if isinstance(members_any, pd.DataFrame)
-        else members_any
-    )
-
-    def gen_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        key = (int(g["band"].iloc[0]), int(g["band_hash"].iloc[0]))
-        pairs = _bucket_pair_frame(sorted(g["doc_id"].unique()), key)
-        dt = g["doc_id"].dtype  # stable schema even for empty groups
-        return pd.DataFrame(pairs, columns=["a", "b"]).astype({"a": dt, "b": dt})
-
-    cand_ds = members_ds.groupby(["band", "band_hash"]).map_groups(
-        gen_pairs, batch_format="pandas"
-    )
-    distinct = cand_ds.groupby(["a", "b"]).count().select_columns(["a", "b"])
-    distinct = distinct.materialize()
-    inv_df = distinct.to_pandas()  # ids only (16 B/pair)
-    if inv_df.empty:
-        return rd.from_pandas(empty)
-    involved = set(inv_df["a"]) | set(inv_df["b"])
-    texts_ref = _ray.put(_texts_for(ds, involved, id_col, text_col))
-
-    def verify(batch: pa.Table) -> pa.Table:
-        t = _ray.get(texts_ref)
-        out_a, out_b, out_j = [], [], []
-        for a, b in zip(batch["a"].to_pylist(), batch["b"].to_pylist()):
-            j = jaccard(t[a], t[b])
-            if j >= threshold:
-                out_a.append(a)
-                out_b.append(b)
-                out_j.append(j)
-        return pa.table({
-            "a": pa.array(out_a, batch["a"].type),
-            "b": pa.array(out_b, batch["b"].type),
-            "jaccard": pa.array(out_j, pa.float64()),
-        })
-
-    res = distinct.map_batches(
-        verify, batch_format="pyarrow", batch_size=4096
-    ).to_pandas()
-    res = res.sort_values(["a", "b"]).reset_index(drop=True) if len(res) else empty
-    return rd.from_pandas(res)
+    a, b = cand["a"].to_pylist(), cand["b"].to_pylist()
+    texts = _texts_for(ds, set(a) | set(b), id_col, text_col) if a else {}
+    j = np.array([jaccard(texts[x], texts[y]) for x, y in zip(a, b)], np.float64)
+    out = cand.append_column("jaccard", pa.array(j, pa.float64()))
+    return rd.from_arrow(out.filter(pa.array(j >= threshold)))
 
 
 # ------------------------------------------------------------- SimHash
+
 
 _SIM_SHIFTS = np.arange(63, dtype=np.uint64)
 _SIM_POWS = (np.uint64(1) << _SIM_SHIFTS)
@@ -842,117 +739,42 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return ((x * _PC_H) >> np.uint64(56)).astype(np.int64)
 
 
-def _simhash_bucket_pairs(
-    g: pd.DataFrame, max_hamming: int, key,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, hamming) arrays for one bucket — XOR matrix + SWAR popcount
-    + triu mask, no per-pair Python. Buckets over MAX_BUCKET truncate to
-    the MAX_BUCKET smallest ids (same rule as minhash), logged."""
-    recs = g.drop_duplicates("doc_id").sort_values("doc_id")
-    ids = recs["doc_id"].to_numpy().astype(np.int64)
-    if len(ids) > MAX_BUCKET:
-        logger.warning(
-            "simhash bucket %s truncated: %d members > MAX_BUCKET=%d",
-            key, len(ids), MAX_BUCKET,
-        )
-        ids = ids[:MAX_BUCKET]
-        recs = recs.head(MAX_BUCKET)
-    sims = recs["simhash"].to_numpy().astype(np.int64).view(np.uint64)
-    if len(ids) < 2:
-        z = np.empty(0, dtype=np.int64)
-        return z, z, z
-    d = _popcount64(sims[:, None] ^ sims[None, :])
-    iu, ju = np.nonzero(np.triu(d <= max_hamming, k=1))
-    return ids[iu], ids[ju], d[iu, ju]
-
-
 def simhash_pairs(
     ds: "ray.data.Dataset", *, id_col: str = "doc_id", text_col: str = "text",
-    max_hamming: int = 3, n_docs_hint: int | None = None,
+    max_hamming: int = 3,
 ) -> "ray.data.Dataset":
-    """Near-dup pairs with Hamming(simhash) <= max_hamming. 4x16-bit band
-    bucketing guarantees recall for <=3 bit flips (pigeonhole)."""
+    """Near-dup pairs with Hamming(simhash) <= max_hamming: (a, b,
+    hamming), a < b, sorted. 4x16-bit band bucketing guarantees recall
+    for <=3 bit flips (pigeonhole). One _bucket_pairs reduce of the
+    (id, band, key, simhash) rows; each (band, key) bucket is scanned as
+    one XOR matrix + SWAR popcount + triu mask (no per-pair Python),
+    capped at MAX_BUCKET like minhash."""
+    import ray.data as rd
+
     def sim_rows(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
         sims = batch_simhash64(batch[text_col].to_pylist())
         n = len(sims)
-        bands = np.tile(np.arange(4, dtype=np.int32), n)
         keys = (
             (sims.astype(np.uint64)[:, None] >> (np.uint64(16) * np.arange(4, dtype=np.uint64)[None, :]))
             & np.uint64(0xFFFF)
         ).astype(np.int32).reshape(-1)
         return pa.table({
-            "doc_id": pa.array(np.repeat(ids, 4)),
-            "band": pa.array(bands),
+            id_col: batch[id_col].take(np.repeat(np.arange(n), 4)),
+            "band": pa.array(np.tile(np.arange(4, dtype=np.int32), n)),
             "key": pa.array(keys),
             "simhash": pa.array(np.repeat(sims, 4)),
         })
 
-    import ray.data as rd
+    def scan(g: pa.Table):
+        sims = g["simhash"].to_numpy().view(np.uint64)
+        d = _popcount64(sims[:, None] ^ sims[None, :])
+        iu, ju = np.nonzero(np.triu(d <= max_hamming, k=1))
+        return iu, ju, {"hamming": d[iu, ju]}
 
-    bands = ds.map_batches(sim_rows, batch_format="pyarrow", batch_size=1024,
-                           zero_copy_batch=True)
-    members_any, n_members = _hot_bucket_members(
-        bands, ["band", "key"],
-        n_rows_hint=None if n_docs_hint is None else n_docs_hint * 4,
-    )
-    empty = pd.DataFrame(columns=["a", "b", "hamming"])
-    if n_members == 0:
-        return rd.from_pandas(empty)
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        key = (int(g["band"].iloc[0]), int(g["key"].iloc[0]))
-        a, b, d = _simhash_bucket_pairs(g, max_hamming, key)
-        return pd.DataFrame({"a": a, "b": b, "hamming": d}).astype("int64")
-
-    if n_members <= DRIVER_PAIRS_MAX:
-        members = (
-            members_any if isinstance(members_any, pd.DataFrame)
-            else members_any.to_pandas()
-        )
-        # vectorized per-bucket scan + one numpy dedup across bands (the
-        # old per-pair Python hamming + iterrows accumulation was ~4x the
-        # whole query's cost at bench scale); hamming is deterministic per
-        # pair, so keep-first == any-wins
-        a_l, b_l, d_l = [], [], []
-        for key, g in members.groupby(["band", "key"], sort=False):
-            a, b, d = _simhash_bucket_pairs(g, max_hamming, key)
-            if len(a):
-                a_l.append(a)
-                b_l.append(b)
-                d_l.append(d)
-        if not a_l:
-            return rd.from_pandas(empty)
-        a = np.concatenate(a_l)
-        b = np.concatenate(b_l)
-        d = np.concatenate(d_l)
-        order = np.lexsort((b, a))
-        a, b, d = a[order], b[order], d[order]
-        keep = np.ones(len(a), dtype=bool)
-        keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        return rd.from_pandas(pd.DataFrame(
-            {"a": a[keep], "b": b[keep], "hamming": d[keep]}
-        ))
-
-    # ---- distributed path: per-bucket verify in map_groups, cross-band
-    # dedup via a keys-only groupby (hamming is deterministic per pair,
-    # so Min == the driver path's first-wins)
-    from ray.data.aggregate import Min
-
-    members_ds = (
-        rd.from_pandas(members_any) if isinstance(members_any, pd.DataFrame)
-        else members_any
-    )
-    pair_ds = members_ds.groupby(["band", "key"]).map_groups(
-        bucket_pairs, batch_format="pandas"
-    )
-    res = (
-        pair_ds.groupby(["a", "b"])
-        .aggregate(Min("hamming", alias_name="hamming"))
-        .to_pandas()
-    )
-    res = res.sort_values(["a", "b"]).reset_index(drop=True) if len(res) else empty
-    return rd.from_pandas(res[["a", "b", "hamming"]])
+    return rd.from_arrow(_bucket_pairs(
+        ds.select_columns([id_col, text_col]), sim_rows, ["band", "key"], scan,
+        id_col=id_col, cap=MAX_BUCKET, extra=[pa.field("hamming", pa.int64())],
+    ))
 
 
 # ------------------------------------------------ exact n-gram Jaccard
@@ -1080,20 +902,36 @@ def ngram_jaccard_pairs(
 def exact_dedup_stats(
     ds: "ray.data.Dataset", *, id_col: str = "doc_id", text_col: str = "text",
 ) -> "ray.data.Dataset":
-    """One row per distinct text: (doc_id = min id, n_copies). Equivalent
-    SQL: SELECT min(id), count(*) FROM t GROUP BY text."""
-    def add_hash(batch: pa.Table) -> pa.Table:
-        hashes = [
-            hashlib.sha256(t.encode()).hexdigest()
-            for t in batch[text_col].to_pylist()
-        ]
-        return batch.append_column("_sha", pa.array(hashes))
+    """One row per distinct text, a null text included: (doc_id = min
+    id, n_copies). Equivalent SQL: SELECT min(id), count(*) FROM t GROUP
+    BY text. A _keyed_reduce on the text's sha256: each batch combines
+    to (sha, min id, copies) per distinct sha, and the fold is the same
+    Arrow group_by (min of the mins, sum of the copies)."""
+    from pipeline.partition import _keyed_reduce
 
-    from ray.data.aggregate import Count, Min
+    def first(t: pa.Table) -> pa.Table:
+        g = t.group_by("_sha", use_threads=False).aggregate(
+            [("doc_id", "min"), ("n_copies", "sum")])
+        return pa.table([g["_sha"], g["doc_id_min"], g["n_copies_sum"]],
+                        names=["_sha", "doc_id", "n_copies"])
 
-    hashed = ds.map_batches(add_hash, batch_format="pyarrow", batch_size=2048,
-                            zero_copy_batch=True)
-    agg = hashed.groupby("_sha").aggregate(
-        Min(id_col, alias_name="doc_id"), Count(alias_name="n_copies")
+    def combine(t: pa.Table) -> pa.Table:
+        sha = [None if x is None else hashlib.sha256(x.encode()).hexdigest()
+               for x in t[text_col].to_pylist()]
+        return first(pa.table({
+            "_sha": pa.array(sha, pa.string()), "doc_id": t[id_col],
+            "n_copies": pa.array(np.ones(len(t), np.int64)),
+        }))
+
+    out = _keyed_reduce(ds.select_columns([id_col, text_col]), combine,
+                        [("_sha", first)])
+    if out is None:
+        return ray.data.from_arrow(pa.schema([
+            ("doc_id", _id_type(ds, id_col)), ("n_copies", pa.int64()),
+        ]).empty_table())
+    # a bucket_shuffle partition that got no bucket leaves a block
+    # without columns (see partition.bucket_shuffle)
+    return out.map_batches(
+        lambda t: t.drop(["_sha"]) if t.num_columns else t,
+        batch_format="pyarrow", zero_copy_batch=True,
     )
-    return agg.select_columns(["doc_id", "n_copies"])

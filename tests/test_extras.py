@@ -61,28 +61,31 @@ def test_minhash_lsh_finds_planted_dups():
 
 
 def test_minhash_distributed_bucket_path_matches(monkeypatch):
-    """Size switch: force the distributed groupby bucket-count path and
-    assert identical verified pairs vs the driver-reduce path."""
+    """Size switch: force the bucketed regime of the bucket-pair reduce
+    (DRIVER_REDUCE_MAX_BYTES=-1) and assert identical verified pairs vs
+    the one-task regime."""
     import pipeline.extras.dedup as dd
+    from pipeline import partition
 
     ds, _, _ = _dup_docs_ds()
     base = dd.minhash_lsh_pairs(ds, threshold=0.6).to_pandas()
-    monkeypatch.setattr(dd, "DRIVER_REDUCE_MAX_ROWS", 0)
+    monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", -1)
     dist = dd.minhash_lsh_pairs(ds, threshold=0.6).to_pandas()
     assert base.sort_values(["a", "b"]).values.tolist() == \
         dist.sort_values(["a", "b"]).values.tolist()
 
 
 def test_distributed_pair_paths_match(monkeypatch):
-    """Force the distributed pair-gen + verify stages (DRIVER_PAIRS_MAX=0)
-    and assert identical output to the driver-loop path for both minhash
-    and simhash."""
+    """Force the bucketed pair scan + cross-bucket dedup stages
+    (DRIVER_REDUCE_MAX_BYTES=-1) and assert identical output to the
+    one-task regime for both minhash and simhash."""
     import pipeline.extras.dedup as dd
+    from pipeline import partition
 
     ds, _, _ = _dup_docs_ds()
     mh_base = dd.minhash_lsh_pairs(ds, threshold=0.6).to_pandas()
     sh_base = dd.simhash_pairs(ds, max_hamming=3).to_pandas()
-    monkeypatch.setattr(dd, "DRIVER_PAIRS_MAX", 0)
+    monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", -1)
     mh_dist = dd.minhash_lsh_pairs(ds, threshold=0.6).to_pandas()
     sh_dist = dd.simhash_pairs(ds, max_hamming=3).to_pandas()
     for base, dist in ((mh_base, mh_dist), (sh_base, sh_dist)):
@@ -247,11 +250,12 @@ def test_hash_sample_draws_across_files(tmp_path):
 
 def test_simhash_bucket_truncation_paths_agree(monkeypatch):
     """A 70-member degenerate bucket (identical texts) exceeds MAX_BUCKET=64:
-    driver and distributed paths must agree on the truncated pair set
+    the one-task and bucketed regimes must agree on the truncated pair set
     (both keep the 64 smallest ids -> C(64,2) pairs)."""
     import ray.data as rd
 
     import pipeline.extras.dedup as dd
+    from pipeline import partition
 
     docs = pd.DataFrame({
         "doc_id": np.arange(70, dtype=np.int64),
@@ -261,22 +265,10 @@ def test_simhash_bucket_truncation_paths_agree(monkeypatch):
     base = dd.simhash_pairs(ds, max_hamming=3).to_pandas()
     assert len(base) == 64 * 63 // 2
     assert set(base["a"]) | set(base["b"]) == set(range(64))
-    monkeypatch.setattr(dd, "DRIVER_PAIRS_MAX", 0)
+    monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", -1)
     dist = dd.simhash_pairs(ds, max_hamming=3).to_pandas()
     assert base.sort_values(["a", "b"]).values.tolist() == \
         dist.sort_values(["a", "b"]).values.tolist()
-
-
-def test_dedup_hint_path_matches_counted_path():
-    """n_docs_hint must not change results (it only skips the count round)."""
-    import pipeline.extras.dedup as dd
-
-    ds, _, _ = _dup_docs_ds()
-    n = ds.count()
-    base = dd.minhash_lsh_pairs(ds, threshold=0.6).to_pandas()
-    hinted = dd.minhash_lsh_pairs(ds, threshold=0.6, n_docs_hint=n).to_pandas()
-    assert base.sort_values(["a", "b"]).values.tolist() == \
-        hinted.sort_values(["a", "b"]).values.tolist()
 
 
 def test_textstats_token_counts(docs_ds):
@@ -703,6 +695,67 @@ def _top_counts(counts: pd.DataFrame, key: str, k: int) -> pd.DataFrame:
     return counts.sort_values(["n_occ", key], ascending=[False, True]).head(k)
 
 
+def _emb_ds(n_same: int = 0):
+    """60 random 16-d vectors (ids 0..59) plus exact copies of vector 0
+    (ids 100..102) and of vector 1 (ids 200, 201), in 3 blocks that put
+    each copy in another block than its original; with ``n_same``, that
+    many identical vectors (ids 0..n_same-1) in 3 blocks instead."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(5)
+    if n_same:
+        ids, m = np.arange(n_same), np.tile(rng.normal(size=16), (n_same, 1))
+        blocks = np.array_split(np.arange(n_same), 3)
+    else:
+        ids = np.r_[np.arange(60), 100, 101, 102, 200, 201]
+        m = rng.normal(size=(60, 16))
+        m = np.vstack([m, m[[0, 0, 0, 1, 1]]])
+        blocks = [np.arange(30), np.r_[30:60, 60, 63], np.array([61, 62, 64])]
+    t = pa.table({"vec_id": pa.array(ids, pa.int64()),
+                  "embedding": pa.array(list(m.astype(np.float32)), pa.list_(pa.float32()))})
+    return rd.from_arrow([t.take(pa.array(b)) for b in blocks])
+
+
+def _dedup_case(name):
+    """(run, expected frame, sort columns, rtol) for one reduce of the
+    dedup family, expected by pandas or the driver union-find."""
+    import ray.data as rd
+
+    from pipeline.extras import ann
+    from pipeline.extras.clustering import semantic_dedup
+    from pipeline.extras.dedup import dup_groups, dup_groups_distributed, exact_dedup_stats
+
+    if name == "exact_dedup_stats":
+        df = _keyed_rows()
+        exp = df.groupby("text", dropna=False).agg(
+            doc_id=("doc_id", "min"), n_copies=("doc_id", "size"))
+        return lambda: exact_dedup_stats(_keyed_ds()), exp, ["doc_id"], 0
+    if name == "dup_groups_distributed":
+        rng = np.random.default_rng(3)
+        pairs = pd.DataFrame({"a": rng.integers(0, 60, 120), "b": rng.integers(0, 60, 120)})
+        pairs = pairs[pairs.a != pairs.b].drop_duplicates().reset_index(drop=True)
+        t = pa.Table.from_pandas(pairs, preserve_index=False)
+        blocks = [t.slice(i, 40) for i in range(0, len(t), 40)]
+        return (lambda: dup_groups_distributed(rd.from_arrow(blocks)),
+                dup_groups(pairs), ["id"], 0)
+    fam = {0: [0, 100, 101, 102], 1: [1, 200, 201]}
+    if name == "semantic_dedup":
+        exp = pd.DataFrame([(i, c, i == c) for c, ids in fam.items() for i in ids],
+                           columns=["id", "canonical_id", "keep"])
+        return (lambda: semantic_dedup(_emb_ds(), threshold=0.999, k=4),
+                exp, ["id"], 0)
+    if name == "embedding_near_dup_pairs":
+        pairs = [(a, b) for ids in fam.values() for i, a in enumerate(ids) for b in ids[i + 1:]]
+        exp = pd.DataFrame(pairs, columns=["a", "b"]).assign(cosine=1.0)
+        return (lambda: ann.embedding_near_dup_pairs(_emb_ds(), threshold=0.999),
+                exp, ["a", "b"], 1e-9)
+    assert name == "embedding_near_dup_pairs_cap"  # run with MAX_EMB_BUCKET = 32
+    ii, jj = np.triu_indices(32, 1)
+    exp = pd.DataFrame({"a": ii, "b": jj, "cosine": 1.0})
+    return (lambda: ann.embedding_near_dup_pairs(_emb_ds(n_same=100), threshold=0.999),
+            exp, ["a", "b"], 1e-9)
+
+
 def _keyed_case(name):
     """(run, expected frame, sort columns, rtol) for one reducer of the
     extras over _keyed_rows, expected by pandas with null as a group (SQL
@@ -781,6 +834,10 @@ def _keyed_case(name):
             exp.rename("n_docs").reset_index(), ["line"], 0)
 
 
+_DEDUP_CASES = {"exact_dedup_stats", "embedding_near_dup_pairs",
+                "embedding_near_dup_pairs_cap", "semantic_dedup", "dup_groups_distributed"}
+
+
 @pytest.mark.parametrize("max_bytes", [None, -1], ids=["one_task", "bucketed"])
 @pytest.mark.parametrize("name", [
     "value_counts_str", "value_counts_int", "grouped_quantiles",
@@ -788,7 +845,9 @@ def _keyed_case(name):
     "hll_distinct_by_key", "budget_select", "term_freq", "heavy_hitter_terms",
     "bigram_counts", "tfidf_top_terms", "line_doc_counts", "value_counts_ik",
     "grouped_quantiles_ik", "groupwise_cume_dist_ik", "groupwise_zscore_ik",
-    "groupwise_robust_z_ik", "hll_distinct_by_key_ik",
+    "groupwise_robust_z_ik", "hll_distinct_by_key_ik", "exact_dedup_stats",
+    "embedding_near_dup_pairs", "embedding_near_dup_pairs_cap", "semantic_dedup",
+    "dup_groups_distributed",
 ])
 def test_extras_keyed_reducers_null_and_empty_keys_both_regimes(
     monkeypatch, name, max_bytes,
@@ -797,12 +856,19 @@ def test_extras_keyed_reducers_null_and_empty_keys_both_regimes(
     each) treats null and "" keys as groups like any other, keeps an int
     key's type, and matches pandas in both regimes, over 3 blocks; the
     ``_ik`` cases key on an int column that is null in some blocks only
-    (a bucket must not depend on whether its batch holds a null)."""
+    (a bucket must not depend on whether its batch holds a null). The
+    dedup family's reduces (_dedup_case) match pandas or the driver
+    union-find in both regimes too; the ``_cap`` case truncates one
+    100-member bucket to its 32 smallest ids."""
     from pipeline import partition
+    from pipeline.extras import ann
 
     if max_bytes is not None:
         monkeypatch.setattr(partition, "DRIVER_REDUCE_MAX_BYTES", max_bytes)
-    run, exp, by, rtol = _keyed_case(name)
+    if name.endswith("_cap"):
+        monkeypatch.setattr(ann, "MAX_EMB_BUCKET", 32)
+    case = _dedup_case if name in _DEDUP_CASES else _keyed_case
+    run, exp, by, rtol = case(name)
     got = run()
     got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
     assert sorted(got.columns) == sorted(exp.columns)

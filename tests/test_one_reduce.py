@@ -1,7 +1,8 @@
 """One keyed reduce: the modules that fold through partition._keyed_reduce
 call no Ray Dataset.groupby and import nothing from ray.data.aggregate
 (a static check), and every query rebuilt on the queries' reduce helper
-(__ray_entry__._group_sums) keeps its columns on zero-row tables."""
+(__ray_entry__._group_sums) or on the dedup family's reduces keeps its
+columns on zero-row tables."""
 
 from __future__ import annotations
 
@@ -15,11 +16,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SF_DIR = "/root/testdata/sf0.001"
 
-# pipeline/extras/{dedup,ann,clustering}.py still run Ray groupbys; they
-# join this list when their reduces move onto _keyed_reduce
 ONE_REDUCE = [
     "__ray_entry__.py", "pipeline/partition.py", "pipeline/extras/corpusstats.py",
     "pipeline/extras/selection.py", "pipeline/extras/paragraphs.py",
+    "pipeline/extras/dedup.py", "pipeline/extras/ann.py", "pipeline/extras/clustering.py",
 ]
 # GroupedData methods of a Ray groupby; a .groupby(...) whose result takes
 # one of them is taken for a Ray one unless its function is listed below
@@ -91,7 +91,15 @@ REBUILT = [
     "doc_dev_from_source_mean", "docs_hash_split", "dedup_incremental",
     "corpus_budget_select", "curation_end_to_end", "pii_entity_stats",
 ]
-TABLES = ["nation", "customer", "supplier", "orders", "lineitem", "events", "documents"]
+# every query over the dedup family's reduces (pipeline/extras/dedup.py,
+# ann.py, clustering.py)
+DEDUP = [
+    "dedup_exact", "minhash_dup_pairs", "near_dup_groups", "near_dup_groups_distributed",
+    "simhash_dup_pairs", "ngram_jaccard_pairs", "ngram_dup_groups",
+    "embedding_near_dups", "semantic_dedup",
+]
+TABLES = ["nation", "customer", "supplier", "orders", "lineitem", "events", "documents",
+          "embeddings"]
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +114,7 @@ def zero_dir(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("name", REBUILT)
+@pytest.mark.parametrize("name", REBUILT + DEDUP)
 def test_rebuilt_query_keeps_columns_at_zero_rows(ray_session, zero_dir, monkeypatch, name):
     import __ray_entry__ as em
 
