@@ -279,14 +279,17 @@ def _orders_customer_join(sf_dir: str) -> pd.DataFrame:
 
     from pipeline.partition import hash_join
 
-    orders = _read(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"]
-    )
-    cust = _read(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-    )
-    joined = hash_join(orders, cust, on="o_custkey", right_on="c_custkey",
-                       n_rows_hint=parquet_rows(f"{sf_dir}/orders.parquet"))
+    o_path, c_path = f"{sf_dir}/orders.parquet", f"{sf_dir}/customer.parquet"
+    n_orders = parquet_rows(o_path)
+    if n_orders == 0 or parquet_rows(c_path) == 0:
+        # an inner join with an empty side is empty, and Ray's native
+        # join fails or hangs on zero-row sides (hash_join's caveat)
+        o, c = parquet_schema(o_path), parquet_schema(c_path)
+        return pa.schema([o.field("o_orderkey"), c.field("c_name"), o.field("o_totalprice")]) \
+            .empty_table().to_pandas()
+    orders = _read(o_path, columns=["o_orderkey", "o_custkey", "o_totalprice"])
+    cust = _read(c_path, columns=["c_custkey", "c_name"])
+    joined = hash_join(orders, cust, on="o_custkey", right_on="c_custkey", n_rows_hint=n_orders)
     df = joined.select_columns(["o_orderkey", "c_name", "o_totalprice"]).to_pandas()
     df["o_totalprice"] = _round_ha(df["o_totalprice"], 2)
     return df.sort_values("o_orderkey").reset_index(drop=True)
@@ -463,14 +466,11 @@ ANN_K = 10
 
 
 def _ann_queries(sf_dir: str):
-    import ray.data as rd
-
     ds = _read(f"{sf_dir}/embeddings.parquet")
-    qdf = (
-        ds.filter(expr=f"vec_id < {N_ANN_QUERIES}")
-        .to_pandas()
-        .sort_values("vec_id")
-    )
+    qdf = ds.filter(expr=f"vec_id < {N_ANN_QUERIES}").to_pandas()
+    if qdf.empty:  # an empty read's blocks carry no columns
+        return ds, np.empty((0, 0)), []
+    qdf = qdf.sort_values("vec_id")
     queries = np.stack(qdf["embedding"].to_numpy()).astype(np.float64)
     return ds, queries, qdf["vec_id"].tolist()
 

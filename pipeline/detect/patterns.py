@@ -579,8 +579,10 @@ def get_specs(profile: str = "conformance") -> list[PatternSpec]:
 #
 # Every PatternSpec derives its own RE2 trigger from its pattern, so the
 # batch stage (ray_pipeline._fired_spans) can skip a spec for any row the
-# Arrow scan finds no trigger hit in (an anchored spec, see derive_anchor
-# below, uses its trigger on non-ASCII rows only). On any text, ASCII or
+# Arrow scan finds no trigger hit in. An anchored spec (see derive_anchor
+# below) uses its trigger on non-ASCII rows only; on ASCII rows its
+# anchor words decide, so the prescreen's union (union_trigger) holds the
+# unanchored specs' triggers alone. On any text, ASCII or
 # not, each trigger is a NECESSARY condition for its pattern by
 # construction: every node of the translation accepts at least what the
 # sre node it comes from accepts at the same position.
@@ -809,10 +811,24 @@ def derive_trigger(pattern: str, flags: int) -> str:
 
 
 def get_trigger_groups(profile: str = "conformance") -> list[tuple[str, str, list[PatternSpec]]]:
-    """[(key, RE2 trigger, [spec])] for a profile: a single group, the
-    union trigger over every spec, so one pass of it is the first stage
-    of the prescreen (ray_pipeline._fired_spans)."""
-    return [("union", union_trigger(profile), get_specs(profile))]
+    """[(key, RE2 trigger, [spec])] for a profile, whose OR is a
+    necessary condition for any span: the union trigger over the
+    unanchored specs (which also fires on every non-ASCII row), and a
+    case-insensitive alternation of the anchored specs' words. The batch
+    stage (ray_pipeline._prescreen) runs the first as one RE2 pass and
+    looks for the words in one Aho-Corasick pass instead; this form is
+    for probes that OR RE2 passes."""
+    specs = get_specs(profile)
+    words = "|".join("".join(c if c.isalnum() else rf"\x{{{ord(c):x}}}" for c in w)
+                     for w in anchor_words(profile))
+    return [("union", union_trigger(profile), [s for s in specs if s.anchor is None]),
+            ("anchors", f"(?i:{words})", [s for s in specs if s.anchor is not None])]
+
+
+@functools.lru_cache(maxsize=None)
+def anchor_words(profile: str = "conformance") -> list[str]:
+    """The lower-cased words of every anchored spec of a profile, sorted."""
+    return sorted({w.lower() for s in get_specs(profile) if s.anchor is not None for w in s.anchor[0]})
 
 
 def _core(fs: tuple[tuple[str, bool], ...]) -> tuple[str, ...]:
@@ -833,24 +849,27 @@ def _contains(outer: tuple[str, ...], inner: tuple[str, ...]) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def union_trigger(profile: str = "conformance") -> str:
-    """One RE2 alternation that matches exactly the texts some spec
-    trigger of the profile matches (a row it misses can skip every
-    spec). A trigger whose factor sequence contains another
-    trigger's as a contiguous run (same case mode) is left out: every
-    text it matches, the other matches too. This shrinks the
-    conformance union from 83 triggers to 23, which keeps RE2's DFA
-    small: every ND trigger contains the lone digit the 1-2 digit
-    residual's trigger reduces to, and every FIRST-name shape contains
-    the bare FIRST one."""
+    """One RE2 alternation of the UNANCHORED specs' triggers plus any
+    non-ASCII character. It matches every text some unanchored spec
+    trigger matches, and every non-ASCII text; a row it misses is ASCII
+    and can skip every unanchored spec, and every anchored spec except at
+    its anchor starts (derive_anchor), which the batch stage finds in its
+    own pass. The anchored specs' triggers (the vocabulary word lists)
+    stay out, which keeps RE2's DFA and its per-call compile small.
+
+    A trigger whose factor sequence contains another trigger's as a
+    contiguous run (same case mode) is left out: every text it matches,
+    the other matches too. So every ND trigger reduces to the lone digit
+    of the 1-2 digit residual's trigger."""
     cores = dict.fromkeys(
         (ci, _core(fs)) for ci, fs in
-        (_trigger_factors(s.pattern, s.flags) for s in get_specs(profile))
+        (_trigger_factors(s.pattern, s.flags) for s in get_specs(profile) if s.anchor is None)
     )
     keep = [
         (ci, c) for ci, c in cores
         if not any(d != c and dci == ci and _contains(c, d) for dci, d in cores)
     ]
-    return "|".join(_wrap(ci, "".join(c)) for ci, c in keep)
+    return "|".join([*(_wrap(ci, "".join(c)) for ci, c in keep), r"[\x{80}-\x{10ffff}]"])
 
 
 # -------------------------------------------- derived anchors (detect)
@@ -858,9 +877,11 @@ def union_trigger(profile: str = "conformance") -> str:
 # A spec's anchor is a set of literal words and an offset such that, on
 # ASCII text, every match starting at p holds one of the words at
 # p + offset, compared ASCII-case-insensitively. The batch stage
-# (ray_pipeline._fired_spans) finds every word of every anchored spec in
-# one multi-literal pass and tries the spec's regex only at those starts
-# (gates._walk), exactly as gates.cue_matches does for cue words.
+# (ray_pipeline._prescreen) finds every word of every anchored spec in
+# one multi-literal pass over every ASCII row: a row with an anchor start
+# fires, whether the union trigger hit it or not, and the spec's regex is
+# tried only at those starts (gates._walk), exactly as gates.cue_matches
+# does for cue words.
 # - The walk runs over the top-level sequence of the parse tree. A
 #   zero-width node (lookaround, \b, ^, $) is skipped: dropping it can
 #   only widen what matches. Each fixed-width node adds its width to the
@@ -877,9 +898,9 @@ def union_trigger(profile: str = "conformance") -> str:
 # ASCII letter it folds to), and a case-sensitive literal matches a
 # subset of those, so a case-insensitive search for the folded words
 # finds a superset of the starts; match() rejects the rest. Non-ASCII
-# rows are left to the triggers: there a fold letter in the text matches
-# an ASCII literal under IGNORECASE, and the multi-literal pass reports
-# byte offsets.
+# rows are left to the triggers (the union trigger fires on every one of
+# them): there a fold letter in the text matches an ASCII literal under
+# IGNORECASE, and the multi-literal pass reports byte offsets.
 
 _ZERO_WIDTH = (_sre.ASSERT, _sre.ASSERT_NOT, _sre.AT)
 

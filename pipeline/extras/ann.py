@@ -192,6 +192,8 @@ def ivf_topk(
     buckets pruned to the nprobe closest per query. Output schema matches
     brute_force_topk."""
     sample = _sample_matrix(ds, vec_col, id_col, sample_limit)
+    if not len(sample):  # the sample draws from every block: ds is empty
+        return brute_force_topk(ds, queries, query_ids, k, id_col=id_col, vec_col=vec_col)
     cent = kmeans_lite(sample, n_clusters)
     qn = _norm_rows(np.asarray(queries, dtype=np.float64))
     probe = np.argsort(-(qn @ cent.T), axis=1)[:, :nprobe]  # n_q x nprobe
@@ -214,6 +216,8 @@ def exact_cosine_pairs(
     threshold — O(n^2) compute distributed over batches, O(n*d) broadcast
     memory. Suitable while the full matrix fits the object store."""
     corpus = ds.select_columns([id_col, vec_col]).to_pandas()
+    if corpus.empty:  # Dataset.to_pandas keeps no columns at zero rows
+        return pd.DataFrame(columns=["a", "b", "cosine"])
     ids_all = corpus[id_col].to_numpy()
     m_all = _norm_rows(np.stack(corpus[vec_col].to_numpy()).astype(np.float64))
     ref = ray.put((ids_all, m_all))

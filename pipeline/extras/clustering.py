@@ -203,6 +203,8 @@ def cluster_profile(
     parts = ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True,
     ).to_pandas()
+    if parts.empty:  # Dataset.to_pandas keeps no columns at zero rows
+        return pd.DataFrame(columns=["cluster_id", "n_vecs", "mean_cosine"])
     g = parts.groupby("cluster_id", sort=True).agg(
         n_vecs=("n", "sum"), sim_sum=("sim_sum", "sum")
     ).reset_index()

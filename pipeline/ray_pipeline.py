@@ -110,10 +110,14 @@ class QualityScorer:
 # batch_size into a Read (Read.can_modify_num_rows()). Fusing it by
 # passing batch_size=None was measured and rejected: no faster on
 # code_flagship at 1 vCPU, and it loses the batcher's bundling of small
-# blocks, so the scrub's per-call fixed cost (RE2 compiles, the anchor
-# pass) is paid per block — partitioned_resume job_s 1.34/1.20 s ->
-# 1.57/1.38 s, pii_dense_scrub scrub time 292 -> 398 ms a job. The read
-# instead stays cheap by running 2 blocks per CPU (read_code_table).
+# blocks, so the scrub's per-call fixed cost (Arrow compiles each RE2
+# trigger again on every call, and the polars anchor pass has its own
+# set-up) is paid per block — partitioned_resume job_s 1.34/1.20 s ->
+# 1.57/1.38 s, pii_dense_scrub scrub time 292 -> 398 ms a job. Those
+# figures were taken when the conformance union held the anchored specs'
+# word lists and a 1-row call of it took ~6.5 ms; the anchor-first union
+# takes ~0.4 ms. The read instead stays cheap by running 2 blocks per
+# CPU (read_code_table).
 FLAGSHIP_TASK_POOL_MAX_ROWS = 1_000_000
 
 
@@ -133,11 +137,11 @@ def _anchor_table(profile: str) -> tuple[list[str], list[int], np.ndarray]:
     """(the lower-cased anchor words, each spec's index into the
     profile's distinct anchors or -1, offsets[word, anchor]: the offset
     at which the word anchors that anchor's specs, or -1)."""
-    from pipeline.detect.patterns import get_specs
+    from pipeline.detect.patterns import anchor_words, get_specs
 
     specs = get_specs(profile)
     anchors = list(dict.fromkeys(s.anchor for s in specs if s.anchor is not None))
-    words = sorted({w.lower() for ws, _ in anchors for w in ws})
+    words = anchor_words(profile)
     word_id = {w: i for i, w in enumerate(words)}
     offsets = np.full((len(words), len(anchors)), -1, dtype=np.int64)
     for a, (ws, off) in enumerate(anchors):
@@ -148,23 +152,27 @@ def _anchor_table(profile: str) -> tuple[list[str], list[int], np.ndarray]:
 
 def _anchor_starts(texts, rows: np.ndarray, profile: str) -> dict[tuple[int, int], list[int]]:
     """{(rows[i], anchor id): ascending candidate starts} for the ASCII
-    texts[i]. One ASCII-case-insensitive Aho-Corasick pass (polars
-    ``find_many``/``extract_many``, overlapping) finds every occurrence of
-    every anchor word; an occurrence at p of a word of an anchor with
-    offset o gives that anchor's specs the start p - o
-    (patterns.derive_anchor). The texts are ASCII, so polars' byte
-    offsets are character offsets."""
+    (or null) texts[i]. One Aho-Corasick pass (polars
+    ``find_many``/``extract_many``, overlapping) over the lower-cased
+    texts finds every occurrence of every lower-cased anchor word, i.e.
+    ASCII-case-insensitively (lower-casing first measured faster than
+    polars' ``ascii_case_insensitive`` search on both profiles); an
+    occurrence at p of a word of an anchor with offset o gives that
+    anchor's specs the start p - o (patterns.derive_anchor). The texts
+    are ASCII, so polars' byte offsets are character offsets; null and
+    empty texts give no starts."""
     import polars as pl
 
     words, _, offsets = _anchor_table(profile)
-    found = {"ascii_case_insensitive": True, "overlapping": True}
     t = pl.col("t")
     hits = (
         pl.LazyFrame({"t": pl.from_arrow(texts)})
-        .select(pos=t.str.find_many(words, **found), word=t.str.extract_many(words, **found))
+        .select(t.str.to_lowercase())
+        .select(pos=t.str.find_many(words, overlapping=True),
+                word=t.str.extract_many(words, overlapping=True))
         .with_row_index("row")
-        .explode("pos", "word", empty_as_null=False)
-        .select("row", "pos", word=pl.col("word").str.to_lowercase().cast(pl.Enum(words)).to_physical())
+        .explode("pos", "word", empty_as_null=False, keep_nulls=False)
+        .select("row", "pos", word=pl.col("word").cast(pl.Enum(words)).to_physical())
         .collect()
     )
     row, pos, word = (hits[c].to_numpy().astype(np.int64) for c in ("row", "pos", "word"))
@@ -183,72 +191,103 @@ def _anchor_starts(texts, rows: np.ndarray, profile: str) -> dict[tuple[int, int
     }
 
 
+def _matches(arr, trigger: str) -> np.ndarray:
+    """Which rows of a string array the RE2 ``trigger`` hits (nulls: no)."""
+    import pyarrow.compute as pc
+
+    hit = pc.fill_null(pc.match_substring_regex(arr, trigger), False)
+    return hit.to_numpy(zero_copy_only=False)
+
+
+def _prescreen(col, profile: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """The scrub's prescreen over a string (Chunked)Array: (fired, hit,
+    wide, starts).
+    - fired: the ascending indices of the rows some spec may match on;
+    - hit, wide: bool masks over ``fired``: the union trigger hit the
+      row; the row is not ASCII (every non-ASCII row is a hit);
+    - starts: {(row, anchor id): ascending candidate starts} on the
+      ASCII rows (_anchor_starts).
+    One Arrow RE2 pass of patterns.union_trigger (the unanchored specs'
+    triggers and any non-ASCII character), then one anchor pass over
+    every row the union did not mark non-ASCII; a row fires if the union
+    hit it or it has an anchor start. On any text an unanchored spec
+    matches only where its trigger, an alternative of the union, does;
+    on ASCII text an anchored spec matches only at an anchor start
+    (patterns.derive_anchor); so no row with a span is left unfired."""
+    import pyarrow.compute as pc
+
+    from pipeline.detect.patterns import union_trigger
+
+    hit = _matches(col, union_trigger(profile))
+    hit_idx = np.flatnonzero(hit)
+    wide = np.zeros(len(col), dtype=bool)
+    if len(hit_idx):
+        # a union miss is ASCII by construction
+        is_ascii = pc.string_is_ascii(col.take(pa.array(hit_idx)))
+        wide[hit_idx] = ~is_ascii.to_numpy(zero_copy_only=False)
+    starts: dict[tuple[int, int], list[int]] = {}
+    if _anchor_table(profile)[2].size and not wide.all():
+        texts = col.filter(pa.array(~wide)) if wide.any() else col
+        starts = _anchor_starts(texts, np.flatnonzero(~wide), profile)
+    fired = hit.copy()
+    fired[[r for r, _ in starts]] = True
+    fired_idx = np.flatnonzero(fired)
+    return fired_idx, hit[fired_idx], wide[fired_idx], starts
+
+
 def _fired_spans(col, profile: str):
     """The one prescreen -> detect loop: yields (row index, text, spans)
-    for each row of ``col`` on which some spec may match.
-
-    One Arrow RE2 pass of the union of every spec trigger
-    (patterns.union_trigger) picks the rows any spec can match. On those
-    rows each spec runs only where it can match:
-    - a spec with no anchor, on the rows its own trigger fires on (one
-      RE2 pass per trigger);
+    for each row of ``col`` that _prescreen fires on. On those rows each
+    spec runs only where it can match:
+    - a spec with no anchor, on the union-hit rows its own trigger fires
+      on (one RE2 pass per distinct trigger);
     - an anchored spec, on ASCII rows, only at the starts the anchor pass
-      gives it (_anchor_starts, gates._walk);
+      gives it (gates._walk);
     - an anchored spec, on non-ASCII rows, on the rows its trigger fires
       on: polars gives byte offsets, and the fold letters match ASCII
       ones under IGNORECASE.
     Each fired row runs its specs in get_specs order. On any text a
     trigger is a NECESSARY condition for its spec, and on ASCII text a
     match can start only at an anchor start, so the spans equal a
-    full-spec detect_spans run. Rows no stage fires on never
-    materialize a Python string."""
-    import pyarrow.compute as pc
-
+    full-spec detect_spans run. Rows that do not fire never materialize
+    a Python string."""
     from pipeline.detect.detector import detect_spans
-    from pipeline.detect.patterns import get_specs, union_trigger
+    from pipeline.detect.patterns import get_specs
 
     if not len(col):
         return
-
-    def matches(arr, trigger: str) -> np.ndarray:
-        hit = pc.fill_null(pc.match_substring_regex(arr, trigger), False)
-        return hit.to_numpy(zero_copy_only=False)
-
-    specs = get_specs(profile)
-    idx = np.flatnonzero(matches(col, union_trigger(profile)))
-    if not len(idx):
+    fired, hit, wide, starts = _prescreen(col, profile)
+    if not len(fired):
         return
-    sub = col.take(pa.array(idx))
+    specs = get_specs(profile)
     _, anchor_of, offsets = _anchor_table(profile)
-    is_ascii = pc.string_is_ascii(sub).to_numpy(zero_copy_only=False)
-    asc, wide = np.flatnonzero(is_ascii), np.flatnonzero(~is_ascii)
-    wide_sub = sub.take(pa.array(wide)) if len(wide) else None
-    masks = np.zeros((len(idx), len(specs)), dtype=bool)
+    sub = col.take(pa.array(fired))
+    hit_sub = sub if hit.all() else sub.filter(pa.array(hit))
+    wide_sub = sub.filter(pa.array(wide)) if wide.any() else None
+    masks = np.zeros((len(fired), len(specs)), dtype=bool)
     by_trigger: dict[tuple[str, bool], np.ndarray] = {}
     for k, s in enumerate(specs):
         anchored = anchor_of[k] >= 0
         if not anchored:
-            rows, arr = slice(None), sub
-        elif len(wide):
+            rows, arr = hit, hit_sub
+        elif wide_sub is not None:
             rows, arr = wide, wide_sub
         else:
             continue
         if (s.trigger, anchored) not in by_trigger:
-            by_trigger[s.trigger, anchored] = matches(arr, s.trigger)
+            by_trigger[s.trigger, anchored] = _matches(arr, s.trigger)
         masks[rows, k] = by_trigger[s.trigger, anchored]
-    starts: dict[tuple[int, int], list[int]] = {}
-    if len(asc) and offsets.size:
-        starts = _anchor_starts(sub.take(pa.array(asc)), asc, profile)
     if starts:
-        # has[j, a]: ASCII row j has starts for anchor a; the last column,
+        # has[j, a]: fired row j has starts for anchor a; the last column,
         # which anchor_of's -1 (no anchor) picks, stays False
-        has = np.zeros((len(idx), offsets.shape[1] + 1), dtype=bool)
-        has[tuple(np.array(list(starts)).T)] = True
+        has = np.zeros((len(fired), offsets.shape[1] + 1), dtype=bool)
+        row, anchor = np.array(list(starts)).T
+        has[np.searchsorted(fired, row), anchor] = True
         masks |= has[:, anchor_of]
     texts = sub.to_pylist()
-    for j, i in enumerate(idx):
-        run = [(specs[k], starts.get((j, anchor_of[k]))) for k in np.flatnonzero(masks[j]).tolist()]
-        yield int(i), texts[j], detect_spans(texts[j], profile, runs=run)
+    for j, i in enumerate(fired.tolist()):
+        run = [(specs[k], starts.get((i, anchor_of[k]))) for k in np.flatnonzero(masks[j]).tolist()]
+        yield i, texts[j], detect_spans(texts[j], profile, runs=run)
 
 
 def scrub_stage(batch: pa.Table, *, column: str = "content", profile: str = "code") -> pa.Table:

@@ -1,8 +1,9 @@
 """One keyed reduce: the modules that fold through partition._keyed_reduce
 call no Ray Dataset.groupby and import nothing from ray.data.aggregate
 (a static check), and every query rebuilt on the queries' reduce helper
-(__ray_entry__._group_sums) or on the dedup family's reduces keeps its
-columns on zero-row tables."""
+(__ray_entry__._group_sums), on the dedup family's reduces or on the
+embedding searches keeps its columns on zero-row tables, and the row-level
+join returns at zero rows."""
 
 from __future__ import annotations
 
@@ -98,6 +99,10 @@ DEDUP = [
     "simhash_dup_pairs", "ngram_jaccard_pairs", "ngram_dup_groups",
     "embedding_near_dups", "semantic_dedup",
 ]
+# the embedding searches and k-means, which read their frames with
+# Dataset.to_pandas (no columns at zero rows)
+EMBEDDING = ["ann_topk", "ann_topk_ivf", "ann_topk_lsh", "embedding_pairs_exact",
+             "embedding_kmeans"]
 TABLES = ["nation", "customer", "supplier", "orders", "lineitem", "events", "documents",
           "embeddings"]
 
@@ -114,7 +119,7 @@ def zero_dir(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("name", REBUILT + DEDUP)
+@pytest.mark.parametrize("name", REBUILT + DEDUP + EMBEDDING)
 def test_rebuilt_query_keeps_columns_at_zero_rows(ray_session, zero_dir, monkeypatch, name):
     import __ray_entry__ as em
 
@@ -124,3 +129,28 @@ def test_rebuilt_query_keeps_columns_at_zero_rows(ray_session, zero_dir, monkeyp
     want = em.queries()[name](SF_DIR)
     got = em.queries()[name](str(zero_dir))
     assert list(got.columns) == list(want.columns)
+
+
+def test_orders_customer_join_at_zero_rows(ray_session, zero_dir):
+    """The row-level join returns its typed empty frame on zero-row
+    orders / customer tables, within a timeout: Ray's native join fails
+    or hangs when a side has no rows, so the query must not reach it."""
+    import threading
+
+    import __ray_entry__ as em
+
+    out: dict = {}
+
+    def run():
+        try:
+            out["df"] = em.queries()["orders_customer_join"](str(zero_dir))
+        except Exception as e:  # reported below
+            out["error"] = e
+
+    worker = threading.Thread(target=run, daemon=True)  # a hang must not block exit
+    worker.start()
+    worker.join(timeout=120)
+    assert "df" in out, out.get("error", "orders_customer_join did not finish in 120 s")
+    want = em.queries()["orders_customer_join"](SF_DIR)
+    assert out["df"].empty
+    assert out["df"].dtypes.to_dict() == want.dtypes.to_dict()
