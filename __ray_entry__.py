@@ -219,10 +219,9 @@ def _doc_quality(sf_dir: str) -> pd.DataFrame:
     """Per-doc prose quality signals (punct ratio, word count)."""
     from pipeline.extras.textstats import quality_stage
 
-    out = _docs(sf_dir).map_batches(
-        quality_stage, batch_format="pyarrow", zero_copy_batch=True
-    ).select_columns(["doc_id", "n_words", "punct_ratio"])
-    df = out.to_pandas()
+    ds = _docs(sf_dir).map_batches(
+        quality_stage, batch_format="pyarrow", zero_copy_batch=True)
+    df = _docs_frame(sf_dir, ds, quality_stage, ["doc_id", "n_words", "punct_ratio"])
     df["punct_ratio"] = _round_ha(df["punct_ratio"], 4)
     return df
 
@@ -650,14 +649,14 @@ def _embedding_near_dups(sf_dir: str) -> pd.DataFrame:
 def _scrub_documents(sf_dir: str) -> pd.DataFrame:
     """Conformance-profile scrub of the documents table (rows-only: the
     detector semantics have no SQL equivalent)."""
+    import functools
+
     from pipeline.ray_pipeline import scrub_stage
 
-    out = _docs(sf_dir).map_batches(
-        scrub_stage, batch_format="pyarrow",
-        fn_kwargs={"column": "text", "profile": "conformance"},
-        zero_copy_batch=True,
-    ).select_columns(["doc_id", "n_pii_spans", "content_sha256"])
-    return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
+    stage = functools.partial(scrub_stage, column="text", profile="conformance")
+    ds = _docs(sf_dir).map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
+    df = _docs_frame(sf_dir, ds, stage, ["doc_id", "n_pii_spans", "content_sha256"])
+    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 def _pii_corpus_dir(sf_dir: str) -> str:
@@ -715,30 +714,33 @@ def _scrub_pii_corpus(sf_dir: str) -> pd.DataFrame:
 
 
 def _scored_docs(sf_dir: str):
-    """Documents through the flagship's fused QualityScorer actor pool
-    (langid + perplexity on `text`); both models are fit once and
+    """Documents through the flagship's fused scorer (langid +
+    perplexity on `text`), in the regime the flagship's scoring_stage
+    picks from the footers' row count; both models are fit once and
     broadcast once per Ray session (_put_once), as in the flagship."""
-    from pipeline._util import _put_once
-    from pipeline.quality.langid import LangIdModel
-    from pipeline.quality.perplexity import PerplexityModel
-    from pipeline.ray_pipeline import QualityScorer
+    from pipeline.ray_pipeline import scoring_stage
 
-    return _docs(sf_dir).map_batches(
-        QualityScorer, batch_format="pyarrow", batch_size=512,
-        fn_constructor_kwargs={
-            "column": "text",
-            "lang_ref": _put_once(LangIdModel.default()),
-            "ppl_ref": _put_once(PerplexityModel.default()),
-        },
-        concurrency=2, num_cpus=1,
-    )
+    return scoring_stage(_docs(sf_dir), column="text", batch_size=512,
+                         n_rows_hint=parquet_rows(f"{sf_dir}/documents.parquet"))
+
+
+def _docs_frame(sf_dir: str, ds, stage, cols: list[str]) -> pd.DataFrame:
+    """``ds[cols]`` as a frame, ``ds`` being a ``stage`` map over the
+    documents. An empty read's blocks carry no columns, so at zero rows
+    the frame is ``stage`` run on the documents' typed empty table."""
+    df = ds.select_columns(cols).to_pandas()
+    if df.empty:
+        empty = parquet_schema(f"{sf_dir}/documents.parquet").empty_table()
+        df = stage(empty).select(cols).to_pandas()
+    return df
 
 
 def _langid_documents(sf_dir: str) -> pd.DataFrame:
     """Langid + perplexity over documents (rows-only)."""
-    df = _scored_docs(sf_dir).select_columns(
-        ["doc_id", "lang_pred", "perplexity"]
-    ).to_pandas()
+    from pipeline.ray_pipeline import QualityScorer
+
+    df = _docs_frame(sf_dir, _scored_docs(sf_dir), QualityScorer(column="text"),
+                     ["doc_id", "lang_pred", "perplexity"])
     df["perplexity"] = df["perplexity"].round(3)
     return df.sort_values("doc_id").reset_index(drop=True)
 

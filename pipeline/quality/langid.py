@@ -7,18 +7,23 @@ prediction is the argmax of cosine scores, confidence a softmax over
 them. Fit deterministically at first use from pipeline.synth.codelang
 snippets (offline env — no lid.176 download; §7.0).
 
-Scoring is one vectorized pass over a CONCATENATED byte stream with
-per-document segment offsets: trigram bucket ids for the whole batch
-(in-place shifts, ORs and a `& (D-1)` mask), one sort of a
-`row << 16 | bucket` key (uint32 below 2^16 rows, int64 above),
-run-length counts per document, then a single profile gather into a
-preallocated buffer whose last row is the zero sentinel, the count
-multiply in place, and one per-segment reduceat. No per-document
-Python, no np.unique per doc, and `predict_batch_arrow` reads the Arrow
-string buffers directly (no to_pylist — the flagship is memory-bandwidth
-bound at 32 cores). Per-document results are independent of batch
-composition (segment-local sequential sums), so the Ray stage and the
-sequential oracle agree bit-for-bit.
+Scoring walks a batch in fixed slices of SCORE_SLICE_ROWS (256) rows
+(`_util.score_slices`): each slice's first SAMPLE_BYTES bytes per
+document are copied into one CONCATENATED byte stream with segment
+offsets and scored in one vectorized pass: trigram bucket ids for the
+slice (in-place shifts, ORs and a `& (D-1)` mask), one sort of a uint32
+`row << 16 | bucket` key, run-length counts per document, then a single
+profile gather into a preallocated buffer whose last row is the zero
+sentinel, the count multiply in place, and one per-segment reduceat.
+The slice keeps those temporaries small enough that the allocator
+reuses them from slice to slice instead of faulting fresh pages in for
+every batch (measured beside SCORE_SLICE_ROWS). No per-document Python,
+no np.unique per doc, and `predict_batch_arrow` reads the Arrow string
+buffers directly (no to_pylist). Per-document results are independent
+of batch composition and of the slicing (segment-local sequential
+sums), and the list path (`predict_batch`, `predict_one`) runs the same
+slice loop, so the Ray stage and the sequential oracle agree
+bit-for-bit.
 
 Ray usage: the fused `ray_pipeline.QualityScorer` is the T2 actor-pool
 archetype [ref: evaluation/model_evaluation.py:55-63 — model loaded
@@ -31,9 +36,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from pipeline._util import clip_segments as _clip_segments
 from pipeline._util import rng_for
+from pipeline._util import score_slices as _score_slices
 from pipeline._util import string_buffers as _string_buffers
+from pipeline._util import utf8_segments as _utf8_segments
 from pipeline.synth.codelang import LANGS, TEXT_LANGS, make_snippet
 
 D = 1 << 16
@@ -116,8 +122,9 @@ class LangIdModel:
 
     def _scores_segments(self, data: np.ndarray, off: np.ndarray) -> np.ndarray:
         """(n_docs x L) cosine scores over a concatenated pre-clipped byte
-        stream. One sort + run-length count replaces per-doc np.unique;
-        per-doc values do not depend on the rest of the batch."""
+        stream of fewer than 2^16 documents (_predict passes one slice).
+        One sort + run-length count replaces per-doc np.unique; per-doc
+        values do not depend on the rest of the batch."""
         n = len(off) - 1
         L = len(self.langs)
         scores = np.zeros((n, L), dtype=np.float32)
@@ -145,10 +152,9 @@ class LangIdModel:
         # fewer gathered rows than one-per-window on natural/code text
         # (measured 0.27 distinct/window on the code fixture), and the
         # per-doc summation order (bucket ascending) is canonical, i.e.
-        # independent of batch composition by construction.  Below 2^16
-        # rows the key fits uint32 (faster sort, half the traffic).
-        kdt = np.uint32 if n < (1 << 16) else np.int64
-        key = np.repeat(np.arange(n, dtype=kdt) << kdt(16), valid_counts)
+        # independent of batch composition by construction.  The key is
+        # uint32: a call sees at most SCORE_SLICE_ROWS (< 2^16) rows.
+        key = np.repeat(np.arange(n, dtype=np.uint32) << np.uint32(16), valid_counts)
         key |= h
         key.sort()
         new = np.empty(len(key), dtype=bool)
@@ -158,10 +164,10 @@ class LangIdModel:
         runs = len(run_starts)
         cnt = np.diff(run_starts, append=len(key))
         run_keys = key[run_starts]
-        run_buckets = run_keys & kdt(D - 1)
-        run_keys >>= kdt(16)  # now the run's row
+        run_buckets = run_keys & np.uint32(D - 1)
+        run_keys >>= np.uint32(16)  # now the run's row
         ind = np.empty(n + 1, dtype=np.int64)
-        ind[:-1] = np.searchsorted(run_keys, np.arange(n, dtype=kdt))
+        ind[:-1] = np.searchsorted(run_keys, np.arange(n, dtype=np.uint32))
         ind[-1] = runs
         # numerator: sum_b profile[l,b] * cnt_b over the doc's distinct
         # buckets, gathered straight into a buffer whose last row is a
@@ -193,12 +199,14 @@ class LangIdModel:
         conf = z[np.arange(len(scores)), idx] / z.sum(axis=1)
         return idx, conf
 
+    def _predict(self, data: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(language index, confidence) per segment of ``data``, scored
+        in SCORE_SLICE_ROWS-row slices of its first SAMPLE_BYTES bytes."""
+        return self._predict_from_scores(
+            _score_slices(self._scores_segments, data, off, SAMPLE_BYTES))
+
     def predict_batch(self, texts: list[str]) -> tuple[list[str], np.ndarray]:
-        enc = [t.encode("utf-8", "replace")[:SAMPLE_BYTES] for t in texts]
-        off = np.zeros(len(enc) + 1, dtype=np.int64)
-        np.cumsum([len(e) for e in enc], out=off[1:])
-        data = np.frombuffer(b"".join(enc), dtype=np.uint8)
-        idx, conf = self._predict_from_scores(self._scores_segments(data, off))
+        idx, conf = self._predict(*_utf8_segments(texts, SAMPLE_BYTES))
         return [self.langs[i] for i in idx], conf
 
     def predict_batch_arrow(self, arr: pa.Array | pa.ChunkedArray) -> tuple[pa.Array, np.ndarray]:
@@ -209,8 +217,7 @@ class LangIdModel:
         if isinstance(arr, pa.ChunkedArray):
             arr = arr.combine_chunks()
         off, data = _string_buffers(arr)
-        data_c, off_c = _clip_segments(data, off, SAMPLE_BYTES)
-        idx, conf = self._predict_from_scores(self._scores_segments(data_c, off_c))
+        idx, conf = self._predict(data, off)
         return pa.array(self.langs, pa.string()).take(idx), conf
 
     def predict_one(self, text: str) -> tuple[str, float]:

@@ -6,16 +6,21 @@ code punctuation, whitespace, other) so the conditional table is a dense
 64^3 float32 array (1 MiB) — mmap-free, rebuilt deterministically per
 process in under a second.
 
-Scoring is one vectorized pass over a CONCATENATED byte stream with
-per-document segment offsets: fold bytes, rolling trigram codes, one
+Scoring walks a batch in fixed slices of SCORE_SLICE_ROWS (256) rows
+(`_util.score_slices`, shared with langid): each slice's clipped bytes
+form one CONCATENATED byte stream with per-document segment offsets,
+scored in one vectorized pass: fold bytes, rolling trigram codes, one
 fancy-index gather, per-segment sequential sums via np.add.reduceat.
-Segment sums are independent of how documents are batched, so the Ray
-stage (1024-doc batches) and the sequential oracle (one doc at a time)
-produce bit-identical perplexities — the parity invariant.
+The slice bounds the pass's temporaries, so they are reused from slice
+to slice rather than faulted in afresh for every batch. Segment sums
+are independent of how documents are batched or sliced, so the Ray
+stage (1024-doc batches) and the sequential oracle (one doc at a time,
+through the same slice loop) produce bit-identical perplexities — the
+parity invariant.
 
 `score_batch_arrow` reads the Arrow string buffers directly (no Python
-string materialization — at 32 cores the flagship is memory-bandwidth
-bound, and to_pylist+encode per doc was pure extra traffic).
+string materialization; to_pylist+encode per doc was pure extra
+traffic).
 
 Truncation is BYTE-based (first SAMPLE_BYTES utf-8 bytes): identical
 between the buffer path and the encode path by construction.
@@ -28,9 +33,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from pipeline._util import clip_segments as _clip_segments
 from pipeline._util import rng_for
+from pipeline._util import score_slices as _score_slices
 from pipeline._util import string_buffers as _string_buffers
+from pipeline._util import utf8_segments as _utf8_segments
 from pipeline.synth.codelang import LANGS, TEXT_LANGS, make_snippet
 
 V = 64
@@ -118,12 +124,13 @@ class PerplexityModel:
         out[mask] = 2.0 ** h
         return out
 
+    def _score(self, data: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """Perplexity per segment of ``data``, scored in
+        SCORE_SLICE_ROWS-row slices of its first SAMPLE_BYTES bytes."""
+        return _score_slices(self._score_segments, data, off, SAMPLE_BYTES)
+
     def score_batch(self, texts: list[str]) -> np.ndarray:
-        enc = [t.encode("utf-8", "replace")[:SAMPLE_BYTES] for t in texts]
-        off = np.zeros(len(enc) + 1, dtype=np.int64)
-        np.cumsum([len(e) for e in enc], out=off[1:])
-        data = np.frombuffer(b"".join(enc), dtype=np.uint8)
-        return self._score_segments(data, off)
+        return self._score(*_utf8_segments(texts, SAMPLE_BYTES))
 
     def score_batch_arrow(self, arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
         """Score straight off the Arrow string buffers (utf-8 bytes are
@@ -132,8 +139,7 @@ class PerplexityModel:
         if isinstance(arr, pa.ChunkedArray):
             arr = arr.combine_chunks()
         off, data = _string_buffers(arr)
-        data_c, off_c = _clip_segments(data, off, SAMPLE_BYTES)
-        return self._score_segments(data_c, off_c)
+        return self._score(data, off)
 
     def score_one(self, text: str) -> float:
         return float(self.score_batch([text])[0])

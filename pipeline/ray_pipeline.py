@@ -386,6 +386,52 @@ def decide_stage(batch: pa.Table, *, column: str = "content") -> pa.Table:
 
 # ------------------------------------------------------------- assembly
 
+def scoring_stage(
+    ds: "ray.data.Dataset",
+    *,
+    column: str = "content",
+    with_heuristics: bool = False,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    n_rows_hint: int | None = None,
+) -> "ray.data.Dataset":
+    """``ds`` through the fused QualityScorer on ``column`` (lazy), in
+    the regime its size picks. At or below FLAGSHIP_TASK_POOL_MAX_ROWS
+    input rows (``n_rows_hint``, e.g. the parquet footers' count) the
+    scorer runs as plain tasks (no actor-pool spin-up); above it, or
+    with no hint, as an actor pool of half the cluster. A cluster with
+    fewer than 2 CPUs always takes the task regime: the pool leaves
+    n_cpus - 1 CPUs to the read and the stages after it, and its one
+    actor would hold the only CPU, so the read would never run.
+
+    Both regimes take the scoring models as refs from _put_once, so
+    repeated calls in one Ray session (bench jobs, run_partitioned's
+    partitions, queries) put each model once, not once per call."""
+    scorer_kwargs = {
+        "column": column,
+        "lang_ref": _put_once(LangIdModel.default()),  # fit once, broadcast
+        "ppl_ref": _put_once(PerplexityModel.default()),
+        "with_heuristics": with_heuristics,
+    }
+    small = n_rows_hint is not None and n_rows_hint <= FLAGSHIP_TASK_POOL_MAX_ROWS
+    if small or _cluster_cpus() < 2:
+        return ds.map_batches(
+            quality_task_stage, batch_format="pyarrow",
+            batch_size=batch_size, fn_kwargs=scorer_kwargs,
+            zero_copy_batch=True,
+        )
+    n_cpus = _cluster_cpus()
+    # half the cluster (a 3n/8 variant was within noise at 32 CPUs
+    # and measurably WORSE at 8: 34k -> 22k files/s), but never every
+    # CPU: the task stages (read/scrub/decide/write) starve and the
+    # streaming executor deadlocks (hence the task regime below 2 CPUs)
+    pool_size = min(2 * max(1, n_cpus // 4), n_cpus - 1)
+    return ds.map_batches(
+        QualityScorer, batch_format="pyarrow", batch_size=batch_size,
+        fn_constructor_kwargs=scorer_kwargs,
+        concurrency=pool_size, num_cpus=1, zero_copy_batch=True,
+    )
+
+
 def flagship_pipeline(
     ds: "ray.data.Dataset",
     *,
@@ -397,43 +443,11 @@ def flagship_pipeline(
     """Assemble the full quality-filter + scrub graph (lazy).
 
     ``n_rows_hint`` (e.g. parquet metadata row count) picks the scoring
-    regime without a count() round: at or below
-    FLAGSHIP_TASK_POOL_MAX_ROWS the fused scorer runs as plain tasks
-    (no actor-pool spin-up; the scoring, scrub and decide stages fuse
-    into one operator, the read stays its own); above it — or with no
-    hint — the actor pool is used. A cluster with fewer than 2 CPUs
-    always takes the task regime: the pool leaves n_cpus - 1 CPUs to the
-    read and scrub tasks, and its one actor would hold the only CPU.
-
-    Both regimes take the scoring models as refs from _put_once, so
-    repeated calls in one Ray session (bench jobs, run_partitioned's
-    partitions) put each model once, not once per call."""
-    scorer_kwargs = {
-        "lang_ref": _put_once(LangIdModel.default()),  # fit once, broadcast
-        "ppl_ref": _put_once(PerplexityModel.default()),
-        "with_heuristics": True,
-    }
-    small = n_rows_hint is not None and n_rows_hint <= FLAGSHIP_TASK_POOL_MAX_ROWS
-    if small or _cluster_cpus() < 2:
-        ds = ds.map_batches(
-            quality_task_stage, batch_format="pyarrow",
-            batch_size=batch_size, fn_kwargs=scorer_kwargs,
-            zero_copy_batch=True,
-        )
-    else:
-        n_cpus = _cluster_cpus()
-        # half the cluster (a 3n/8 variant was within noise at 32 CPUs
-        # and measurably WORSE at 8: 34k -> 22k files/s), but never every
-        # CPU: the task stages (read/scrub/decide/write) starve and the
-        # streaming executor deadlocks (hence the task regime below 2 CPUs)
-        pool_size = min(2 * max(1, n_cpus // 4), n_cpus - 1)
-        # heuristics run INSIDE the scorer actors (with_heuristics=True):
-        # one actor-pool boundary for heuristics+langid+ppl
-        ds = ds.map_batches(
-            QualityScorer, batch_format="pyarrow", batch_size=batch_size,
-            fn_constructor_kwargs=scorer_kwargs,
-            concurrency=pool_size, num_cpus=1, zero_copy_batch=True,
-        )
+    regime without a count() round (scoring_stage): in the task regime
+    the scoring, scrub and decide stages fuse into one operator, the
+    read stays its own."""
+    ds = scoring_stage(ds, with_heuristics=True, batch_size=batch_size,
+                       n_rows_hint=n_rows_hint)
     ds = ds.map_batches(
         scrub_stage, batch_format="pyarrow", batch_size=batch_size,
         fn_kwargs={"profile": profile}, zero_copy_batch=True,

@@ -160,6 +160,34 @@ def test_flagship_without_hint_finishes_on_one_cpu(tmp_path):
     assert out == "rows 120"
 
 
+_SCORED_DOCS_SCRIPT = """
+import sys
+
+import ray
+from ray.data import DataContext
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+import __ray_entry__ as em
+
+qs = em.queries()
+n_docs = len(qs["langid_documents"](sys.argv[1]))
+n_qs = len(qs["doc_ppl_quantiles"](sys.argv[1]))
+ray.shutdown()
+print("rows", n_docs, n_qs)
+"""
+
+
+def test_scored_document_queries_finish_on_one_cpu():
+    """langid_documents and doc_ppl_quantiles score the documents through
+    the flagship's scoring_stage, so on a 1-CPU cluster they take the
+    task regime: a scorer pool would hold every CPU and the read would
+    never run. Fresh process, own Ray session."""
+    out = _run_fresh(_SCORED_DOCS_SCRIPT, "/root/testdata/sf0.001",
+                     "langid_documents at num_cpus=1")
+    assert out == "rows 500 6"
+
+
 # ------------------------------------------ model broadcast per session
 
 def _count_model_puts(monkeypatch) -> dict:

@@ -103,6 +103,9 @@ DEDUP = [
 # Dataset.to_pandas (no columns at zero rows)
 EMBEDDING = ["ann_topk", "ann_topk_ivf", "ann_topk_lsh", "embedding_pairs_exact",
              "embedding_kmeans"]
+# the documents queries that map a stage over the rows and read them
+# with Dataset.to_pandas
+DOCS_ROWS = ["doc_quality", "scrub_documents", "langid_documents"]
 TABLES = ["nation", "customer", "supplier", "orders", "lineitem", "events", "documents",
           "embeddings"]
 
@@ -119,7 +122,7 @@ def zero_dir(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("name", REBUILT + DEDUP + EMBEDDING)
+@pytest.mark.parametrize("name", REBUILT + DEDUP + EMBEDDING + DOCS_ROWS)
 def test_rebuilt_query_keeps_columns_at_zero_rows(ray_session, zero_dir, monkeypatch, name):
     import __ray_entry__ as em
 

@@ -113,11 +113,12 @@ def test_repetition_score_exact():
 
 
 def test_langid_both_key_widths_bit_identical():
-    """Below 2^16 rows the (row, bucket) sort key is uint32, above it
-    int64. Scoring 2^16 + 1 short rows in ONE call (int64 key) must be
-    bit-identical to scoring them in 1024-row slices (uint32 key), and
-    so must the largest uint32 batch (2^16 - 1 rows: the top row id
-    fills the key's high half)."""
+    """The (row, bucket) sort key is uint32 only, with the row id in its
+    high 16 bits: the kernel sees one SCORE_SLICE_ROWS-row slice at a
+    time, however many rows a call passes. Scoring 2^16 + 1 short rows
+    in ONE call (past what a uint32 key could hold in one pass) must be
+    bit-identical to scoring them in 1024-row calls, and so must the
+    largest batch a single uint32 pass could hold (2^16 - 1 rows)."""
     import pyarrow as pa
 
     r = rng_for("t-langid-keys", 0)
@@ -137,6 +138,70 @@ def test_langid_both_key_widths_bit_identical():
     langs_u32, conf_u32 = model.predict_batch_arrow(arr.slice(0, top))
     assert langs_u32.to_pylist() == langs.to_pylist()[:top]
     assert conf_u32.tobytes() == conf[:top].tobytes()
+
+
+def _slice_edge_rows() -> list[str | None]:
+    """513 rows: "" and null around both slice edges (rows 255/256 and
+    511/512), and multibyte rows whose 768th (langid) or 1024th
+    (perplexity) byte falls inside a character."""
+    r = rng_for("t-score-slices", 0)
+    alpha = "abc xyz{}();=\néß中文\U0001d11e"
+    rows: list[str | None] = []
+    for i in range(513):
+        if i % 3 == 0:  # cut at a clip length, mid-character
+            clip = 768 if i % 2 else 1024
+            head = clip - 1 - r.randint(0, 2)
+            rows.append("q" * head + "中\U0001d11eé" * r.randint(1, 40))
+        else:
+            rows.append("".join(r.choice(alpha) for _ in range(r.randint(0, 1300))))
+    rows[255], rows[256], rows[511], rows[512] = "", None, None, ""
+    return rows
+
+
+def test_scoring_slices_bit_identical_at_slice_edges(monkeypatch):
+    """Both models score a batch in SCORE_SLICE_ROWS-row slices; every
+    row's result must equal scoring that row alone (predict_one /
+    score_one) byte for byte, on both the Arrow path (offset-sliced
+    string and large_string arrays, nulls scored as "") and the list
+    path, at row counts around the slice edges. A spy fails if a kernel
+    call ever sees more rows than one slice."""
+    import pyarrow as pa
+
+    from pipeline import _util
+
+    assert _util.SCORE_SLICE_ROWS == 256
+    calls = []
+
+    def spy(kernel):
+        def wrapped(self, data, off):
+            assert len(off) - 1 <= _util.SCORE_SLICE_ROWS, len(off) - 1
+            calls.append(len(off) - 1)
+            return kernel(self, data, off)
+        return wrapped
+
+    monkeypatch.setattr(LangIdModel, "_scores_segments", spy(LangIdModel._scores_segments))
+    monkeypatch.setattr(PerplexityModel, "_score_segments", spy(PerplexityModel._score_segments))
+    lm, pm = LangIdModel.default(), PerplexityModel.default()
+    rows = _slice_edge_rows()
+    texts = [t or "" for t in rows]
+    for clip in (768, 1024):  # some row is cut inside a character
+        assert any(0x80 <= b[clip] < 0xC0 for b in map(str.encode, texts) if len(b) > clip)
+    one = [lm.predict_one(t) for t in texts]
+    want_lang = [lang for lang, _ in one]
+    want_conf = np.array([c for _, c in one], np.float32)
+    want_ppl = np.array([pm.score_one(t) for t in texts])
+    for n in (0, 1, 255, 256, 257, 511, 513):
+        calls.clear()
+        langs, conf = lm.predict_batch(texts[:n])
+        assert langs == want_lang[:n] and conf.tobytes() == want_conf[:n].tobytes(), n
+        assert pm.score_batch(texts[:n]).tobytes() == want_ppl[:n].tobytes(), n
+        assert len(calls) == 2 * max(1, -(-n // 256)), (n, calls)
+        for typ in (pa.string(), pa.large_string()):
+            arr = pa.array(["pad"] + rows[:n] + ["pad"], typ).slice(1, n)
+            langs_a, conf_a = lm.predict_batch_arrow(arr)
+            assert langs_a.to_pylist() == want_lang[:n], (n, typ)
+            assert conf_a.tobytes() == want_conf[:n].tobytes(), (n, typ)
+            assert pm.score_batch_arrow(arr).tobytes() == want_ppl[:n].tobytes(), (n, typ)
 
 
 def test_decide_rule_order_and_reasons():
