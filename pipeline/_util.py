@@ -96,13 +96,25 @@ def parquet_rows(path) -> int | None:
         return None
 
 
+def nulls_as_empty(arr):
+    """``arr`` (a (Large)StringArray) with every null as "": the array
+    itself when it holds no null, else one fill_null copy. Arrow lets a
+    null slot's offsets span bytes, so a null can't be read as empty
+    from the offsets alone."""
+    import pyarrow.compute as pc
+
+    return pc.fill_null(arr, "") if arr.null_count else arr
+
+
 def string_buffers(arr):
     """(absolute int64 offsets, uint8 data) of a (Large)StringArray —
     the single implementation of Arrow string-buffer access (offset-
-    sliced arrays, large_string offsets, missing data buffer)."""
+    sliced arrays, large_string offsets, missing data buffer, a null
+    read as "")."""
     import numpy as np
     import pyarrow as pa
 
+    arr = nulls_as_empty(arr)
     odt = np.int64 if pa.types.is_large_string(arr.type) else np.int32
     bufs = arr.buffers()
     off = np.frombuffer(bufs[1], dtype=odt)[
@@ -203,9 +215,11 @@ def clip_segments(data, off, clip: int):
     ), out_off
 
 
-# Rows per call of a scoring kernel (langid, perplexity). A kernel's
-# numpy temporaries grow with the rows it sees: at 1024 rows langid
-# allocates ~15 MB and perplexity ~9 MB per call, which glibc hands
+# Rows per call of a numpy reference scoring kernel (langid, perplexity;
+# the native kernels in quality/_kernels.c take the whole batch and are
+# the path wherever they build). A kernel's numpy temporaries grow with
+# the rows it sees: at 1024 rows langid allocates ~15 MB and
+# perplexity ~9 MB per call, which glibc hands
 # back to the OS when the call ends, so the next call faults them in
 # again. Measured per 1024-row batch of the 16000 seed-1 code rows
 # (getrusage ru_minflt, warm heap, 1 vCPU): one 1024-row call, langid

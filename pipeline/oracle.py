@@ -51,7 +51,7 @@ def oracle_code_frame(df: pd.DataFrame) -> pd.DataFrame:
     ppl_model = PerplexityModel.default()
     out = []
     for rec in df.to_dict("records"):
-        content = rec["content"]
+        content = rec["content"] if isinstance(rec["content"], str) else ""  # null -> ""
         scores = heuristic_scores(content)
         lang_pred, lang_conf = lang_model.predict_one(content)
         ppl = ppl_model.score_one(content)

@@ -18,6 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from pipeline._util import nulls_as_empty as _nulls_as_empty
 from pipeline._util import segment_sums as _segment_sums
 from pipeline._util import string_buffers as _string_buffers
 
@@ -58,6 +59,7 @@ def _alnum_counts(arr: pa.Array) -> np.ndarray:
 def heuristic_batch(content: pa.Array | pa.ChunkedArray) -> dict[str, np.ndarray]:
     if isinstance(content, pa.ChunkedArray):
         content = content.combine_chunks()
+    content = _nulls_as_empty(content)  # a null row scores as ""
     n_rows = len(content)
     lines = pc.split_pattern(content, "\n")
     flat = pc.list_flatten(lines)

@@ -7,23 +7,26 @@ prediction is the argmax of cosine scores, confidence a softmax over
 them. Fit deterministically at first use from pipeline.synth.codelang
 snippets (offline env — no lid.176 download; §7.0).
 
-Scoring walks a batch in fixed slices of SCORE_SLICE_ROWS (256) rows
-(`_util.score_slices`): each slice's first SAMPLE_BYTES bytes per
-document are copied into one CONCATENATED byte stream with segment
-offsets and scored in one vectorized pass: trigram bucket ids for the
-slice (in-place shifts, ORs and a `& (D-1)` mask), one sort of a uint32
-`row << 16 | bucket` key, run-length counts per document, then a single
-profile gather into a preallocated buffer whose last row is the zero
-sentinel, the count multiply in place, and one per-segment reduceat.
-The slice keeps those temporaries small enough that the allocator
-reuses them from slice to slice instead of faulting fresh pages in for
-every batch (measured beside SCORE_SLICE_ROWS). No per-document Python,
-no np.unique per doc, and `predict_batch_arrow` reads the Arrow string
-buffers directly (no to_pylist). Per-document results are independent
-of batch composition and of the slicing (segment-local sequential
-sums), and the list path (`predict_batch`, `predict_one`) runs the same
-slice loop, so the Ray stage and the sequential oracle agree
-bit-for-bit.
+Scoring runs one native C kernel per batch (`_kernels.c:langid_scores`,
+built and loaded by `_native.py`) straight on the Arrow offsets and data
+buffers: per document it clips to SAMPLE_BYTES, hashes each byte trigram
+into a uint16 bucket count, visits the buckets it hit in ascending order
+(a 65536-bit bitmap scanned word by word, no sort), and sums
+count * profile over them. It copies the reduction order of the numpy
+reference kernel below, which gathers one profile row per distinct
+(doc, bucket) pair in bucket order and sums each document with
+np.add.reduceat: the first term plus numpy's pairwise sum of the rest
+(8 accumulators, blocks of up to 128 terms, a halving split above),
+per float32 column; the norm's float64 sum the same way. So the scores
+are bit-identical to the reference's, and per-document results do not
+depend on the rest of the batch. The softmax stays in numpy.
+
+The reference (`_scores_segments`, run over SCORE_SLICE_ROWS-row slices
+by `_util.score_slices`) is the path when the C kernels cannot be built
+(no C compiler), with one warning per process, and the one the tests
+compare the native kernel against. The list path (`predict_batch`,
+`predict_one`) runs the same kernel as `predict_batch_arrow`, so the Ray
+stage and the sequential oracle agree bit-for-bit.
 
 Ray usage: the fused `ray_pipeline.QualityScorer` is the T2 actor-pool
 archetype [ref: evaluation/model_evaluation.py:55-63 — model loaded
@@ -40,6 +43,7 @@ from pipeline._util import rng_for
 from pipeline._util import score_slices as _score_slices
 from pipeline._util import string_buffers as _string_buffers
 from pipeline._util import utf8_segments as _utf8_segments
+from pipeline.quality import _native
 from pipeline.synth.codelang import LANGS, TEXT_LANGS, make_snippet
 
 D = 1 << 16
@@ -121,8 +125,9 @@ class LangIdModel:
         return cls._default
 
     def _scores_segments(self, data: np.ndarray, off: np.ndarray) -> np.ndarray:
-        """(n_docs x L) cosine scores over a concatenated pre-clipped byte
-        stream of fewer than 2^16 documents (_predict passes one slice).
+        """Reference kernel: (n_docs x L) cosine scores over a concatenated
+        pre-clipped byte stream of fewer than 2^16 documents (_scores
+        passes one slice).
         One sort + run-length count replaces per-doc np.unique; per-doc
         values do not depend on the rest of the batch."""
         n = len(off) - 1
@@ -199,11 +204,26 @@ class LangIdModel:
         conf = z[np.arange(len(scores)), idx] / z.sum(axis=1)
         return idx, conf
 
+    def _scores(self, data: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """(n x L) cosine scores of the first SAMPLE_BYTES bytes of each
+        segment [off[i], off[i+1]) of ``data``: one native kernel call,
+        or the reference kernel over SCORE_SLICE_ROWS-row slices when
+        the native kernels are unavailable."""
+        lib = _native.kernels()
+        if lib is None:
+            return _score_slices(self._scores_segments, data, off, SAMPLE_BYTES)
+        n, L = len(off) - 1, len(self.langs)
+        pt = np.ascontiguousarray(self.profiles_t, dtype=np.float32)
+        off = np.ascontiguousarray(off, dtype=np.int64)
+        scores = np.empty((n, L), dtype=np.float32)
+        if lib.langid_scores(data.ctypes.data, off.ctypes.data, n, SAMPLE_BYTES,
+                             pt.ctypes.data, L, scores.ctypes.data):
+            raise MemoryError("langid_scores: workspace allocation failed")
+        return scores
+
     def _predict(self, data: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(language index, confidence) per segment of ``data``, scored
-        in SCORE_SLICE_ROWS-row slices of its first SAMPLE_BYTES bytes."""
-        return self._predict_from_scores(
-            _score_slices(self._scores_segments, data, off, SAMPLE_BYTES))
+        """(language index, confidence) per segment of ``data``."""
+        return self._predict_from_scores(self._scores(data, off))
 
     def predict_batch(self, texts: list[str]) -> tuple[list[str], np.ndarray]:
         idx, conf = self._predict(*_utf8_segments(texts, SAMPLE_BYTES))

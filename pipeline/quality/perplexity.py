@@ -6,17 +6,23 @@ code punctuation, whitespace, other) so the conditional table is a dense
 64^3 float32 array (1 MiB) — mmap-free, rebuilt deterministically per
 process in under a second.
 
-Scoring walks a batch in fixed slices of SCORE_SLICE_ROWS (256) rows
-(`_util.score_slices`, shared with langid): each slice's clipped bytes
-form one CONCATENATED byte stream with per-document segment offsets,
-scored in one vectorized pass: fold bytes, rolling trigram codes, one
-fancy-index gather, per-segment sequential sums via np.add.reduceat.
-The slice bounds the pass's temporaries, so they are reused from slice
-to slice rather than faulted in afresh for every batch. Segment sums
-are independent of how documents are batched or sliced, so the Ray
-stage (1024-doc batches) and the sequential oracle (one doc at a time,
-through the same slice loop) produce bit-identical perplexities — the
+Scoring runs one native C kernel per batch (`_kernels.c:ppl_sums`,
+built and loaded by `_native.py`, shared with langid) straight on the
+Arrow offsets and data buffers: per document it clips to SAMPLE_BYTES,
+folds the bytes, and sums the trigram log-probabilities as float64 in
+the order of the numpy reference kernel's np.add.reduceat: the first
+term plus numpy's pairwise sum of the rest (8 accumulators, blocks of
+up to 128 terms, a halving split above). The mean and `2.0 ** h` stay
+in numpy. Segment sums are independent of how documents are batched, so
+the Ray stage (1024-doc batches) and the sequential oracle (one doc at a
+time, through the same kernel) produce bit-identical perplexities — the
 parity invariant.
+
+The reference (`_score_segments`: fold bytes, rolling trigram codes,
+one fancy-index gather, per-segment np.add.reduceat over
+SCORE_SLICE_ROWS-row slices by `_util.score_slices`) is the path when
+the C kernels cannot be built (no C compiler), with one warning per
+process, and the one the tests compare the native kernel against.
 
 `score_batch_arrow` reads the Arrow string buffers directly (no Python
 string materialization; to_pylist+encode per doc was pure extra
@@ -37,6 +43,7 @@ from pipeline._util import rng_for
 from pipeline._util import score_slices as _score_slices
 from pipeline._util import string_buffers as _string_buffers
 from pipeline._util import utf8_segments as _utf8_segments
+from pipeline.quality import _native
 from pipeline.synth.codelang import LANGS, TEXT_LANGS, make_snippet
 
 V = 64
@@ -96,9 +103,10 @@ class PerplexityModel:
         return cls._default
 
     def _score_segments(self, data: np.ndarray, off: np.ndarray) -> np.ndarray:
-        """Perplexity per segment of a concatenated (pre-clipped) byte
-        stream. Per-segment sums use np.add.reduceat — sequential within a
-        segment, independent of neighbors: batch-composition-invariant."""
+        """Reference kernel: perplexity per segment of a concatenated
+        (pre-clipped) byte stream. Per-segment sums use np.add.reduceat
+        (first term plus numpy's pairwise sum of the rest), independent
+        of neighbors: batch-composition-invariant."""
         n = len(off) - 1
         lens = np.diff(off)
         nwin = np.maximum(lens - 2, 0)
@@ -125,9 +133,26 @@ class PerplexityModel:
         return out
 
     def _score(self, data: np.ndarray, off: np.ndarray) -> np.ndarray:
-        """Perplexity per segment of ``data``, scored in
-        SCORE_SLICE_ROWS-row slices of its first SAMPLE_BYTES bytes."""
-        return _score_slices(self._score_segments, data, off, SAMPLE_BYTES)
+        """Perplexity of the first SAMPLE_BYTES bytes of each segment
+        [off[i], off[i+1]) of ``data``: the log-probability sums in one
+        native kernel call, or the reference kernel over
+        SCORE_SLICE_ROWS-row slices when the native kernels are
+        unavailable."""
+        lib = _native.kernels()
+        if lib is None:
+            return _score_slices(self._score_segments, data, off, SAMPLE_BYTES)
+        n = len(off) - 1
+        logp = np.ascontiguousarray(self.logp, dtype=np.float32)
+        off = np.ascontiguousarray(off, dtype=np.int64)
+        sums = np.empty(n, dtype=np.float64)
+        if lib.ppl_sums(data.ctypes.data, off.ctypes.data, n, SAMPLE_BYTES,
+                        _FOLD.ctypes.data, logp.ctypes.data, sums.ctypes.data):
+            raise MemoryError("ppl_sums: workspace allocation failed")
+        nwin = np.maximum(np.minimum(np.diff(off), SAMPLE_BYTES) - 2, 0)
+        out = np.full(n, _EMPTY_PPL, dtype=np.float64)
+        mask = nwin > 0
+        out[mask] = 2.0 ** -(sums[mask] / nwin[mask])
+        return out
 
     def score_batch(self, texts: list[str]) -> np.ndarray:
         return self._score(*_utf8_segments(texts, SAMPLE_BYTES))

@@ -28,7 +28,9 @@ import pyarrow as pa
 
 import ray.data
 
-from pipeline._util import _cluster_cpus, _fetch_once, _put_once, clean_batch, parquet_schema
+from pipeline._util import (
+    _cluster_cpus, _fetch_once, _put_once, clean_batch, nulls_as_empty, parquet_schema,
+)
 from pipeline.quality.decide import decide_batch
 from pipeline.quality.heuristics import heuristic_batch
 from pipeline.quality.langid import LangIdModel
@@ -378,7 +380,8 @@ def decide_stage(batch: pa.Table, *, column: str = "content") -> pa.Table:
             "line_len_max", "alnum_ratio", "repetition_score",
         )
     }
-    content_len = pc.utf8_length(batch[column]).to_numpy(zero_copy_only=False)
+    # a null row is "" (too short), as the scorers and the scrub read it
+    content_len = pc.utf8_length(nulls_as_empty(batch[column])).to_numpy(zero_copy_only=False)
     keep, reason = decide_batch(cols, batch["lang"].to_numpy(zero_copy_only=False), content_len)
     batch = batch.append_column("keep", pa.array(keep))
     return batch.append_column("drop_reason", pa.array(reason, pa.string()))

@@ -4,6 +4,8 @@ labels, vocab guards."""
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipeline._util import rng_for
 from pipeline.quality.decide import decide_row
@@ -112,77 +114,60 @@ def test_repetition_score_exact():
             assert heuristic_batch(pa.array([t], typ))["repetition_score"][0] == want[i]
 
 
-def test_langid_both_key_widths_bit_identical():
-    """The (row, bucket) sort key is uint32 only, with the row id in its
-    high 16 bits: the kernel sees one SCORE_SLICE_ROWS-row slice at a
-    time, however many rows a call passes. Scoring 2^16 + 1 short rows
-    in ONE call (past what a uint32 key could hold in one pass) must be
-    bit-identical to scoring them in 1024-row calls, and so must the
-    largest batch a single uint32 pass could hold (2^16 - 1 rows)."""
-    import pyarrow as pa
+def _reference(lm, pm, data, off):
+    """(langid scores, perplexities) of the numpy reference kernels over
+    SCORE_SLICE_ROWS-row slices: the path that runs without the native
+    kernels."""
+    from pipeline._util import score_slices
+    from pipeline.quality import langid, perplexity
 
-    r = rng_for("t-langid-keys", 0)
-    alpha = "abcdefghij klmnop{}();=\n"
-    texts = [
-        "".join(r.choice(alpha) for _ in range(r.randint(3, 8)))
-        for _ in range((1 << 16) + 1)
-    ]
-    arr = pa.array(texts, pa.string())
-    model = LangIdModel.default()
-    langs, conf = model.predict_batch_arrow(arr)
-    parts = [model.predict_batch_arrow(arr.slice(i, 1024))
-             for i in range(0, len(arr), 1024)]
-    assert langs.to_pylist() == sum((p[0].to_pylist() for p in parts), [])
-    assert np.concatenate([p[1] for p in parts]).tobytes() == conf.tobytes()
-    top = (1 << 16) - 1
-    langs_u32, conf_u32 = model.predict_batch_arrow(arr.slice(0, top))
-    assert langs_u32.to_pylist() == langs.to_pylist()[:top]
-    assert conf_u32.tobytes() == conf[:top].tobytes()
+    return (score_slices(lm._scores_segments, data, off, langid.SAMPLE_BYTES),
+            score_slices(pm._score_segments, data, off, perplexity.SAMPLE_BYTES))
 
 
-def _slice_edge_rows() -> list[str | None]:
-    """513 rows: "" and null around both slice edges (rows 255/256 and
-    511/512), and multibyte rows whose 768th (langid) or 1024th
-    (perplexity) byte falls inside a character."""
-    r = rng_for("t-score-slices", 0)
+def _assert_native_matches_reference(lm, pm, data, off):
+    """The native kernels' langid scores and perplexities are byte-equal
+    to the reference kernels' on the segments [off[i], off[i+1])."""
+    want_s, want_p = _reference(lm, pm, data, off)
+    got_s, got_p = lm._scores(data, off), pm._score(data, off)
+    assert got_s.dtype == want_s.dtype and got_s.shape == want_s.shape
+    bad = np.flatnonzero((got_s.view(np.uint32) != want_s.view(np.uint32)).any(axis=1))
+    assert bad.size == 0, ("langid", bad[:10])
+    bad = np.flatnonzero(got_p.view(np.uint64) != want_p.view(np.uint64))
+    assert bad.size == 0, ("perplexity", bad[:10])
+
+
+def _edge_rows() -> list[str | None]:
+    """Rows of 0-3 bytes and around both clip lengths (768 langid, 1024
+    perplexity), rows whose clip falls inside a multibyte character at
+    every offset in it, "", nulls, and long random rows with repeated
+    and distinct trigrams (more than a 128-term pairwise block)."""
+    r = rng_for("t-native-edges", 0)
     alpha = "abc xyz{}();=\néß中文\U0001d11e"
     rows: list[str | None] = []
-    for i in range(513):
-        if i % 3 == 0:  # cut at a clip length, mid-character
-            clip = 768 if i % 2 else 1024
-            head = clip - 1 - r.randint(0, 2)
-            rows.append("q" * head + "中\U0001d11eé" * r.randint(1, 40))
-        else:
-            rows.append("".join(r.choice(alpha) for _ in range(r.randint(0, 1300))))
-    rows[255], rows[256], rows[511], rows[512] = "", None, None, ""
+    for n in (0, 1, 2, 3, 767, 768, 769, 1023, 1024, 1025):
+        rows.append("".join(r.choice("abcdefgh ();\n") for _ in range(n)))
+    for clip in (768, 1024):
+        for back in range(1, 4):  # the clip cuts a 2-, 3- and 4-byte char
+            for ch in "é中\U0001d11e":
+                rows.append("q" * (clip - back) + ch * 3)
+    rows += ["", None, "ab", None, ""]
+    for _ in range(60):
+        rows.append("".join(r.choice(alpha) for _ in range(r.randint(0, 1300))))
+    rows.append(bytes(range(32, 127)).decode() * 12)  # ~all-distinct trigrams
     return rows
 
 
-def test_scoring_slices_bit_identical_at_slice_edges(monkeypatch):
-    """Both models score a batch in SCORE_SLICE_ROWS-row slices; every
-    row's result must equal scoring that row alone (predict_one /
-    score_one) byte for byte, on both the Arrow path (offset-sliced
-    string and large_string arrays, nulls scored as "") and the list
-    path, at row counts around the slice edges. A spy fails if a kernel
-    call ever sees more rows than one slice."""
+def test_native_kernels_bit_identical_on_edge_rows():
+    """Native kernel == numpy reference == predict_one / score_one, byte
+    for byte, on edge rows, through offset-sliced string and large_string
+    arrays (nulls scored as "") and through the list path."""
     import pyarrow as pa
 
-    from pipeline import _util
+    from pipeline._util import string_buffers
 
-    assert _util.SCORE_SLICE_ROWS == 256
-    calls = []
-
-    def spy(kernel):
-        def wrapped(self, data, off):
-            assert len(off) - 1 <= _util.SCORE_SLICE_ROWS, len(off) - 1
-            calls.append(len(off) - 1)
-            return kernel(self, data, off)
-        return wrapped
-
-    monkeypatch.setattr(LangIdModel, "_scores_segments", spy(LangIdModel._scores_segments))
-    monkeypatch.setattr(PerplexityModel, "_score_segments", spy(PerplexityModel._score_segments))
     lm, pm = LangIdModel.default(), PerplexityModel.default()
-    rows = _slice_edge_rows()
+    rows = _edge_rows()
     texts = [t or "" for t in rows]
     for clip in (768, 1024):  # some row is cut inside a character
         assert any(0x80 <= b[clip] < 0xC0 for b in map(str.encode, texts) if len(b) > clip)
@@ -190,18 +175,99 @@ def test_scoring_slices_bit_identical_at_slice_edges(monkeypatch):
     want_lang = [lang for lang, _ in one]
     want_conf = np.array([c for _, c in one], np.float32)
     want_ppl = np.array([pm.score_one(t) for t in texts])
-    for n in (0, 1, 255, 256, 257, 511, 513):
-        calls.clear()
-        langs, conf = lm.predict_batch(texts[:n])
-        assert langs == want_lang[:n] and conf.tobytes() == want_conf[:n].tobytes(), n
-        assert pm.score_batch(texts[:n]).tobytes() == want_ppl[:n].tobytes(), n
-        assert len(calls) == 2 * max(1, -(-n // 256)), (n, calls)
-        for typ in (pa.string(), pa.large_string()):
-            arr = pa.array(["pad"] + rows[:n] + ["pad"], typ).slice(1, n)
-            langs_a, conf_a = lm.predict_batch_arrow(arr)
-            assert langs_a.to_pylist() == want_lang[:n], (n, typ)
-            assert conf_a.tobytes() == want_conf[:n].tobytes(), (n, typ)
-            assert pm.score_batch_arrow(arr).tobytes() == want_ppl[:n].tobytes(), (n, typ)
+    langs, conf = lm.predict_batch(texts)
+    assert langs == want_lang and conf.tobytes() == want_conf.tobytes()
+    assert pm.score_batch(texts).tobytes() == want_ppl.tobytes()
+    for typ in (pa.string(), pa.large_string()):
+        arr = pa.array(["pad"] + rows + ["pad"], typ).slice(1, len(rows))
+        off, data = string_buffers(arr)
+        _assert_native_matches_reference(lm, pm, data, off)
+        langs_a, conf_a = lm.predict_batch_arrow(arr)
+        assert langs_a.to_pylist() == want_lang, typ
+        assert conf_a.tobytes() == want_conf.tobytes(), typ
+        assert pm.score_batch_arrow(arr).tobytes() == want_ppl.tobytes(), typ
+
+
+def test_native_kernels_read_a_spanning_null_as_empty():
+    """Arrow lets a null slot's offsets span bytes; the scorers and the
+    heuristics read such a null as "", not as the bytes it spans."""
+    import pyarrow as pa
+
+    body = "def f(x):\n    return x * 2\n" * 30
+    data = ("ab" + body + "xyz").encode()
+    off = np.array([0, 2, 2 + len(body), len(data)], np.int32)
+    valid = np.packbits([1, 0, 1], bitorder="little")
+    arr = pa.Array.from_buffers(pa.string(), 3, [pa.py_buffer(valid), pa.py_buffer(off),
+                                                 pa.py_buffer(data)], null_count=1)
+    assert arr.to_pylist() == ["ab", None, "xyz"]
+    lm, pm = LangIdModel.default(), PerplexityModel.default()
+    texts = ["ab", "", "xyz"]
+    langs, conf = lm.predict_batch_arrow(arr)
+    want = [lm.predict_one(t) for t in texts]
+    assert langs.to_pylist() == [la for la, _ in want]
+    assert conf.tobytes() == np.array([c for _, c in want], np.float32).tobytes()
+    assert pm.score_batch_arrow(arr).tobytes() == pm.score_batch(texts).tobytes()
+    h = heuristic_batch(arr)
+    for k, v in heuristic_scores("").items():
+        assert h[k][1] == v, k
+
+
+def test_native_kernels_one_call_past_2_16_rows():
+    """2^16 + 1 rows in one native call score as the numpy reference
+    does and as 1024-row calls do."""
+    import pyarrow as pa
+
+    from pipeline._util import string_buffers
+
+    r = rng_for("t-langid-keys", 0)
+    alpha = "abcdefghij klmnop{}();=\n"
+    texts = [
+        "".join(r.choice(alpha) for _ in range(r.randint(0, 12)))
+        for _ in range((1 << 16) + 1)
+    ]
+    arr = pa.array(texts, pa.string())
+    lm, pm = LangIdModel.default(), PerplexityModel.default()
+    off, data = string_buffers(arr)
+    _assert_native_matches_reference(lm, pm, data, off)
+    langs, conf = lm.predict_batch_arrow(arr)
+    parts = [lm.predict_batch_arrow(arr.slice(i, 1024)) for i in range(0, len(arr), 1024)]
+    assert langs.to_pylist() == sum((p[0].to_pylist() for p in parts), [])
+    assert np.concatenate([p[1] for p in parts]).tobytes() == conf.tobytes()
+
+
+def test_native_perplexity_sums_in_numpy_order_for_any_table():
+    """The fit table's log-probabilities sum exactly in float64 in any
+    order, so the order of the perplexity sum shows only with a table
+    whose terms span a wide range of exponents: with one, the native
+    kernel still equals the reference byte for byte."""
+    import pyarrow as pa
+
+    from pipeline._util import string_buffers
+
+    rng = np.random.default_rng(3)
+    logp = (-rng.random(64 ** 3) * 10.0 ** rng.integers(-12, 4, 64 ** 3)).astype(np.float32)
+    pm = PerplexityModel(logp)
+    off, data = string_buffers(pa.array([t or "" for t in _edge_rows()]))
+    want = _reference(LangIdModel.default(), pm, data, off)[1]
+    assert pm._score(data, off).tobytes() == want.tobytes()
+
+
+@given(st.lists(
+    st.one_of(
+        st.binary(max_size=1100),
+        st.text(alphabet="ab c\n{}();é中", max_size=1100).map(str.encode),
+    ),
+    max_size=8,
+))
+@settings(max_examples=60, deadline=None)
+def test_native_kernels_match_reference_on_random_bytes(rows):
+    """Any bytes (not only valid utf-8), any row lengths: the native
+    kernels equal the numpy reference byte for byte."""
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in rows], out=off[1:])
+    data = np.frombuffer(b"".join(rows), dtype=np.uint8)
+    _assert_native_matches_reference(LangIdModel.default(), PerplexityModel.default(),
+                                     data, off)
 
 
 def test_decide_rule_order_and_reasons():
